@@ -32,7 +32,8 @@ def main():
 @click.option("--suite", "suite_names", multiple=True, help="Suite to run (repeatable); default: all registered.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--trials", type=int, default=None, help="Trial-count override for every suite.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Concurrent suites.")
+@click.option("--jobs", type=int, default=None,
+              help="Concurrent suites; overrides --config and HCALC_JOBS (default there: 1).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="RunConfig JSON.")
 @click.option("--out", "out_path", type=click.Path(), default="hcalc_report.json", show_default=True)
 def verify(suite_names, seed, trials, jobs, config_path, out_path):

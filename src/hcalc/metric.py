@@ -14,6 +14,17 @@ so this family contains near-optimal competitors).  Arcs are realized as
 inscribed polylines whose bulge is solved so that the polygonal enclosed
 area, and hence the lifted height, is exact; the returned upper bound is
 the actual polyline length and therefore always certified by the witness.
+
+The bulge is found by bisection, in two forms that return the same bits.
+:func:`_solve_bulge` runs on numpy arrays and serves the batch path
+:func:`cc_upper_value_batch`; every step is elementwise, so a batch gives each
+element the value a call on that element alone would.  :func:`_solve_bulge_scalar`
+serves the one witness of :func:`cc_upper` in plain floats: it repeats the
+same operations in the same order, with ``math.sin`` for ``np.sin``, and stops
+at the bisection's fixed point.  A step depends only on the current interval,
+so once a step leaves it unchanged no later step can change it, and the early
+stop returns the 90-step value.  The tests check the two bitwise, which also
+checks that ``math.sin`` and ``np.sin`` agree on the platform.
 """
 
 from __future__ import annotations
@@ -159,7 +170,10 @@ def _chain_area_coeff(theta: np.ndarray, m: int) -> np.ndarray:
 
 
 def _solve_bulge(area_over_d2: np.ndarray, m: int, iters: int = 90) -> np.ndarray:
-    """Solve chain_area_coeff(theta) = area_over_d2 on (0, pi) by bisection."""
+    """Solve chain_area_coeff(theta) = area_over_d2 on (0, pi) by bisection.
+
+    The batch solver, and the reference for :func:`_solve_bulge_scalar`.
+    """
     lo = np.zeros_like(area_over_d2)
     hi = np.full_like(area_over_d2, math.pi - 1e-12)
     for _ in range(iters):
@@ -167,6 +181,37 @@ def _solve_bulge(area_over_d2: np.ndarray, m: int, iters: int = 90) -> np.ndarra
         too_small = _chain_area_coeff(mid, m) < area_over_d2
         lo = np.where(too_small, mid, lo)
         hi = np.where(too_small, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _chain_area_coeff_scalar(theta: float, m: int) -> float:
+    # _chain_area_coeff for one float: same operations, same order
+    if theta < 1e-6:
+        return theta * (1.0 - 1.0 / (m * m)) / 6.0
+    s = math.sin(theta)
+    return (m * math.sin(2.0 * theta / m) - math.sin(2.0 * theta)) / (8.0 * s * s)
+
+
+def _solve_bulge_scalar(area_over_d2: float, m: int, iters: int = 90) -> float:
+    """:func:`_solve_bulge` for one float, bit for bit.
+
+    Each step is a function of ``(lo, hi)`` alone, so once a step leaves
+    them unchanged every later step does too, and stopping there returns
+    exactly the value after ``iters`` steps.  The interval closes on
+    adjacent doubles after about 53 steps for ratios near 1 and 85 steps at
+    1e-10; below about 1e-11 all ``iters`` steps run.
+    """
+    lo, hi = 0.0, math.pi - 1e-12
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if _chain_area_coeff_scalar(mid, m) < area_over_d2:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -241,16 +286,16 @@ def _arc_witness(z: np.ndarray, n: int, x: np.ndarray) -> HorizontalPath:
         return _chain_to_path(chain, w, n, x)
     if c == 0.0:
         return _chain_to_path(np.array([[0.0, 0.0], [D, 0.0]]), w, n, x)
-    ratio = np.array(abs(target_ccw) / (D * D))
-    if float(ratio) > 1e10:
+    ratio = abs(target_ccw) / (D * D)
+    if ratio > 1e10:
         # bulge saturates in float; go straight to the projection, then close
         # the height with a full circle (out-and-back chord encloses nothing)
         circle = _circle_chain_2d(target_ccw, 1024) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
         return _chain_to_path(chain, w, n, x)
-    theta0 = float(_solve_bulge(ratio, 64))
-    m = int(np.clip(math.ceil(theta0 / 0.02), 16, 1024))
-    theta = float(_solve_bulge(ratio, m))
+    theta0 = _solve_bulge_scalar(ratio, 64)
+    m = min(max(math.ceil(theta0 / 0.02), 16), 1024)
+    theta = _solve_bulge_scalar(ratio, m)
     chain = _arc_chain_2d(D, theta, m)
     if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
         chain[:, 1] *= -1.0
@@ -384,15 +429,7 @@ def angle_fit(
     rng = np.random.default_rng(seed)
     ts = np.linspace(-t_span, t_span, grid)
     ts = ts[ts != 0.0]
-    c_fit = 1.0
-
-    def ratio_for(dir_g: np.ndarray, dir_h: np.ndarray, A: float) -> float:
-        # straight pair: worst observed case is two lines at angle A
-        ga = ts[:, None] * horizontal_point(dir_g)
-        ha = ts[:, None] * horizontal_point(dir_h)
-        ups = cc_upper_value_batch(group_mul(group_inv(ga), ha))
-        return float(np.max(ups / (math.sqrt(A) * np.abs(ts))))
-
+    rel, scales = [], []
     for _ in range(trials):
         A = 10.0 ** rng.uniform(-4, 0)
         h_dir = rng.standard_normal(2 * n)
@@ -407,7 +444,15 @@ def angle_fit(
         offset = float(np.linalg.norm(g_dir - h_dir))
         if offset == 0.0:
             continue
-        c_fit = max(c_fit, ratio_for(g_dir, h_dir, min(offset, 1.0)))
+        # straight pair: worst observed case is two lines at angle min(offset, 1)
+        ga = ts[:, None] * horizontal_point(g_dir)
+        ha = ts[:, None] * horizontal_point(h_dir)
+        rel.append(group_mul(group_inv(ga), ha))
+        scales.append(math.sqrt(min(offset, 1.0)) * np.abs(ts))
+    c_fit = 1.0
+    if rel:
+        ups = cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), len(ts))
+        c_fit = max(c_fit, float(np.max(ups / np.stack(scales))))
     return ConstantsEstimate(c_angle=c_fit, region=f"speed<={speed_bound:g}, n={n}", samples=trials)
 
 

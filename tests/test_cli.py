@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hcalc import suites
 from hcalc.cli import main
 from hcalc.suites import RunConfig, SuiteResult, emit_report, run_suite
 
@@ -102,6 +103,32 @@ def test_verify_jobs_match_serial(runner, tmp_path):
     assert runner.invoke(main, [*base, "--out", str(a)]).exit_code == 0
     assert runner.invoke(main, [*base, "--jobs", "3", "--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("source, flag, expected", [
+    ("config", [], 2),
+    ("env", [], 2),
+    ("config", ["--jobs", "1"], 1),
+])
+def test_verify_jobs_reach_the_run(runner, tmp_path, monkeypatch, source, flag, expected):
+    seen = []
+    real_run_suite = suites.run_suite
+
+    def recording_run_suite(name, cfg, seed=None):
+        seen.append(cfg.jobs)
+        return real_run_suite(name, cfg, seed)
+
+    monkeypatch.setattr(suites, "run_suite", recording_run_suite)
+    args = ["verify", "--suite", "group", "--trials", "100", "--out", str(tmp_path / "rep.json")]
+    if source == "config":
+        cfg_path = tmp_path / "config.json"
+        RunConfig(jobs=2).save(str(cfg_path))
+        args += ["--config", str(cfg_path)]
+    else:
+        monkeypatch.setenv("HCALC_JOBS", "2")
+    out = runner.invoke(main, [*args, *flag])
+    assert out.exit_code == 0, out.output
+    assert seen == [expected]
 
 
 def test_report_reemission(runner, tmp_path):

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcalc.curves import gamma_y, horizontal_length
-from hcalc.group import dilate, group_mul, horizontal_point, koranyi_dist
+from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist
 from hcalc.metric import (
+    _chain_area_coeff,
+    _solve_bulge,
+    _solve_bulge_scalar,
     Ball,
     ConstantsEstimate,
     DistanceBounds,
@@ -151,6 +156,65 @@ def test_angle_fit_is_at_least_one():
     assert est.c_angle >= 1.0
 
 
+# ratios from 1e-14 to 1e10: the bulge runs from the series branch
+# (theta < 1e-6, ratio below about 1.67e-7) up to within 1e-5 of pi
+BULGE_RATIOS = np.concatenate([
+    np.logspace(-14, 10, 97),
+    10.0 ** np.random.default_rng(11).uniform(-14, 10, 200),
+    [1e-14, 1.6e-7, 1.7e-7, 0.5, 1.0, 3.0e9, 1e10],
+])
+
+
+@pytest.mark.parametrize("m", [16, 64, 256, 1024])
+def test_scalar_bulge_solver_matches_array_solver_bitwise(m):
+    batch = _solve_bulge(BULGE_RATIOS, m)
+    for ratio, from_batch in zip(BULGE_RATIOS, batch):
+        scalar = _solve_bulge_scalar(float(ratio), m)
+        assert scalar.hex() == float(_solve_bulge(np.array(ratio), m)).hex()
+        assert scalar.hex() == float(from_batch).hex()
+    assert batch.min() < 1e-6
+    assert batch.max() > math.pi - 1e-5
+    # the bisection lands where the area coefficient crosses the ratio
+    crossing = BULGE_RATIOS > 1e-3
+    coeff = _chain_area_coeff(batch[crossing], m)
+    assert np.allclose(coeff, BULGE_RATIOS[crossing], rtol=1e-9)
+
+
+def _angle_fit_per_trial(trials, seed, n):
+    # reference for angle_fit's defaults: one cc_upper_value_batch call per trial
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-1.0, 1.0, 33)
+    ts = ts[ts != 0.0]
+    c_fit = 1.0
+    for _ in range(trials):
+        A = 10.0 ** rng.uniform(-4, 0)
+        h_dir = rng.standard_normal(2 * n)
+        h_dir /= np.linalg.norm(h_dir)
+        pert = rng.standard_normal(2 * n)
+        pert -= (pert @ h_dir) * h_dir
+        norm = np.linalg.norm(pert)
+        if norm == 0.0:
+            continue
+        g_dir = h_dir + A * pert / norm
+        g_dir /= np.linalg.norm(g_dir)
+        offset = float(np.linalg.norm(g_dir - h_dir))
+        if offset == 0.0:
+            continue
+        ga = ts[:, None] * horizontal_point(g_dir)
+        ha = ts[:, None] * horizontal_point(h_dir)
+        ups = cc_upper_value_batch(group_mul(group_inv(ga), ha))
+        c_fit = max(c_fit, float(np.max(ups / (math.sqrt(min(offset, 1.0)) * np.abs(ts)))))
+    return c_fit
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_angle_fit_matches_per_trial_loop(n):
+    for seed in (0, 7):
+        est = angle_fit(2.0, 40, seed, n=n)
+        assert est.c_angle == _angle_fit_per_trial(40, seed, n)
+        assert est.samples == 40
+
+
 def test_distance_pansu_check_cases():
     u = np.array([1.0, 0.0])
     # z = 0: both sides equal d(u)
@@ -168,3 +232,58 @@ def test_distance_pansu_check_cases():
         distance_pansu_check(u, np.zeros((0, 3)))
     with pytest.raises(ValueError):
         distance_pansu_check(np.array([2.0, 0.0]), np.zeros((1, 3)))
+
+
+# Property tests of the one-pair bracket.  Coordinates lie on a dyadic grid
+# (12 fractional bits, |coordinate| <= 8) and dilation factors are multiples of
+# 1/16, so the relative position x^-1 y of a pair, of its translate and of its
+# dilate are exact in floats.  What is left is the rounding of the bracket
+# itself: the witness length sums at most 1026 segment norms of points
+# translated by up to S, each off by a few eps * (S + length), and
+# 2**16 * eps is over ten times that.
+BRACKET_TOL = 2.0**16 * np.finfo(float).eps
+
+
+def _grid_points(n, count):
+    coords = st.integers(-(2**15), 2**15).map(lambda k: k / 2.0**12)
+    point = st.lists(coords, min_size=2 * n + 1, max_size=2 * n + 1).map(lambda v: np.array(v, float))
+    return st.tuples(*[point] * count)
+
+
+grid_pairs = st.integers(1, 3).flatmap(lambda n: _grid_points(n, 2))
+grid_triples = st.integers(1, 3).flatmap(lambda n: _grid_points(n, 3))
+
+
+def _close(a, b, *points):
+    scale = 1.0 + max(float(np.max(np.abs(p))) for p in points)
+    return abs(a - b) <= BRACKET_TOL * (scale + max(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_pairs)
+def test_bracket_symmetry(pair):
+    x, y = pair
+    b1, b2 = cc_bounds(x, y), cc_bounds(y, x)
+    assert b1.lower == b2.lower
+    assert _close(b1.upper, b2.upper, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_triples)
+def test_bracket_left_invariance(triple):
+    g, x, y = triple
+    gx, gy = group_mul(g, x), group_mul(g, y)
+    b1, b2 = cc_bounds(x, y), cc_bounds(gx, gy)
+    assert b1.lower == b2.lower
+    assert _close(b1.upper, b2.upper, x, y, gx, gy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_pairs, st.integers(1, 160))
+def test_bracket_dilation_homogeneity(pair, sixteenths):
+    x, y = pair
+    r = sixteenths / 16.0
+    rx, ry = dilate(r, x), dilate(r, y)
+    b1, b2 = cc_bounds(x, y), cc_bounds(rx, ry)
+    assert _close(r * b1.lower, b2.lower, rx, ry)
+    assert _close(r * b1.upper, b2.upper, rx, ry)
