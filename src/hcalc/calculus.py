@@ -10,10 +10,9 @@ is flagged as diverging instead of being extrapolated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +48,9 @@ __all__ = [
     "MeanValueHypothesisError",
     "MeanValueSearchError",
     "mean_value_search",
-    "almost_maximal_pair_check",
+    "line_increments",
+    "PairComparison",
+    "compare_pairs",
 ]
 
 
@@ -346,23 +347,6 @@ class PansuReport:
     def accepted(self) -> bool:
         return bool(self.residuals[-1] <= self.tol)
 
-    def to_json(self) -> dict:
-        return {
-            "lip": self.candidate.lip,
-            "direction": self.candidate.direction.tolist(),
-            "radii": self.radii.tolist(),
-            "residuals": self.residuals.tolist(),
-            "tol": self.tol,
-            "accepted": self.accepted,
-        }
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius", "residual"])
-            for r, s in zip(self.radii, self.residuals):
-                writer.writerow([repr(float(r)), repr(float(s))])
-
 
 def sample_unit_ball(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Rejection-sample points with certified distance bound <= 1.
@@ -550,51 +534,99 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
     raise MeanValueSearchError(float(inst.grid[best]), "derivative bound reached but increment bound failed")
 
 
-def almost_maximal_pair_check(
+def line_increments(f: ScalarField, x: np.ndarray, direction: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Increments f(x + t E(x)) - f(x) over the grid, for a point or a batch of points.
+
+    ``E`` is the horizontal field with frame coefficients ``direction``; the
+    result has shape ``x.shape[:-1] + t_grid.shape``.  The centre values
+    f(x) are taken one point at a time: a field's rounding can depend on
+    the shape of its input, and this keeps them equal to a lone ``f(x)``.
+    """
+    x = np.asarray(x, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    pts = x[..., None, :] + t_grid[:, None] * vector_at(direction, x)[..., None, :]
+    centre = np.array([float(f(p)) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape[:-1])
+    return np.asarray(f(pts), float) - centre[..., None]
+
+
+class PairComparison(NamedTuple):
+    """Outcome of :func:`compare_pairs`, one entry per candidate.
+
+    ``verdict`` is True, False or None (undecided); ``reason`` is "" for an
+    accepted candidate, else "diverging", "ordering", "increment" or
+    "indeterminate"; ``required_sigma`` is the smallest sigma that makes the
+    increment bound hold against the conservative gap (inf when the
+    derivatives decide first).  ``value`` and ``star`` are the derivative
+    estimates the comparison used.
+    """
+
+    verdict: np.ndarray
+    required_sigma: np.ndarray
+    reason: np.ndarray
+    value: np.ndarray
+    star: DerivativeEstimate
+
+
+def compare_pairs(
     f: ScalarField,
     star: tuple,
-    competitor: tuple,
+    xs: np.ndarray,
+    directions: np.ndarray,
     K: float,
     t_grid: np.ndarray,
-    lip: Optional[float] = None,
+    sigma: float = 0.0,
+    lip: float = 1.0,
     steps: Optional[np.ndarray] = None,
-) -> Optional[bool]:
-    """Does the competitor beat the star pair within the increment envelope?
+) -> PairComparison:
+    """The increment-constrained ordering star <=_sigma candidate, per candidate.
 
-    ``star`` and ``competitor`` are (point, unit direction) pairs.  Returns
-    True when the competitor's derivative is at least the star's and the
-    difference of line increments along the star direction is bounded by
-    K |t| (gap * lip)^(1/4) on the grid; False when a violation is certain;
-    None when derivative error bars straddle the decision.  A derivative
-    gap within the combined error bars counts as equality (gap zero), so
-    the reflexive comparison of a pair with itself decides True.
+    ``star`` is a (point, unit direction) pair and each candidate is a row of
+    ``xs`` with the matching row of ``directions``.  With gap the derivative
+    of f along the candidate minus that along the star, a candidate is
+    accepted (True) when gap >= 0 and the line increments along the star
+    direction differ by at most
+
+        K (sigma + (gap * lip)^(1/4)) |t|
+
+    on the grid.  The maximizer takes lip = 1 and its own sigma; the
+    envelope check of the iteration takes sigma = 0 and lip = Lip(f).
+    Derivative error bars make the answer three-valued: a gap within them
+    counts as zero for acceptance, the verdict is False only when the
+    ordering or the bound fails even for the optimistic gap, and None
+    otherwise.  A diverging derivative estimate (of the star or of the
+    candidate) gives None.
     """
-    x_star, e_star = np.asarray(star[0], float), require_unit(np.asarray(star[1], float))
-    x, e = np.asarray(competitor[0], float), require_unit(np.asarray(competitor[1], float))
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if lip is None or lip < 0:
+        raise ValueError("need a nonnegative Lipschitz bound")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.abs(t_grid) >= 1.0):
         raise ValueError("t grid must lie in (-1, 1)")
+    x_star, e_star = np.asarray(star[0], float), require_unit(np.asarray(star[1], float))
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    directions = require_unit(np.atleast_2d(np.asarray(directions, dtype=float)))
     d_star = directional_derivative(f, x_star, e_star, steps)
-    d_comp = directional_derivative(f, x, e, steps)
-    gap = d_comp.value - d_star.value
-    slack = d_comp.error + d_star.error
-    if d_star.diverging or d_comp.diverging:
-        return None
-    if gap < -slack:
-        return False
-    # |gap| <= slack counts as equality within precision, with gap 0
-    if lip is None:
-        lip = f.declared_lip
-    if lip is None:
-        raise ValueError("need a Lipschitz bound: declared on the field or passed in")
-    bound_lo = K * (max(gap - slack, 0.0) * lip) ** 0.25
-    bound_hi = K * (max(gap + slack, 0.0) * lip) ** 0.25
-    line_star = x_star + t_grid[:, None] * vector_at(e_star, x_star)
-    line_x = x + t_grid[:, None] * vector_at(e_star, x)
-    lhs = np.abs((f(line_x) - float(f(x))) - (f(line_star) - float(f(x_star))))
-    t_abs = np.abs(t_grid)
-    if np.all(lhs <= bound_lo * t_abs + 1e-12):
-        return True
-    if np.any(lhs > bound_hi * t_abs + 1e-12):
-        return False
-    return None
+    values, errors, diverging = directional_derivative_batch(f, xs, directions, steps)
+    gap = values - d_star.value
+    slack = errors + d_star.error
+    diverging = diverging | d_star.diverging
+    ordering = ~diverging & (gap < -slack)
+    reason = np.where(diverging, "diverging", np.where(ordering, "ordering", "")).astype("<U13")
+    required = np.full(len(xs), np.inf)
+    live = np.flatnonzero(~diverging & ~ordering)
+    if len(live):
+        lhs = np.abs(line_increments(f, xs[live], e_star, t_grid) - line_increments(f, x_star, e_star, t_grid))
+        t_abs = np.abs(t_grid)
+        # np.float_power rounds like the scalar power; the SIMD ``**`` may not
+        lo = np.float_power(np.maximum(gap[live] - slack[live], 0.0) * lip, 0.25)[:, None]
+        hi = np.float_power(np.maximum(gap[live] + slack[live], 0.0) * lip, 0.25)[:, None]
+        nz = t_abs > 0.0  # t = 0 bounds no sigma
+        required[live] = np.max(lhs[:, nz] / (K * t_abs[nz]) - lo, axis=1, initial=0.0)
+        accepted = np.all(lhs <= K * (sigma + lo) * t_abs + 1e-12, axis=1)
+        beyond = np.any(lhs > K * (sigma + hi) * t_abs + 1e-12, axis=1)
+        reason[live] = np.where(accepted, "", np.where(beyond, "increment", "indeterminate"))
+    verdict = np.full(len(xs), None, dtype=object)
+    verdict[reason == ""] = True
+    verdict[(reason == "ordering") | (reason == "increment")] = False
+    return PairComparison(verdict, required, reason, values, d_star)

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .group import (
+    as_exact,
+    dilate,
     group_dim,
     group_inv,
     group_mul,
@@ -36,6 +38,7 @@ from .group import (
 
 __all__ = [
     "HorizontalPath",
+    "lift_heights",
     "lift_planar",
     "horizontal_length",
     "lipschitz_constant",
@@ -57,6 +60,19 @@ def delta_cap(eta: float) -> float:
     if eta <= 0:
         raise ValueError("eta must be positive")
     return min(eta / MODIFY_DELTA_DIVISOR, 0.5)
+
+
+def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
+    """Heights at the knots of the horizontal lift of a polyline starting at height c0.
+
+    ``planar`` holds one projected row per knot, as floats or as an object
+    array of fractions; each segment adds 2(<da, b_j> - <db, a_j>).
+    """
+    n = planar.shape[1] // 2
+    da = np.diff(planar[:, :n], axis=0)
+    db = np.diff(planar[:, n:], axis=0)
+    dc = 2 * (np.sum(da * planar[:-1, n:], axis=1) - np.sum(db * planar[:-1, :n], axis=1))
+    return c0 + np.concatenate([[0], np.cumsum(dc)])
 
 
 @dataclass(frozen=True)
@@ -91,11 +107,7 @@ class HorizontalPath:
         n = planar.shape[1] // 2
         if planar.shape[1] != 2 * n or n < 1:
             raise ValueError("planar rows must have even length >= 2")
-        da = np.diff(planar[:, :n], axis=0)
-        db = np.diff(planar[:, n:], axis=0)
-        dc = 2.0 * (np.sum(da * planar[:-1, n:], axis=1) - np.sum(db * planar[:-1, :n], axis=1))
-        heights = self.c0 + np.concatenate([[0.0], np.cumsum(dc)])
-        object.__setattr__(self, "_heights", heights)
+        object.__setattr__(self, "_heights", lift_heights(planar, self.c0))
 
     @property
     def n(self) -> int:
@@ -229,48 +241,27 @@ def line_path(x: np.ndarray, direction: np.ndarray, t0: float, t1: float) -> Hor
     return HorizontalPath(np.array([t0, t1]), planar, c0)
 
 
-# -- exact-fraction helpers -------------------------------------------------
-#
 # The knot data of gamma_y and modify_line is rational whenever the inputs
-# are: no square roots enter the knot positions.  These helpers mirror the
-# float code on tuples of Fractions so covers can recover the exact lines a
+# are (no square roots enter it), so covers can recover the exact lines a
 # constructed curve travels along.
+def _exact_payload(knots, rows, c0) -> tuple:
+    """The ``rational`` field of a path: (knots, planar rows, c0) as Fractions."""
+    return (
+        tuple(Fraction(t) for t in knots),
+        tuple(tuple(Fraction(v) for v in row) for row in rows),
+        Fraction(c0),
+    )
 
 
-def _fr_point(seq) -> tuple:
-    return tuple(Fraction(v) for v in seq)
-
-
-def _fr_mul(x: tuple, y: tuple) -> tuple:
-    n = (len(x) - 1) // 2
-    a, b, c = x[:n], x[n : 2 * n], x[-1]
-    a2, b2, c2 = y[:n], y[n : 2 * n], y[-1]
-    cross = sum(a[i] * b2[i] for i in range(n)) - sum(b[i] * a2[i] for i in range(n))
-    return tuple(a[i] + a2[i] for i in range(n)) + tuple(b[i] + b2[i] for i in range(n)) + (c + c2 - 2 * cross,)
-
-
-def _fr_inv(x: tuple) -> tuple:
-    return tuple(-v for v in x)
-
-
-def _fr_dilate(r: Fraction, x: tuple) -> tuple:
-    head = tuple(r * v for v in x[:-1])
-    return head + (r * r * x[-1],)
-
-
-def _fr_gamma_knots(y: tuple):
-    """Exact planar knot rows (0, midpoint, p(y)) of the two-leg curve."""
-    n = (len(y) - 1) // 2
+def _gamma_rows(y: np.ndarray) -> np.ndarray:
+    """Planar knot rows (0, midpoint, p(y)) of the two-leg curve, float or exact."""
+    n = group_dim(y)
     a, b, c = y[:n], y[n : 2 * n], y[-1]
-    L2 = sum(v * v for v in a) + sum(v * v for v in b)
+    L2 = a @ a + b @ b
     if L2 == 0:
         raise ValueError("gamma_y is undefined for points with zero projection")
-    half = Fraction(1, 2)
-    mid = tuple(half * (a[i] - b[i] * c / L2) for i in range(n)) + tuple(
-        half * (b[i] + a[i] * c / L2) for i in range(n)
-    )
-    zero = tuple(Fraction(0) for _ in range(2 * n))
-    return [zero, mid, tuple(a) + tuple(b)]
+    mid = np.concatenate([a - b * c / L2, b + a * c / L2]) / 2
+    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b])])
 
 
 def gamma_y(y, rational: bool = False) -> HorizontalPath:
@@ -281,27 +272,14 @@ def gamma_y(y, rational: bool = False) -> HorizontalPath:
     Its speed never exceeds L (1 + c^2/L^4 + 4 c^2/L^2)^(1/2) and each leg's
     derivative stays within (c/L)(1 + 4 L^2)^(1/2) of (a, b, 0).
 
-    With ``rational=True`` the inputs must be exactly representable and the
-    returned path carries its knot data as fractions.
+    With ``rational=True`` the knot rows are computed exactly from the
+    exact values of y, and the returned path carries them as fractions.
     """
-    if rational:
-        yf = _fr_point(y)
-        rows = _fr_gamma_knots(yf)
-        knots = (Fraction(0), Fraction(1, 2), Fraction(1))
-        planar = np.array([[float(v) for v in row] for row in rows])
-        path = HorizontalPath(
-            np.array([0.0, 0.5, 1.0]), planar, 0.0, rational=(knots, tuple(rows), Fraction(0))
-        )
-        return path
-    y = np.asarray(y, dtype=float)
-    n = group_dim(y)
-    a, b, c = y[:n], y[n : 2 * n], y[-1]
-    L2 = float(a @ a + b @ b)
-    if L2 == 0.0:
-        raise ValueError("gamma_y is undefined for points with zero projection")
-    mid = 0.5 * np.concatenate([a - b * c / L2, b + a * c / L2])
-    planar = np.stack([np.zeros(2 * n), mid, np.concatenate([a, b])])
-    return HorizontalPath(np.array([0.0, 0.5, 1.0]), planar, 0.0)
+    knots = np.array([0.0, 0.5, 1.0])
+    if not rational:
+        return HorizontalPath(knots, _gamma_rows(np.asarray(y, dtype=float)), 0.0)
+    rows = _gamma_rows(as_exact(y))
+    return HorizontalPath(knots, rows, 0.0, rational=_exact_payload((0, Fraction(1, 2), 1), rows, 0))
 
 
 @dataclass(frozen=True)
@@ -344,48 +322,6 @@ class ModifyLineParams:
         return float(self.r * np.dot(project(self.u), self.direction))
 
 
-def _fr_modify_knot_data(x, u, direction, r, delta, span):
-    """Exact knot parameters and planar rows of the modified line."""
-    xf, uf = _fr_point(x), _fr_point(u)
-    df = tuple(Fraction(v) for v in direction)
-    rf, deltaf, spanf = Fraction(r), Fraction(delta), Fraction(span)
-    n = len(df) // 2
-    sf = rf / deltaf
-    zetaf = rf * sum(uf[i] * df[i] for i in range(2 * n))
-
-    def hpt(scale):
-        return tuple(scale * d for d in df) + (Fraction(0),)
-
-    target = _fr_mul(hpt(sf), _fr_dilate(rf, uf))  # (s E(0)) * delta_r(u)
-    rows1 = _fr_gamma_knots(target)  # relative to x * (-s E(0))
-    back = _fr_mul(_fr_dilate(rf, _fr_inv(uf)), hpt(sf))  # delta_r(u)^-1 * (s E(0))
-    rows2 = _fr_gamma_knots(back)  # relative to x * delta_r(u)
-
-    base_left = _fr_mul(xf, hpt(-sf))
-    base_mid = _fr_mul(xf, _fr_dilate(rf, uf))
-    p = lambda pt: pt[: 2 * n]
-
-    def shift(rows, base):
-        return [tuple(p(base)[i] + row[i] for i in range(2 * n)) for row in rows]
-
-    rows1 = shift(rows1, base_left)
-    rows2 = shift(rows2, base_mid)
-    far_left = tuple(xf[i] - spanf * df[i] for i in range(2 * n))
-    far_right = tuple(xf[i] + spanf * df[i] for i in range(2 * n))
-    knots = (
-        -spanf,
-        -sf,
-        (zetaf - sf) / 2,
-        zetaf,
-        (zetaf + sf) / 2,
-        sf,
-        spanf,
-    )
-    rows = [far_left, rows1[0], rows1[1], rows1[2], rows2[1], rows2[2], far_right]
-    c0 = _fr_mul(xf, hpt(-spanf))[-1]
-    return knots, rows, c0, sf, zetaf
-
-
 def modify_line(params: ModifyLineParams, span: Optional[float] = None, rational: bool = False):
     """Modify the line t -> x + t E(x) to pass through x * delta_r(u).
 
@@ -397,56 +333,51 @@ def modify_line(params: ModifyLineParams, span: Optional[float] = None, rational
     each side of the target.
 
     ``span`` extends the straight tails to [-span, span] (default 2s).
-    With ``rational=True`` all inputs must be exactly representable and the
-    exact knot data is attached to the returned path.
+    With ``rational=True`` the construction runs on the exact values of the
+    inputs and the exact knot data is attached to the returned path.
     """
-    s, zeta = params.s, params.zeta
+    x, u, E, r, s, zeta = params.x, params.u, params.direction, params.r, params.s, params.zeta
     if span is None:
         span = 2.0 * s
     if span <= s:
         raise ValueError("span must exceed s")
-
     if rational:
-        knots, rows, c0, sf, zetaf = _fr_modify_knot_data(
-            params.x, params.u, params.direction, params.r, params.delta, span
-        )
-        path = HorizontalPath(
-            np.array([float(t) for t in knots]),
-            np.array([[float(v) for v in row] for row in rows]),
-            float(c0),
-            rational=(knots, tuple(rows), c0),
-        )
-        return path, float(zetaf)
-    return _assemble_modified_line(params.x, params.u, params.direction, params.r, s, zeta, span)
+        x, u, E = as_exact(x), as_exact(u), as_exact(E)
+        r, span = Fraction(r), Fraction(span)
+        s = r / Fraction(params.delta)
+        zeta = r * (project(u) @ E)
+    knots, rows, c0 = _modified_line_knots(x, u, E, r, s, zeta, span)
+    payload = _exact_payload(knots, rows, c0) if rational else None
+    return HorizontalPath(knots, rows, c0, rational=payload), float(zeta)
 
 
-def _assemble_modified_line(x, u, E, r, s, zeta, span):
-    from .group import dilate as _dilate  # local alias keeps call sites short
-
+def _modified_line_knots(x, u, E, r, s, zeta, span):
+    """Knot parameters, planar rows and start height of the modified line, float or exact."""
     e0 = horizontal_point(E)
-    target = group_mul(s * e0, _dilate(r, u))
-    back = group_mul(_dilate(r, group_inv(u)), s * e0)
-    if min(np.linalg.norm(project(target)), np.linalg.norm(project(back))) == 0.0:
-        raise ValueError("degenerate modification: detour chord has zero projection")
-    g1 = gamma_y(target)
-    g2 = gamma_y(back)
+    target = group_mul(s * e0, dilate(r, u))
+    back = group_mul(dilate(r, group_inv(u)), s * e0)
+    for chord in (project(target), project(back)):
+        if chord @ chord == 0:
+            raise ValueError("degenerate modification: detour chord has zero projection")
+    rows1 = _gamma_rows(target)  # relative to x * (-s E(0))
+    rows2 = _gamma_rows(back)  # relative to x * delta_r(u)
     base_left = project(group_mul(x, -s * e0))
-    base_mid = project(group_mul(x, _dilate(r, u)))
+    base_mid = project(group_mul(x, dilate(r, u)))
     px = project(x)
     rows = np.stack(
         [
             px - span * E,
-            base_left + g1.planar[0],
-            base_left + g1.planar[1],
-            base_left + g1.planar[2],
-            base_mid + g2.planar[1],
-            base_mid + g2.planar[2],
+            base_left + rows1[0],
+            base_left + rows1[1],
+            base_left + rows1[2],
+            base_mid + rows2[1],
+            base_mid + rows2[2],
             px + span * E,
         ]
     )
-    knots = np.array([-span, -s, (zeta - s) / 2.0, zeta, (zeta + s) / 2.0, s, span])
+    knots = np.array([-span, -s, (zeta - s) / 2, zeta, (zeta + s) / 2, s, span])
     c0 = group_mul(x, -span * e0)[-1]
-    return HorizontalPath(knots, rows, c0), zeta
+    return knots, rows, c0
 
 
 def modify_line_probe(x, u, direction, r, delta, span=None):
@@ -466,20 +397,6 @@ def modify_line_probe(x, u, direction, r, delta, span=None):
     zeta = float(r * np.dot(project(u), direction))
     if span is None:
         span = 2.0 * s
-    return _assemble_modified_line(x, u, direction, r, s, zeta, span)
+    knots, rows, c0 = _modified_line_knots(x, u, direction, r, s, zeta, span)
+    return HorizontalPath(knots, rows, c0), zeta
 
-
-def concat(paths: Sequence[HorizontalPath]) -> HorizontalPath:
-    """Concatenate parameter-contiguous paths whose endpoints agree."""
-    if not paths:
-        raise ValueError("nothing to concatenate")
-    knots = [paths[0].knots]
-    rows = [paths[0].planar]
-    for prev, nxt in zip(paths, paths[1:]):
-        if abs(prev.t_max - nxt.t_min) > 1e-12:
-            raise ValueError("paths are not parameter-contiguous")
-        if not np.allclose(prev.end(), nxt.start(), rtol=0.0, atol=1e-9):
-            raise ValueError("paths do not join continuously")
-        knots.append(nxt.knots[1:])
-        rows.append(nxt.planar[1:])
-    return HorizontalPath(np.concatenate(knots), np.vstack(rows), paths[0].c0)

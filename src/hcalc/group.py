@@ -1,10 +1,17 @@
 """Exact arithmetic of the Heisenberg group H^n.
 
-A point of H^n is a flat float array ``[a_1..a_n, b_1..b_n, c]`` of length
-2n+1; a horizontal vector is an array ``[h_1..h_2n]`` of coefficients over
-the ordered frame of left-invariant fields (X_1..X_n, Y_1..Y_n).  Every
+A point of H^n is a flat array ``[a_1..a_n, b_1..b_n, c]`` of length 2n+1;
+a horizontal vector is an array ``[h_1..h_2n]`` of coefficients over the
+ordered frame of left-invariant fields (X_1..X_n, Y_1..Y_n).  Every
 operation broadcasts over leading axes, so a batch of points is simply an
 array of shape ``(m, 2n+1)`` and batches never need Python loops.
+
+Points are float arrays, or numpy object arrays of ``Fraction`` (see
+:func:`as_exact`).  ``group_mul``, ``group_inv``, ``dilate``,
+``vector_at``, ``split``, ``project``, ``vertical`` and
+``horizontal_point`` keep the kind they are given: float input runs in
+float64, and exact input runs the same code in exact rational arithmetic.
+Any other input is converted to float64.
 
 The group law is
 
@@ -17,11 +24,13 @@ linearly and the last quadratically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "UNIT_TOL",
+    "as_exact",
     "point",
     "group_dim",
     "hdim",
@@ -44,6 +53,18 @@ __all__ = [
 
 # Absolute tolerance below which a direction counts as unit-normalized.
 UNIT_TOL = 1e-12
+
+
+def _coerce(x) -> np.ndarray:
+    """``x`` unchanged when it holds exact numbers (object dtype), else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(float, copy=False)
+
+
+def as_exact(x) -> np.ndarray:
+    """Object array of the exact ``Fraction`` values of ``x`` (floats convert exactly)."""
+    x = np.asarray(x)
+    return np.array([Fraction(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
 
 
 def point(a, b, c) -> np.ndarray:
@@ -73,53 +94,53 @@ def hdim(h: np.ndarray) -> int:
 
 def split(x: np.ndarray):
     """Views (a, b, c) of a point array."""
-    x = np.asarray(x, dtype=float)
+    x = _coerce(x)
     n = group_dim(x)
     return x[..., :n], x[..., n : 2 * n], x[..., 2 * n]
 
 
 def project(x: np.ndarray) -> np.ndarray:
     """Projection onto the first 2n coordinates (a group homomorphism to R^2n)."""
-    x = np.asarray(x, dtype=float)
+    x = _coerce(x)
     group_dim(x)
     return x[..., :-1]
 
 
 def vertical(x: np.ndarray) -> np.ndarray:
     """The last coordinate."""
-    return np.asarray(x, dtype=float)[..., -1]
+    return _coerce(x)[..., -1]
 
 
 def group_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Group product x * y.  Broadcasts over leading axes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _coerce(x)
+    y = _coerce(y)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     n = group_dim(x)
     a, b = x[..., :n], x[..., n : 2 * n]
     a2, b2 = y[..., :n], y[..., n : 2 * n]
-    out = np.broadcast_arrays(x, y)[0].copy()
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
     out[..., : 2 * n] = x[..., : 2 * n] + y[..., : 2 * n]
     cross = np.sum(a * b2, axis=-1) - np.sum(b * a2, axis=-1)
     # fused single-pass combination keeps the oracle deterministic
-    out[..., -1] = x[..., -1] + y[..., -1] - 2.0 * cross
+    out[..., -1] = x[..., -1] + y[..., -1] - 2 * cross
     return out
 
 
 def group_inv(x: np.ndarray) -> np.ndarray:
     """Group inverse, which is plain negation."""
-    return -np.asarray(x, dtype=float)
+    return -_coerce(x)
 
 
 def dilate(r, x: np.ndarray) -> np.ndarray:
     """Anisotropic dilation: first 2n coordinates scale by r, the last by r^2."""
-    r = np.asarray(r, dtype=float)
+    r = _coerce(r)
     if np.any(r <= 0):
         raise ValueError("dilation factor must be positive")
-    x = np.asarray(x, dtype=float)
+    x = _coerce(x)
     n = group_dim(x)
-    out = np.empty(np.broadcast_shapes(r.shape, x[..., 0].shape) + (2 * n + 1,))
+    out = np.empty(np.broadcast_shapes(r.shape, x[..., 0].shape) + (2 * n + 1,), dtype=np.result_type(r, x))
     out[..., : 2 * n] = r[..., None] * x[..., : 2 * n]
     out[..., -1] = r * r * x[..., -1]
     return out
@@ -131,15 +152,15 @@ def vector_at(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     The first 2n components equal h independently of x; the vertical
     component is 2 * sum_i (h_i b_i - h_{n+i} a_i).
     """
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
+    h = _coerce(h)
+    x = _coerce(x)
     n = hdim(h)
     if x.shape[-1] != 2 * n + 1:
         raise ValueError(f"dimension mismatch: direction n={n}, point length {x.shape[-1]}")
     a, b = x[..., :n], x[..., n : 2 * n]
-    vert = 2.0 * (np.sum(h[..., :n] * b, axis=-1) - np.sum(h[..., n:] * a, axis=-1))
+    vert = 2 * (np.sum(h[..., :n] * b, axis=-1) - np.sum(h[..., n:] * a, axis=-1))
     shape = np.broadcast_shapes(h[..., 0].shape, x[..., 0].shape) + (2 * n + 1,)
-    out = np.empty(shape)
+    out = np.empty(shape, dtype=np.result_type(h, x))
     out[..., : 2 * n] = h
     out[..., -1] = vert
     return out
@@ -147,8 +168,8 @@ def vector_at(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def horizontal_point(h: np.ndarray) -> np.ndarray:
     """Embed frame coefficients h as the point E(0) = (h, 0)."""
-    h = np.asarray(h, dtype=float)
-    out = np.zeros(h.shape[:-1] + (h.shape[-1] + 1,))
+    h = _coerce(h)
+    out = np.zeros(h.shape[:-1] + (h.shape[-1] + 1,), dtype=h.dtype)
     out[..., :-1] = h
     return out
 
@@ -226,11 +247,6 @@ class HLinearMap:
         if x.shape[-1] != self.direction.shape[-1] + 1:
             raise ValueError("dimension mismatch between map and point")
         return self.lip * np.sum(x[..., :-1] * self.direction, axis=-1)
-
-
-def hlinear_eval(L: HLinearMap, x: np.ndarray) -> np.ndarray:
-    """Evaluate an H-linear map at x (function form of ``L(x)``)."""
-    return L(x)
 
 
 def random_points(rng: np.random.Generator, size: int, n: int, scale: float = 1.0) -> np.ndarray:

@@ -34,9 +34,9 @@ import numpy as np
 from .calculus import (
     DEFAULT_STEPS,
     ScalarField,
-    almost_maximal_pair_check,
+    compare_pairs,
     directional_derivative,
-    directional_derivative_batch,
+    line_increments,
 )
 from .group import (
     group_inv,
@@ -44,7 +44,6 @@ from .group import (
     horizontal_point,
     project,
     require_unit,
-    vector_at,
 )
 from .metric import VECTOR_FIELD_LIP, cc_upper_quick
 from .uds import Cover, rationalize_direction
@@ -54,8 +53,6 @@ __all__ = [
     "IterationState",
     "MaximizerConfig",
     "Trajectory",
-    "comparison_le",
-    "comparison_required_sigma",
     "step",
     "run",
     "verify_trajectory",
@@ -196,78 +193,6 @@ class MaximizerConfig:
         }
 
 
-def _increments(h: ScalarField, x: np.ndarray, e_line: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    pts = x + t_grid[:, None] * vector_at(e_line, x)
-    return np.asarray(h(pts), float) - float(h(x))
-
-
-def comparison_required_sigma(
-    h: ScalarField,
-    pair1: Pair,
-    pair2: Pair,
-    K: float,
-    t_grid: np.ndarray,
-    steps: Optional[np.ndarray] = None,
-):
-    """Data deciding pair1 <=_(h, sigma) pair2 for any slack sigma.
-
-    Returns (ordering_ok, required_sigma, gap_lo, slack) where
-    ``required_sigma`` is the smallest slack making the increment bound
-    hold on the grid, computed against the conservative derivative gap.
-    ``ordering_ok`` is None when the error bars straddle the ordering.
-    """
-    d1 = directional_derivative(h, pair1.x, pair1.direction, steps)
-    d2 = directional_derivative(h, pair2.x, pair2.direction, steps)
-    slack = d1.error + d2.error
-    if d1.diverging or d2.diverging:
-        return None, math.inf, 0.0, slack
-    if d1.value - d2.value > slack:
-        return False, math.inf, 0.0, slack
-    gap_lo = max(d2.value - d1.value - slack, 0.0)
-    inc1 = _increments(h, pair1.x, pair1.direction, t_grid)
-    inc2 = _increments(h, pair2.x, pair1.direction, t_grid)
-    lhs = np.abs(inc2 - inc1)
-    needed = lhs / (K * np.abs(t_grid)) - gap_lo**0.25
-    return True, float(max(np.max(needed), 0.0)), gap_lo, slack
-
-
-def comparison_le(
-    h: ScalarField,
-    pair1: Pair,
-    pair2: Pair,
-    sigma: float,
-    K: float,
-    t_grid: np.ndarray,
-    steps: Optional[np.ndarray] = None,
-) -> Optional[bool]:
-    """Increment-constrained ordering of two pairs under the field h.
-
-    True when pair2's derivative is at least pair1's and the line
-    increments along pair1's direction differ by at most
-    K (sigma + gap^(1/4)) |t| over the grid; None when derivative error
-    bars prevent a certified decision either way.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    ordering, required, gap_lo, slack = comparison_required_sigma(h, pair1, pair2, K, t_grid, steps)
-    if ordering is None:
-        return None
-    if ordering is False:
-        return False
-    if required <= sigma:
-        return True
-    # retry the bound with the optimistic gap before declaring failure
-    d1 = directional_derivative(h, pair1.x, pair1.direction, steps)
-    d2 = directional_derivative(h, pair2.x, pair2.direction, steps)
-    gap_hi = max(d2.value - d1.value + slack, 0.0)
-    inc1 = _increments(h, pair1.x, pair1.direction, t_grid)
-    inc2 = _increments(h, pair2.x, pair1.direction, t_grid)
-    lhs = np.abs(inc2 - inc1)
-    if np.all(lhs <= K * (sigma + gap_hi**0.25) * np.abs(t_grid) + 1e-12):
-        return None
-    return False
-
-
 def _candidate_points(cover: Cover, center: np.ndarray, radius: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Points on cover lines within the metric ball around ``center``.
 
@@ -340,10 +265,13 @@ def step(
     The candidate set pairs points sampled on cover lines inside the
     current ball with directions near the incumbent (plus uniform ones);
     admissibility requires the incumbent-rooted increment comparison with
-    slack strictly inside (0, sigma_{m-1}).  The arg-max of the derivative
-    estimates is selected, so the near-maximality condition holds on the
-    sampled set by construction; indeterminate comparisons are counted and
-    skipped.
+    slack strictly inside (0, sigma_{m-1}).  The first arg-max of the
+    derivative estimates among admissible candidates is selected, so the
+    near-maximality condition holds on the sampled set by construction.
+    ``indeterminate`` counts the comparisons a greedy scan would have left
+    undecided: every diverging estimate, plus each candidate that beat the
+    best admissible value seen before it and whose comparison was
+    inconclusive.
     """
     m = state.m + 1
     accum = state.accum + state.t * state.direction
@@ -368,35 +296,19 @@ def step(
     cand_x = np.stack(cand_x)[: config.budget + 1]
     cand_e = np.stack(cand_e)[: config.budget + 1]
 
-    values, errors, diverging = directional_derivative_batch(f_m, cand_x, cand_e, config.deriv_steps)
-    d_prev = directional_derivative(f_m, state.x, state.direction, config.deriv_steps)
-    inc_prev = _increments(f_m, state.x, state.direction, config.t_grid)
-
-    best_idx, best_val, best_required = 0, values[0], 0.0
-    indeterminate = 0
-    t_abs = np.abs(config.t_grid)
-    for i in range(len(cand_x)):
-        if diverging[i]:
-            indeterminate += 1
-            continue
-        if values[i] <= best_val:
-            if i > 0:
-                continue
-        slack = errors[i] + d_prev.error
-        if d_prev.value - values[i] > slack:
-            continue  # ordering fails outright
-        gap_lo = max(values[i] - d_prev.value - slack, 0.0)
-        inc_i = _increments(f_m, cand_x[i], state.direction, config.t_grid)
-        needed = np.max(np.abs(inc_i - inc_prev) / (config.K * t_abs) - gap_lo**0.25)
-        required = max(float(needed), 0.0)
-        if required >= sigma_prev * (1.0 - 1e-9):
-            gap_hi = max(values[i] - d_prev.value + slack, 0.0)
-            bound_hi = config.K * (sigma_prev + gap_hi**0.25) * t_abs
-            if np.all(np.abs(inc_i - inc_prev) <= bound_hi + 1e-12):
-                indeterminate += 1
-            continue
-        if i == 0 or values[i] > best_val:
-            best_idx, best_val, best_required = i, values[i], required
+    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, config.K, config.t_grid,
+                        sigma=sigma_prev, steps=config.deriv_steps)
+    values, required, d_prev = cmp.value, cmp.required_sigma, cmp.star
+    admissible = required < sigma_prev * (1.0 - 1e-9)
+    # the incumbent stays selected unless an admissible candidate beats it
+    best_seen = np.where(admissible, values, -np.inf)
+    best_seen[0] = values[0]
+    best_idx = int(np.argmax(best_seen))
+    best_required = float(required[best_idx]) if admissible[best_idx] else 0.0
+    examined = np.ones(len(values), dtype=bool)
+    examined[1:] = ~(values[1:] <= np.maximum.accumulate(best_seen)[:-1])
+    inconclusive = examined & ~admissible & ((cmp.reason == "") | (cmp.reason == "indeterminate"))
+    indeterminate = int(np.sum((cmp.reason == "diverging") | inconclusive))
 
     flag = "" if best_idx != 0 else "incumbent retained"
     x_m, e_m = cand_x[best_idx], cand_e[best_idx]
@@ -405,14 +317,15 @@ def step(
     d_move = float(cc_upper_quick(group_mul(group_inv(state.x), x_m)))
     delta_m = max((delta_prev - d_move) / 4.0, 1e-300)
     e_sel = float(values[best_idx])
-    inc_sel = _increments(f_m, x_m, e_m, config.t_grid)
-    inc_prev_own = _increments(f_m, state.x, state.direction, config.t_grid)
+    t_abs = np.abs(config.t_grid)
+    inc_sel = line_increments(f_m, x_m, e_m, config.t_grid)
+    inc_prev = line_increments(f_m, state.x, state.direction, config.t_grid)
     gap_sel = e_sel - d_prev.value + sigma_prev
     level = min(m, cover.depth)
     for _ in range(600):
         t_range = config.c_holder**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
-        ok = np.all(np.abs(inc_sel - inc_prev_own)[sel] <= gap_sel * t_abs[sel] + 1e-12)
+        ok = np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12)
         if ok and _ball_in_tube(cover, level, x_m, delta_m) and delta_m + d_move < delta_prev:
             break
         delta_m /= 2.0
@@ -553,11 +466,11 @@ def verify_trajectory(traj: Trajectory) -> dict:
         move = float(cc_upper_quick(group_mul(group_inv(final.x), s.x)))
         if move > states[-1].delta:
             continue
-        verdict = almost_maximal_pair_check(
-            f_final, (s.x, s.direction), (final.x, final.direction),
+        verdict = compare_pairs(
+            f_final, (s.x, s.direction), final.x, final.direction,
             K=traj.config.K, t_grid=traj.config.t_grid, lip=lip_final,
             steps=traj.config.deriv_steps,
-        )
+        ).verdict[0]
         if verdict is False:
             violations.append(f"final pair fails the increment envelope against m={s.m}")
     return {

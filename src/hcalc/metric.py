@@ -102,20 +102,16 @@ class ConstantsEstimate:
     """Fitted comparison constants, tagged with the region that produced them.
 
     ``c_holder`` compares the distance with the Euclidean one on a compact
-    set, ``c_angle`` controls the divergence of curves with close directions,
-    ``c_modify`` the direction error of the line modification, ``c_vector``
-    the Euclidean Lipschitz constant of unit horizontal fields.
+    set, ``c_angle`` controls the divergence of curves with close directions.
     """
 
     c_holder: float = 1.0
     c_angle: float = 1.0
-    c_modify: float = 1.0
-    c_vector: float = VECTOR_FIELD_LIP
     region: str = ""
     samples: int = 0
 
     def __post_init__(self):
-        for name in ("c_holder", "c_angle", "c_modify", "c_vector"):
+        for name in ("c_holder", "c_angle"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1")
 

@@ -983,35 +983,31 @@ def suite_almostmax(cfg: RunConfig, seed: int) -> SuiteResult:
     e2[n] = 1.0
     f = calculus.hlinear_field(group.HLinearMap(0.5, e1))
     grid = maximizer.default_t_grid()
-    star = (np.zeros(2 * n + 1), e1)
-    # reflexive acceptance
-    failures += int(calculus.almost_maximal_pair_check(f, star, star, K=8.0, t_grid=grid) is not True)
+    origin = np.zeros(2 * n + 1)
+    along = group.horizontal_point(0.3 * e1)
+
+    def verdict(h, star, x, e, sigma=0.0, lip=1.0):
+        return calculus.compare_pairs(h, star, x, e, K=8.0, t_grid=grid, sigma=sigma, lip=lip).verdict[0]
+
+    # envelope check (sigma = 0, lip = Lip(f)): reflexive acceptance
+    failures += int(verdict(f, (origin, e1), origin, e1, lip=f.declared_lip) is not True)
     # competitor along the gradient at another point: equal derivative, accepted
-    comp = (group.horizontal_point(0.3 * e1), e1)
-    failures += int(calculus.almost_maximal_pair_check(f, star, comp, K=8.0, t_grid=grid) is not True)
+    failures += int(verdict(f, (origin, e1), along, e1, lip=f.declared_lip) is not True)
     # lower derivative: rejected
-    failures += int(calculus.almost_maximal_pair_check(f, (np.zeros(2 * n + 1), e1), (np.zeros(2 * n + 1), e2), K=8.0, t_grid=grid) is not False)
-    # comparison relation mirrors the same cases
-    p_star = maximizer.Pair(np.zeros(2 * n + 1), e1)
-    p_same = maximizer.Pair(group.horizontal_point(0.3 * e1), e1)
-    p_orth = maximizer.Pair(np.zeros(2 * n + 1), e2)
-    failures += int(maximizer.comparison_le(f, p_star, p_star, sigma=0.0, K=8.0, t_grid=grid) is not True)
-    failures += int(maximizer.comparison_le(f, p_star, p_same, sigma=0.1, K=8.0, t_grid=grid) is not True)
-    failures += int(maximizer.comparison_le(f, p_star, p_orth, sigma=0.0, K=8.0, t_grid=grid) is not False)
+    failures += int(verdict(f, (origin, e1), origin, e2, lip=f.declared_lip) is not False)
+    # the maximizer's comparison (lip = 1) on the same cases
+    failures += int(verdict(f, (origin, e1), origin, e1) is not True)
+    failures += int(verdict(f, (origin, e1), along, e1, sigma=0.1) is not True)
+    failures += int(verdict(f, (origin, e1), origin, e2) is not False)
     # with generous slack the orthogonal-direction increments are admissible
-    failures += int(maximizer.comparison_le(f, p_orth, p_star, sigma=1.0, K=8.0, t_grid=grid) is not True)
+    failures += int(verdict(f, (origin, e2), origin, e1, sigma=1.0) is not True)
     # a constructed counterexample: equal derivatives, so the sigma=0 bound
     # is zero, but the kink between the base points separates the increments
     g = calculus.lattice_max(
         calculus.hlinear_field(group.HLinearMap(0.5, e1)),
         calculus.hlinear_field(group.HLinearMap(0.5, -e1)),
     )
-    at_plus = group.horizontal_point(e1)
-    at_minus = group.horizontal_point(-e1)
-    verdict = maximizer.comparison_le(
-        g, maximizer.Pair(at_minus, -e1), maximizer.Pair(at_plus, e1), sigma=0.0, K=8.0, t_grid=grid
-    )
-    failures += int(verdict is not False)
+    failures += int(verdict(g, (group.horizontal_point(-e1), -e1), group.horizontal_point(e1), e1) is not False)
     return SuiteResult("almostmax", 8, failures, worst if worst < math.inf else 1.0, seed, time.perf_counter() - t0, {})
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .curves import HorizontalPath
+from .curves import HorizontalPath, lift_heights
 from .metric import cc_upper_quick
 from .group import group_inv, group_mul
 
@@ -407,17 +407,17 @@ class Cover:
     def contains(self, x, level: int) -> bool:
         """Point lies in every tube union up to ``level`` (certified side).
 
-        Accepts a float array or a sequence of fractions; exact inputs that
-        lie on an enumerated line are members at every level.
+        Accepts a float array, or fractions as a sequence or an object array;
+        exact inputs that lie on an enumerated line are members at every level.
         """
         self._check_level(level)
-        if not isinstance(x, np.ndarray) and any(isinstance(v, Fraction) for v in x):
+        x = np.asarray(x)
+        if x.dtype == object:
             for i, line in enumerate(self.lines):
                 t = line.incidence_parameter(x)
                 if t is not None and self.spans[i, 0] - 1e-12 <= float(t) <= self.spans[i, 1] + 1e-12:
                     return True
-            x = np.array([float(v) for v in x])
-        return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :], level)[0])
+        return bool(self.contains_batch(x.astype(float)[None, :], level)[0])
 
     def contains_batch(self, pts: np.ndarray, level: int) -> np.ndarray:
         self._check_level(level)
@@ -458,24 +458,13 @@ class Cover:
         """
         self._check_level(level)
         if path.rational is not None:
-            knots_f, rows, c0 = path.rational
-            heights = [c0]
-            n = self.n
-            for j in range(len(rows) - 1):
-                da = [rows[j + 1][i] - rows[j][i] for i in range(n)]
-                db = [rows[j + 1][n + i] - rows[j][n + i] for i in range(n)]
-                dc = 2 * (
-                    sum(da[i] * rows[j][n + i] for i in range(n))
-                    - sum(db[i] * rows[j][i] for i in range(n))
-                )
-                heights.append(heights[-1] + dc)
+            _, rows, c0 = path.rational
+            rows = np.array(rows, dtype=object)
+            vertices = np.column_stack([rows, lift_heights(rows, c0)])
             per_seg = max(2, samples // (len(rows) - 1))
-            for j in range(len(rows) - 1):
+            for a, b in zip(vertices, vertices[1:]):
                 for step in range(per_seg + 1):
-                    u = Fraction(step, per_seg)
-                    pt = tuple(rows[j][i] + u * (rows[j + 1][i] - rows[j][i]) for i in range(2 * n))
-                    ht = heights[j] + u * (heights[j + 1] - heights[j])
-                    if not self.contains(pt + (ht,), level):
+                    if not self.contains(a + Fraction(step, per_seg) * (b - a), level):
                         return False
             return True
         ts = np.unique(np.concatenate([path.knots, np.linspace(path.t_min, path.t_max, samples)]))
@@ -536,19 +525,10 @@ def lines_of_path(path: HorizontalPath) -> list:
     if path.rational is None:
         raise ValueError("path carries no exact rational knot data")
     _, rows, c0 = path.rational
-    n = len(rows[0]) // 2
-    heights = [c0]
-    for j in range(len(rows) - 1):
-        da = [rows[j + 1][i] - rows[j][i] for i in range(n)]
-        db = [rows[j + 1][n + i] - rows[j][n + i] for i in range(n)]
-        dc = 2 * (
-            sum(da[i] * rows[j][n + i] for i in range(n))
-            - sum(db[i] * rows[j][i] for i in range(n))
-        )
-        heights.append(heights[-1] + dc)
+    heights = lift_heights(np.array(rows, dtype=object), c0)
     out = []
     for j in range(len(rows) - 1):
-        diff = [rows[j + 1][i] - rows[j][i] for i in range(2 * n)]
+        diff = [b - a for a, b in zip(rows[j], rows[j + 1])]
         if all(v == 0 for v in diff):
             continue
         denom_lcm = 1

@@ -10,8 +10,8 @@ from hcalc.calculus import (
     MeanValueSearchError,
     PansuReport,
     ScalarField,
-    almost_maximal_pair_check,
     cc_distance_field,
+    compare_pairs,
     curve_directional_consistency,
     directional_derivative,
     directional_derivative_batch,
@@ -26,7 +26,8 @@ from hcalc.calculus import (
     vertical_coordinate_field,
 )
 from hcalc.curves import line_path
-from hcalc.group import HLinearMap, group_mul, horizontal_point
+from hcalc.group import HLinearMap, group_mul, horizontal_point, random_directions
+from hcalc.maximizer import default_t_grid
 from hcalc.metric import Ball, cc_upper_quick
 
 E1 = np.array([1.0, 0.0])
@@ -229,42 +230,109 @@ class TestMeanValue:
             )
 
 
+def envelope_verdict(f, star, comp, K, t_grid):
+    """The envelope check of the iteration: sigma = 0 and lip = Lip(f)."""
+    return compare_pairs(f, star, comp[0], comp[1], K=K, t_grid=t_grid, lip=f.declared_lip).verdict[0]
+
+
 class TestAlmostMaximalCheck:
     def test_reflexive(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         pair = (np.zeros(3), E1)
         grid = np.linspace(-0.9, 0.9, 19)
-        assert almost_maximal_pair_check(f, pair, pair, K=6.0, t_grid=grid) is True
+        assert envelope_verdict(f, pair, pair, K=6.0, t_grid=grid) is True
 
     def test_equal_derivative_translate(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         grid = np.linspace(-0.9, 0.9, 19)
         star = (np.zeros(3), E1)
         comp = (horizontal_point(0.2 * E1), E1)
-        assert almost_maximal_pair_check(f, star, comp, K=6.0, t_grid=grid) is True
+        assert envelope_verdict(f, star, comp, K=6.0, t_grid=grid) is True
 
     def test_smaller_derivative_rejected(self):
         f = hlinear_field(HLinearMap(0.5, E2))
         grid = np.linspace(-0.9, 0.9, 19)
-        assert almost_maximal_pair_check(f, (np.zeros(3), E2), (np.zeros(3), E1), K=6.0, t_grid=grid) is False
+        assert envelope_verdict(f, (np.zeros(3), E2), (np.zeros(3), E1), K=6.0, t_grid=grid) is False
 
     def test_indeterminate_on_divergent_estimates(self):
         f = ScalarField(lambda x: np.sign(x[..., 0]), declared_lip=1.0)
         grid = np.linspace(-0.9, 0.9, 5)
-        out = almost_maximal_pair_check(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=grid)
+        out = envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=grid)
         assert out is None
 
     def test_requires_lip_bound(self):
         f = ScalarField(lambda x: x[..., 0])
         with pytest.raises(ValueError):
-            almost_maximal_pair_check(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0,
-                                      t_grid=np.array([0.5]))
+            envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=np.array([0.5]))
 
     def test_t_grid_validation(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         with pytest.raises(ValueError):
-            almost_maximal_pair_check(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0,
-                                      t_grid=np.array([1.5]))
+            envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=np.array([1.5]))
+
+
+_HALF_E1 = hlinear_field(HLinearMap(0.5, E1))
+_KINK = lattice_max(hlinear_field(HLinearMap(0.5, E1)), hlinear_field(HLinearMap(0.5, -E1)))
+# equal derivatives along E1 at (0, 1, 0) and at 0, but past t = 1/2 the increments
+# at (0, 1, 0) grow by 1e-4 (t - 1/2): inside the bound the error bars allow,
+# outside the one for a zero gap
+_LATE_BEND = ScalarField(
+    lambda x: 0.5 * x[..., 0] + 1e-4 * np.maximum(x[..., 0] - 0.5, 0.0) * (x[..., 1] > 0.5),
+    declared_lip=1.0,
+)
+_SIGN = ScalarField(lambda x: np.sign(x[..., 0]), declared_lip=1.0)
+
+# id: (field, star, candidate point, candidate direction, sigma, verdict, reason)
+COMPARE_CASES = {
+    "accepted-reflexive": (_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, 0.0, True, ""),
+    "accepted-translate": (_HALF_E1, (np.zeros(3), E1), horizontal_point(0.3 * E1), E1, 0.1, True, ""),
+    "accepted-generous-slack": (_HALF_E1, (np.zeros(3), E2), np.zeros(3), E1, 1.0, True, ""),
+    "diverging": (_SIGN, (np.zeros(3), E1), np.zeros(3), E1, 0.0, None, "diverging"),
+    "ordering": (_HALF_E1, (np.zeros(3), E1), np.zeros(3), E2, 0.0, False, "ordering"),
+    "increment": (_KINK, (horizontal_point(-E1), -E1), horizontal_point(E1), E1, 0.0, False, "increment"),
+    "indeterminate": (_LATE_BEND, (np.zeros(3), E1), np.array([0.0, 1.0, 0.0]), E1, 0.0, None, "indeterminate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+def test_compare_pairs_table(case):
+    f, star, x, e, sigma, verdict, reason = COMPARE_CASES[case]
+    out = compare_pairs(f, star, x, e, K=8.0, t_grid=default_t_grid(), sigma=sigma)
+    assert out.verdict[0] is verdict
+    assert out.reason[0] == reason
+    if reason in ("diverging", "ordering"):
+        assert out.required_sigma[0] == np.inf
+    else:
+        # the required slack decides the maximizer's admissibility: accepted at sigma
+        assert (out.required_sigma[0] <= sigma) == (reason == "")
+
+
+def test_compare_pairs_validation():
+    with pytest.raises(ValueError):
+        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=default_t_grid(), sigma=-1.0)
+    with pytest.raises(ValueError):
+        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=np.array([0.5, -1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compare_pairs_batch_matches_single_calls(n):
+    rng = np.random.default_rng(40 + n)
+    e1 = np.zeros(2 * n)
+    e1[0] = 1.0
+    f = lattice_max(hlinear_field(HLinearMap(0.5, e1)), hlinear_field(HLinearMap(0.5, -e1)))
+    star = (horizontal_point(2.0 * e1), e1)
+    xs = rng.uniform(-1.5, 1.5, (64, 2 * n + 1))
+    es = random_directions(rng, 64, n)
+    es[::2] = e1  # along the star: lines crossing the kink at a_1 = 0 fail the increment test
+    grid = default_t_grid()
+    batch = compare_pairs(f, star, xs, es, K=8.0, t_grid=grid)
+    assert {"", "ordering", "increment"} <= set(batch.reason)
+    for i in range(64):
+        one = compare_pairs(f, star, xs[i], es[i], K=8.0, t_grid=grid)
+        assert one.verdict[0] is batch.verdict[i]
+        assert one.reason[0] == batch.reason[i]
+        assert one.required_sigma[0].tobytes() == batch.required_sigma[i].tobytes()
+        assert one.value[0].tobytes() == batch.value[i].tobytes()
 
 
 class TestFieldLibrary:

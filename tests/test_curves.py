@@ -10,12 +10,13 @@ from hcalc.curves import (
     delta_cap,
     gamma_y,
     horizontal_length,
+    lift_heights,
     lift_planar,
     line_path,
     lipschitz_constant,
     modify_line,
 )
-from hcalc.group import dilate, group_mul, horizontal_point, vector_at
+from hcalc.group import as_exact, dilate, group_mul, horizontal_point, project, vector_at
 
 
 def test_flat_segment_lifts_flat():
@@ -196,3 +197,26 @@ def test_path_serialization_roundtrip():
     again = HorizontalPath.from_json(path.to_json())
     ts = np.linspace(0, 1, 11)
     assert np.allclose(again.eval(ts), path.eval(ts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_lift_commutes_with_left_translation(n):
+    rng = np.random.default_rng(20 + n)
+    e = np.zeros(2 * n)
+    e[n - 1], e[-1] = 0.6, 0.8
+    y = rng.integers(-16, 17, 2 * n + 1) / 8.0
+    y[0] = 1.25  # nonzero projection
+    params = ModifyLineParams(
+        x=rng.integers(-16, 17, 2 * n + 1) / 8.0, u=rng.integers(-4, 5, 2 * n + 1) / 16.0,
+        direction=e, r=2.0**-14, delta=2.0**-11, eta=1.0,
+    )
+    for path in (gamma_y(y, rational=True), modify_line(params, rational=True)[0]):
+        _, rows, c0 = path.rational
+        rows = np.array(rows, dtype=object)
+        knots = np.column_stack([rows, lift_heights(rows, c0)])
+        g = as_exact(rng.integers(-64, 65, 2 * n + 1) / 16.0) + Fraction(1, 3)
+        moved = group_mul(g, knots)
+        heights = lift_heights(rows + project(g), moved[0, -1])
+        assert np.all(heights == moved[:, -1])
+        # the float lift is the same recurrence on the rounded rows
+        assert np.array_equal(path.heights, lift_heights(path.planar, path.c0))

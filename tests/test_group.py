@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from hcalc.group import (
     HLinearMap,
+    as_exact,
     dilate,
     group_inv,
     group_mul,
@@ -141,3 +144,48 @@ def test_unit_direction_and_omega():
     assert np.allclose(unit_direction(h), [0.6, 0.8])
     with pytest.raises(ValueError):
         unit_direction(np.zeros(2))
+
+
+# -- exact (Fraction) data runs the same group law -----------------------------
+
+
+def dyadic(rng, shape, bits):
+    """Float array of dyadic values k / 2^bits with |k| <= 2^(bits+2)."""
+    return rng.integers(-(2 ** (bits + 2)), 2 ** (bits + 2) + 1, size=shape) / 2.0**bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_group_laws_hold_with_equality(n):
+    rng = np.random.default_rng(n)
+    x, y, z = (as_exact(dyadic(rng, (40, 2 * n + 1), 20)) for _ in range(3))
+    r, s = Fraction(3, 7), Fraction(25, 4)
+    xy = group_mul(x, y)
+    assert xy.dtype == object and all(isinstance(v, Fraction) for v in xy.ravel())
+    assert np.all(group_mul(xy, z) == group_mul(x, group_mul(y, z)))
+    assert np.all(group_mul(x, group_inv(x)) == 0)
+    assert np.all(group_mul(group_inv(x), x) == 0)
+    assert np.all(dilate(r, xy) == group_mul(dilate(r, x), dilate(r, y)))
+    assert np.all(dilate(r, dilate(s, x)) == dilate(r * s, x))
+    # the line through x along E is x * (t E(0)), exactly
+    h = as_exact(dyadic(rng, (40, 2 * n), 20))
+    t = Fraction(-7, 3)
+    assert np.all(group_mul(x, t * horizontal_point(h)) == x + t * vector_at(h, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_results_round_the_exact_ones_on_few_bit_input(n):
+    rng = np.random.default_rng(10 + n)
+    xf, yf = dyadic(rng, (200, 2 * n + 1), 4), dyadic(rng, (200, 2 * n + 1), 4)
+    hf = dyadic(rng, (200, 2 * n), 4)
+    x, y, h = as_exact(xf), as_exact(yf), as_exact(hf)
+    pairs = [
+        (group_mul(xf, yf), group_mul(x, y)),
+        (group_inv(xf), group_inv(x)),
+        (dilate(0.75, xf), dilate(Fraction(3, 4), x)),
+        (vector_at(hf, xf), vector_at(h, x)),
+        (horizontal_point(hf), horizontal_point(h)),
+        (project(xf), project(x)),
+    ]
+    for floats, exact in pairs:
+        assert floats.dtype == np.float64
+        assert np.array_equal(floats, exact.astype(float))

@@ -4,14 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from hcalc.calculus import ScalarField, hlinear_field
+from hcalc.calculus import ScalarField, compare_pairs, hlinear_field
 from hcalc.group import HLinearMap
 from hcalc.maximizer import (
     IterationState,
     MaximizerConfig,
     Pair,
     Trajectory,
-    comparison_le,
     default_t_grid,
     run,
     step,
@@ -54,29 +53,35 @@ class TestConfigAndPair:
             Pair.in_cover(np.array([0.47, 1.93, 8.21]), E1, cover, 6)
 
 
+def comparison_verdict(f, p1, p2, sigma):
+    """The maximizer's comparison p1 <=_sigma p2 (lip = 1)."""
+    out = compare_pairs(f, (p1.x, p1.direction), p2.x, p2.direction, K=8.0, t_grid=default_t_grid(), sigma=sigma)
+    return out.verdict[0]
+
+
 class TestComparison:
     def test_reflexive(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         p = Pair(np.zeros(3), E1)
-        assert comparison_le(f, p, p, sigma=0.0, K=8.0, t_grid=default_t_grid()) is True
+        assert comparison_verdict(f, p, p, sigma=0.0) is True
 
     def test_orthogonal_rejected_at_zero_slack(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         p1 = Pair(np.zeros(3), E1)
         p2 = Pair(np.zeros(3), E2)
-        assert comparison_le(f, p1, p2, sigma=0.0, K=8.0, t_grid=default_t_grid()) is False
+        assert comparison_verdict(f, p1, p2, sigma=0.0) is False
 
     def test_generous_slack_admits(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         p1 = Pair(np.zeros(3), E2)
         p2 = Pair(np.zeros(3), E1)
-        assert comparison_le(f, p1, p2, sigma=1.0, K=8.0, t_grid=default_t_grid()) is True
+        assert comparison_verdict(f, p1, p2, sigma=1.0) is True
 
     def test_sigma_validation(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         p = Pair(np.zeros(3), E1)
         with pytest.raises(ValueError):
-            comparison_le(f, p, p, sigma=-1.0, K=8.0, t_grid=default_t_grid())
+            comparison_verdict(f, p, p, sigma=-1.0)
 
 
 class TestRun:

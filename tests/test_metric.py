@@ -137,7 +137,7 @@ def test_constants_estimate_validation():
     with pytest.raises(ValueError):
         ConstantsEstimate(c_holder=0.5)
     est = ConstantsEstimate(c_holder=3.0, region="test", samples=10)
-    assert est.c_vector == 2.0
+    assert (est.c_holder, est.c_angle) == (3.0, 1.0)
 
 
 def test_holder_fit():

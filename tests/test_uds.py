@@ -110,6 +110,12 @@ class TestCover:
         pt = cover.lines[0].point_at(Fraction(2, 9))
         assert cover.contains(pt, cover.depth)
 
+    def test_exact_membership_of_object_arrays(self, cover):
+        # fractions passed as an object ndarray take the exact-incidence path too
+        for line in cover.lines:
+            pt = np.array(line.point_at(Fraction(1, 7)), dtype=object)
+            assert cover.contains(pt, cover.depth)
+
     def test_far_point_excluded(self, cover):
         assert not cover.contains(np.array([0.47, 1.93, 8.21]), 4)
 
