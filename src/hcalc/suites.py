@@ -841,16 +841,13 @@ def _mean_value_verify(inst: calculus.MeanValueInstance, tau: float) -> bool:
     if phi_p < psi_p0 + inst.v * gap / inst.s - 1e-12:
         return False
     slope = 4.0 * (1.0 + 20.0 * inst.v) * math.sqrt(max(phi_p - psi_p0, 0.0) * inst.L)
+    # grid indices k with j = k + i_tau - i0 also on the grid
     m = len(inst.grid)
-    for k in range(m):
-        j = i_tau + k - i0
-        if not (0 <= j < m):
-            continue
-        t = inst.grid[k] - inst.grid[i0]
-        lhs = abs((inst.phi[j] - inst.phi[i_tau]) - (inst.psi[k] - inst.psi[i0]))
-        if lhs > slope * abs(t) + 1e-9:
-            return False
-    return True
+    k = np.arange(max(0, i0 - i_tau), min(m, m + i0 - i_tau))
+    j = k + (i_tau - i0)
+    t = inst.grid[k] - inst.grid[i0]
+    lhs = np.abs((inst.phi[j] - inst.phi[i_tau]) - (inst.psi[k] - inst.psi[i0]))
+    return not np.any(lhs > slope * np.abs(t) + 1e-9)
 
 
 def suite_meanvalue(cfg: RunConfig, seed: int) -> SuiteResult:

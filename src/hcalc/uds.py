@@ -183,32 +183,34 @@ def enumerate_lines(height: int, n: int = 1) -> Iterator[RationalLine]:
     Lines are produced in increasing complexity levels: at level l every
     line representable with base numerators/denominators and integer
     direction entries bounded by l (and not representable at level l-1)
-    appears, sorted by (direction, base).  Consume lazily; the count grows
-    combinatorially with the level.
+    appears.  Within a level the order is by canonical direction, then by
+    canonical base.  Every line of a direction comes from that direction
+    alone, so the generator builds, sorts and yields one direction's batch
+    at a time and holds no more than that batch (plus the keys already
+    seen).  Consume lazily; the count grows combinatorially with the level.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
     seen = set()
     for level in range(1, height + 1):
-        fracs = [v for v in _fractions_up_to(level)]
+        fracs = _fractions_up_to(level)
         dirs = set()
         for h in product(range(-level, level + 1), repeat=2 * n):
             if any(h):
                 dirs.add(_canonical_direction(h))
-        batch = []
         for d in sorted(dirs):
-            if max(abs(v) for v in d) > level:
-                continue
+            at_level = max(abs(v) for v in d) == level
+            batch = []
             for base in product(fracs, repeat=2 * n + 1):
-                if max(max(_complexity(v) for v in base), max(abs(v) for v in d)) != level:
+                if not at_level and max(_complexity(v) for v in base) != level:
                     continue
                 line = RationalLine(base, d)
                 key = (line.direction, line.base)
                 if key not in seen:
                     seen.add(key)
                     batch.append(line)
-        batch.sort(key=lambda l: (l.direction, l.base))
-        yield from batch
+            batch.sort(key=lambda l: l.base)
+            yield from batch
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,22 @@ class Cover:
         """Analytic upper bound of the total tube volume for constant c."""
         q = 2 * self.n + 2
         v_ball = _unit_ball_volume_bound(self.n)
-        radii = c / 2.0 ** (np.arange(len(self.lines)) + 1)
-        with np.errstate(divide="ignore"):
-            counts = np.where(radii > 0, self.lengths / radii + 1.0, np.inf)
-        terms = np.where(radii > 0, counts * (1.5 * radii) ** q * v_ball, 0.0)
+        radii = np.ldexp(c, -(np.arange(len(self.lines)) + 1))
+        ball = (1.5 * radii) ** q
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = (self.lengths / radii + 1.0) * ball * v_ball
+        # Where lengths/radii overflows (or radii is 0), ball has underflowed:
+        # (L/r + 1)(1.5r)^q = 1.5 L (1.5r)^(q-1) + (1.5r)^q has no factor that overflows.
+        bad = ~np.isfinite(terms)
+        terms[bad] = (1.5 * self.lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
         return float(np.sum(terms))
 
     def _solve_constant(self, target: float) -> float:
         lo, hi = 1e-300, 1e9
         for _ in range(300):
             mid = math.sqrt(lo * hi)
+            if mid == lo or mid == hi:
+                break  # fixed point: the interval cannot shrink any further
             if self.volume_bound(mid) > target:
                 hi = mid
             else:
@@ -348,56 +356,92 @@ class Cover:
 
     # -- distance machinery ------------------------------------------------
 
-    def _planar_lower(self, pts: np.ndarray) -> np.ndarray:
-        """Exact planar point-to-segment distances, a distance lower bound."""
-        p = pts[:, None, :-1] - self._bases[None, :, :-1]
-        h = self._vecs[:, :-1]
+    def _planar_lower(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray) -> np.ndarray:
+        """Exact planar point-to-segment distances per (point, line) pair, a
+        distance lower bound."""
+        h = self._vecs[li, :-1]
+        p = pts[pi, :-1] - self._bases[li, :-1]
+        t = np.sum(p * h, axis=1) / np.sum(h * h, axis=1)
+        t = np.clip(t, self.spans[li, 0], self.spans[li, 1])
+        near = self._bases[li, :-1] + t[:, None] * h
+        return np.linalg.norm(pts[pi, :-1] - near, axis=1)
+
+    def _candidate_pairs(self, pts: np.ndarray, needed: np.ndarray):
+        """(point, line) index pairs whose planar lower bound is at most
+        ``needed`` of the line; see :meth:`upper_distances`."""
+        b, h = self._bases[:, :-1], self._vecs[:, :-1]
         h2 = np.sum(h * h, axis=1)
-        t = np.sum(p * h[None, :, :], axis=2) / h2[None, :]
-        t = np.clip(t, self.spans[None, :, 0], self.spans[None, :, 1])
-        near = self._bases[None, :, :-1] + t[:, :, None] * h[None, :, :]
-        return np.linalg.norm(pts[:, None, :-1] - near, axis=2)
+        bh = np.sum(b * h, axis=1)
+        b2 = np.sum(b * b, axis=1)
+        needed2 = needed * needed
+        mask = np.zeros((len(pts), len(self.lines)), dtype=bool)
+        for start in range(0, len(pts), 1024):
+            p = pts[start : start + 1024, :-1]
+            p2 = np.sum(p * p, axis=1)[:, None]
+            ph, pb = p @ h.T, p @ b.T
+            t = np.clip((ph - bh) / h2, self.spans[:, 0], self.spans[:, 1])
+            scale = p2 + b2 + t * t * h2
+            d2 = scale - 2.0 * pb - 2.0 * t * (ph - bh)
+            pi, li = np.nonzero(d2 <= needed2 + 1e-12 * scale)
+            pi += start
+            mask[pi, li] = self._planar_lower(pts, pi, li) <= needed[li]
+        return np.nonzero(mask)
 
     def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, grid: int = 33, golden: int = 60) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
 
         All flagged (point, line) pairs advance through the grid scan and
-        golden-section refinement together, as array operations.
+        golden-section refinement together, as array operations: one call
+        for the whole grid, and one for both probes of each golden step.
         """
+        m = len(pi)
         p = pts[pi]
         bases, vecs = self._bases[li], self._vecs[li]
         t0s, t1s = self.spans[li, 0], self.spans[li, 1]
 
         def val(ts):
-            line_pts = bases + ts[:, None] * vecs
-            return cc_upper_quick(group_mul(group_inv(line_pts), p))
+            reps = len(ts) // m
+            line_pts = np.tile(bases, (reps, 1)) + ts[:, None] * np.tile(vecs, (reps, 1))
+            return cc_upper_quick(group_mul(group_inv(line_pts), np.tile(p, (reps, 1)))).reshape(reps, m)
 
         us = np.linspace(0.0, 1.0, grid)
-        vals = np.stack([val(t0s + u * (t1s - t0s)) for u in us])
+        vals = val((t0s + us[:, None] * (t1s - t0s)).ravel())
         j = np.argmin(vals, axis=0)
-        best = vals[j, np.arange(len(pi))]
+        best = vals[j, np.arange(m)]
         a = t0s + us[np.maximum(j - 1, 0)] * (t1s - t0s)
         b = t0s + us[np.minimum(j + 1, grid - 1)] * (t1s - t0s)
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         c = b - gr * (b - a)
         d = a + gr * (b - a)
-        fc, fd = val(c), val(d)
+        fc, fd = val(np.concatenate([c, d]))
         for _ in range(golden):
             left = fc < fd
             b = np.where(left, d, b)
             a = np.where(left, a, c)
             c = b - gr * (b - a)
             d = a + gr * (b - a)
-            fc, fd = val(c), val(d)
+            fc, fd = val(np.concatenate([c, d]))
         return np.minimum(best, np.minimum(fc, fd))
 
     def upper_distances(self, pts: np.ndarray, needed: np.ndarray) -> np.ndarray:
-        """Per (point, line) upper distance; refined only where the planar
-        lower bound does not already exceed the per-line ``needed`` radius."""
+        """Per (point, line) upper distance, ``inf`` where no pair was refined.
+
+        A pair is refined only where the exact planar point-to-segment
+        distance, a lower bound of the distance, does not exceed the
+        per-line ``needed`` radius.  Pairs are found in two stages, over
+        blocks of points.  The first expands the squared planar distance
+        |p - b - t h|^2 through the products p.h and p.b (two matrix
+        products per block) and keeps the pairs with
+        d2 <= needed^2 + 1e-12 (|p|^2 + |b|^2 + t^2 |h|^2).  The rounding
+        error of the expansion is a few units of 2^-53 times that scale,
+        about a thousandth of the slack, so the kept set contains every pair
+        the exact test accepts.  The second stage applies the exact
+        per-pair distance to the kept pairs only.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lower = self._planar_lower(pts)
-        out = np.full(lower.shape, np.inf)
-        pi, li = np.where(lower <= np.asarray(needed)[None, :])
+        needed = np.asarray(needed, dtype=float)
+        out = np.full((len(pts), len(self.lines)), np.inf)
+        pi, li = self._candidate_pairs(pts, needed)
         if len(pi):
             out[pi, li] = self._refine_pairs(pts, pi, li)
         return out
@@ -471,6 +515,9 @@ class Cover:
         return bool(np.all(self.contains_batch(path.eval(ts), level)))
 
     def manifest(self) -> dict:
+        bounds = [self.volume_bound(c) for c in self.radii_constants]
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"non-finite tube volume bound in {bounds}")
         return {
             "n": self.n,
             "depth": self.depth,
@@ -479,7 +526,7 @@ class Cover:
             "clip_hi": self.clip.hi.tolist(),
             "radii_constants": [float(c) for c in self.radii_constants],
             "volume_targets": [2.0**-k for k in range(1, self.depth + 1)],
-            "volume_bounds": [self.volume_bound(c) for c in self.radii_constants],
+            "volume_bounds": bounds,
             "tube_model": "metric neighborhoods of clipped line segments",
             # construction is deterministic: no randomness enters the build
             "seed": None,

@@ -25,6 +25,7 @@ from hcalc.calculus import (
     sample_unit_ball,
     vertical_coordinate_field,
 )
+from hcalc import suites
 from hcalc.curves import line_path
 from hcalc.group import HLinearMap, group_mul, horizontal_point, random_directions
 from hcalc.maximizer import default_t_grid
@@ -228,6 +229,47 @@ class TestMeanValue:
                 np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]),
                 np.zeros(9), np.zeros(9), s=1, zeta=0, rho=2, v=0.01, sigma=0.1, L=1,
             )
+
+
+def _mean_value_verify_loop(inst, tau):
+    """Reference for ``suites._mean_value_verify``: the grid check one index at a time."""
+    h = inst.step
+    i_tau, i0, iz = inst.index_of(tau), inst.index_of(0.0), inst.index_of(inst.zeta)
+    phi_p = (inst.phi[i_tau + 1] - inst.phi[i_tau - 1]) / (2 * h)
+    psi_p0 = (inst.psi[i0 + 1] - inst.psi[i0 - 1]) / (2 * h)
+    gap = abs(inst.phi[iz] - inst.psi[iz])
+    if not (-inst.s < tau < inst.s) or tau == inst.zeta:
+        return False
+    if phi_p < psi_p0 + inst.v * gap / inst.s - 1e-12:
+        return False
+    slope = 4.0 * (1.0 + 20.0 * inst.v) * math.sqrt(max(phi_p - psi_p0, 0.0) * inst.L)
+    m = len(inst.grid)
+    for k in range(m):
+        j = i_tau + k - i0
+        if not (0 <= j < m):
+            continue
+        t = inst.grid[k] - inst.grid[i0]
+        lhs = abs((inst.phi[j] - inst.phi[i_tau]) - (inst.psi[k] - inst.psi[i0]))
+        if lhs > slope * abs(t) + 1e-9:
+            return False
+    return True
+
+
+def test_mean_value_verify_matches_the_index_loop():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(8):
+        inst = suites._mean_value_instance(rng, grid_exp=10)
+        taus = [inst.grid[i] for i in rng.integers(1, len(inst.grid) - 1, 12)]
+        try:
+            taus.append(mean_value_search(inst))
+        except (MeanValueHypothesisError, MeanValueSearchError):
+            pass
+        for tau in taus:
+            got = suites._mean_value_verify(inst, tau)
+            assert got is _mean_value_verify_loop(inst, tau)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def envelope_verdict(f, star, comp, K, t_grid):

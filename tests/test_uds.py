@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
+from hcalc import uds
 from hcalc.curves import ModifyLineParams, gamma_y, modify_line
 from hcalc.uds import (
     Box,
@@ -94,6 +97,29 @@ class TestEnumeration:
     def test_height_validation(self):
         with pytest.raises(ValueError):
             next(enumerate_lines(0, 1))
+
+    @pytest.mark.parametrize("height, n, count, directions", [
+        (3, 1, 10**9, 3),  # levels 1 and 2, then the first 3 of 16 directions of level 3
+        (2, 2, 2000, None),  # inside level 1, which holds 7,872 lines
+        (1, 3, 10**9, 2),  # the first 2 of the 364 directions of level 1
+    ])
+    def test_streaming_matches_whole_level_sort(self, height, n, count, directions):
+        expected = [(l.direction, l.base) for l in islice(_whole_level_lines(height, n, directions), count)]
+        streamed = [(l.direction, l.base) for l in islice(enumerate_lines(height, n), len(expected))]
+        assert streamed == expected
+
+    def test_lazy_prefix_constructs_few_lines(self, monkeypatch):
+        built = []
+        post_init = RationalLine.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(RationalLine, "__post_init__", counting)
+        assert len(list(islice(enumerate_lines(8, 2), 96))) == 96
+        assert len(built) <= 300  # a whole level-1 batch at n = 2 is 9,720
+
 
 
 class TestCover:
@@ -200,6 +226,108 @@ class TestCurveInCover:
         g = gamma_y(np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             lines_of_path(g)
+
+
+def _whole_level_lines(height, n, directions=None):
+    """Reference enumeration: build every line of a level, then sort the level.
+
+    ``directions`` keeps only the first directions, in sorted order, of the
+    last level.  That level's sort puts their lines first, so the output is
+    still a prefix of the full enumeration.
+    """
+    seen = set()
+    for level in range(1, height + 1):
+        fracs = uds._fractions_up_to(level)
+        dirs = sorted({uds._canonical_direction(h) for h in product(range(-level, level + 1), repeat=2 * n) if any(h)})
+        batch = []
+        for d in dirs[:directions] if level == height else dirs:
+            for base in product(fracs, repeat=2 * n + 1):
+                if max(max(uds._complexity(v) for v in base), max(abs(v) for v in d)) != level:
+                    continue
+                line = RationalLine(base, d)
+                key = (line.direction, line.base)
+                if key not in seen:
+                    seen.add(key)
+                    batch.append(line)
+        batch.sort(key=lambda l: (l.direction, l.base))
+        yield from batch
+
+
+def _planar_lower_dense(cover, pts):
+    """Reference: exact planar point-to-segment distance for every (point, line)."""
+    p = pts[:, None, :-1] - cover._bases[None, :, :-1]
+    h = cover._vecs[:, :-1]
+    h2 = np.sum(h * h, axis=1)
+    t = np.sum(p * h[None, :, :], axis=2) / h2[None, :]
+    t = np.clip(t, cover.spans[None, :, 0], cover.spans[None, :, 1])
+    near = cover._bases[None, :, :-1] + t[:, :, None] * h[None, :, :]
+    return np.linalg.norm(pts[:, None, :-1] - near, axis=2)
+
+
+def _solve_constant_reference(cover, target):
+    """Reference: the geometric bisection run for all 300 iterations."""
+    lo, hi = 1e-300, 1e9
+    for _ in range(300):
+        mid = math.sqrt(lo * hi)
+        if cover.volume_bound(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+class TestCoverInternals:
+    @pytest.fixture(scope="class")
+    def benchmark_covers(self):
+        return [
+            Cover.build(n=1, height=8, depth=12, max_lines=96),
+            Cover.build(n=2, height=8, depth=12, max_lines=96),
+            Cover.build(n=1, height=8, depth=12, max_lines=1100),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_upper_distances_match_the_exact_pair_test(self, n):
+        cover = Cover.build(n=n, height=2, depth=6, max_lines=48)
+        rng = np.random.default_rng(n)
+        dim = 2 * n + 1
+        near = []
+        for i in range(len(cover.lines)):
+            t = rng.uniform(*cover.spans[i])
+            for offset in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+                step = rng.standard_normal(dim)
+                near.append(cover._bases[i] + t * cover._vecs[i] + offset * step / np.linalg.norm(step))
+        pts = np.vstack([rng.uniform(-3.0, 3.0, (1500, dim)), near])
+        lower = _planar_lower_dense(cover, pts)
+        for needed in (cover.radii(1), cover.radii(6), np.full(len(cover.lines), 1e-6), np.full(len(cover.lines), 0.25)):
+            got = cover.upper_distances(pts, needed)
+            pi, li = np.nonzero(lower <= needed[None, :])
+            assert np.array_equal(np.nonzero(np.isfinite(got)), (pi, li))
+            assert np.array_equal(got[pi, li], cover._refine_pairs(pts, pi, li))
+
+    def test_refine_equals_one_pair_at_a_time(self, cover):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2.0, 2.0, (6, 3))
+        pi, li = np.repeat(np.arange(6), 4), rng.integers(0, len(cover.lines), 24)
+        batched = cover._refine_pairs(pts, pi, li)
+        single = [cover._refine_pairs(pts, pi[k : k + 1], li[k : k + 1])[0] for k in range(24)]
+        assert batched.tolist() == single
+
+    def test_solve_constant_equals_full_bisection(self, benchmark_covers):
+        for cover in benchmark_covers:
+            for k in range(1, 13):
+                target = 2.0**-k * 0.99
+                assert cover._solve_constant(target) == _solve_constant_reference(cover, target)
+
+    def test_volume_bounds_finite_when_radii_go_subnormal(self, benchmark_covers):
+        cover = benchmark_covers[2]
+        bounds = cover.manifest()["volume_bounds"]
+        assert all(math.isfinite(b) and b <= 2.0**-k for k, b in enumerate(bounds, start=1))
+
+    def test_manifest_rejects_a_nonfinite_bound(self, cover):
+        broken = Cover(list(cover.lines), depth=2, clip=cover.clip)
+        broken.radii_constants[1] = math.nan
+        with pytest.raises(ValueError):
+            broken.manifest()
 
 
 def test_box_geometry():
