@@ -65,14 +65,61 @@ def delta_cap(eta: float) -> float:
 def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
     """Heights at the knots of the horizontal lift of a polyline starting at height c0.
 
-    ``planar`` holds one projected row per knot, as floats or as an object
-    array of fractions; each segment adds 2(<da, b_j> - <db, a_j>).
+    ``planar`` holds one projected row per knot along axis -2, as floats or
+    as an object array of fractions; leading axes are a batch of polylines,
+    and ``c0`` broadcasts against their heights.  Each segment adds
+    2(<da, b_j> - <db, a_j>).
     """
-    n = planar.shape[1] // 2
-    da = np.diff(planar[:, :n], axis=0)
-    db = np.diff(planar[:, n:], axis=0)
-    dc = 2 * (np.sum(da * planar[:-1, n:], axis=1) - np.sum(db * planar[:-1, :n], axis=1))
-    return c0 + np.concatenate([[0], np.cumsum(dc)])
+    n = planar.shape[-1] // 2
+    da = np.diff(planar[..., :n], axis=-2)
+    db = np.diff(planar[..., n:], axis=-2)
+    dc = 2 * (np.sum(da * planar[..., :-1, n:], axis=-1) - np.sum(db * planar[..., :-1, :n], axis=-1))
+    return c0 + np.concatenate([np.zeros_like(dc[..., :1]), np.cumsum(dc, axis=-1)], axis=-1)
+
+
+# Piecewise-linear evaluation.  ``vertices`` holds one row per knot along
+# axis -2 (projection, then height); leading axes are a batch of paths that
+# share the knots.  HorizontalPath and the batched checks of the suites both
+# evaluate through these, so a batch gets the bits of one path at a time.
+
+
+def _lift_vertices(planar: np.ndarray, c0) -> np.ndarray:
+    """Knot rows (projection, height) of the lift of ``planar`` starting at height c0."""
+    return np.concatenate([planar, lift_heights(planar, c0)[..., None]], axis=-1)
+
+
+def _segment(knots: np.ndarray, t):
+    """Index of the segment holding t: the one starting at t on a knot, the last one at the end."""
+    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+
+
+def _interpolate(knots: np.ndarray, vertices: np.ndarray, t) -> np.ndarray:
+    """Point at parameter t, for t in [knots[0], knots[-1]]."""
+    j = _segment(knots, t)
+    u = (t - knots[j]) / (knots[j + 1] - knots[j])
+    lo, hi = np.take(vertices, j, axis=-2), np.take(vertices, j + 1, axis=-2)
+    return lo + np.expand_dims(u, -1) * (hi - lo)
+
+
+def _difference_quotient(knots: np.ndarray, vertices: np.ndarray, t) -> np.ndarray:
+    """Derivative on the segment holding t (see :func:`_segment`)."""
+    j = _segment(knots, t)
+    lo, hi = np.take(vertices, j, axis=-2), np.take(vertices, j + 1, axis=-2)
+    return (hi - lo) / (knots[j + 1] - knots[j])
+
+
+def _chords(planar: np.ndarray) -> np.ndarray:
+    """Euclidean length of each projected segment."""
+    return np.linalg.norm(np.diff(planar, axis=-2), axis=-1)
+
+
+def _segment_speeds(knots: np.ndarray, planar: np.ndarray) -> np.ndarray:
+    return _chords(planar) / np.diff(knots)
+
+
+def _length(planar: np.ndarray) -> float:
+    """Horizontal length of the lift of one projected polyline."""
+    return float(np.sum(_chords(planar)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +154,7 @@ class HorizontalPath:
         n = planar.shape[1] // 2
         if planar.shape[1] != 2 * n or n < 1:
             raise ValueError("planar rows must have even length >= 2")
-        object.__setattr__(self, "_heights", lift_heights(planar, self.c0))
+        object.__setattr__(self, "_vertices", _lift_vertices(planar, self.c0))
 
     @property
     def n(self) -> int:
@@ -124,21 +171,12 @@ class HorizontalPath:
     @property
     def heights(self) -> np.ndarray:
         """Exact lifted height at each knot."""
-        return self._heights
+        return self._vertices[:, -1]
 
     def eval(self, t) -> np.ndarray:
         """Point on the path at parameter t (clamped to the domain)."""
         t = np.asarray(t, dtype=float)
-        tc = np.clip(t, self.knots[0], self.knots[-1])
-        j = np.clip(np.searchsorted(self.knots, tc, side="right") - 1, 0, len(self.knots) - 2)
-        span = self.knots[j + 1] - self.knots[j]
-        u = (tc - self.knots[j]) / span
-        p = self.planar[j] + u[..., None] * (self.planar[j + 1] - self.planar[j])
-        c = self._heights[j] + u * (self._heights[j + 1] - self._heights[j])
-        out = np.empty(t.shape + (2 * self.n + 1,))
-        out[..., :-1] = p
-        out[..., -1] = c
-        return out
+        return _interpolate(self.knots, self._vertices, np.clip(t, self.knots[0], self.knots[-1]))
 
     def __call__(self, t) -> np.ndarray:
         return self.eval(t)
@@ -152,17 +190,12 @@ class HorizontalPath:
         t = float(t)
         if not (self.knots[0] <= t <= self.knots[-1]):
             raise ValueError("parameter outside the path domain")
-        j = int(np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2))
-        span = self.knots[j + 1] - self.knots[j]
-        v = (self.planar[j + 1] - self.planar[j]) / span
-        dc = (self._heights[j + 1] - self._heights[j]) / span
         at_knot = bool(np.any(np.isclose(self.knots, t, rtol=0.0, atol=1e-14)))
-        return np.concatenate([v, [dc]]), at_knot
+        return _difference_quotient(self.knots, self._vertices, t), at_knot
 
     def segment_speeds(self) -> np.ndarray:
         """Projected speed of each linear segment."""
-        chord = np.linalg.norm(np.diff(self.planar, axis=0), axis=1)
-        return chord / np.diff(self.knots)
+        return _segment_speeds(self.knots, self.planar)
 
     def start(self) -> np.ndarray:
         return self.eval(self.knots[0])
@@ -208,7 +241,7 @@ def lift_planar(planar: np.ndarray, base: np.ndarray, knots=None) -> HorizontalP
         raise ValueError("base point does not project onto the first vertex")
     if knots is None:
         # parametrize by chord length; merge zero-length steps
-        steps = np.linalg.norm(np.diff(planar, axis=0), axis=1)
+        steps = _chords(planar)
         steps = np.where(steps == 0.0, np.max(steps) * 1e-9 if np.max(steps) > 0 else 1.0, steps)
         knots = np.concatenate([[0.0], np.cumsum(steps)])
     else:
@@ -218,7 +251,7 @@ def lift_planar(planar: np.ndarray, base: np.ndarray, knots=None) -> HorizontalP
 
 def horizontal_length(path: HorizontalPath) -> float:
     """Horizontal length, i.e. Euclidean length of the projected polyline."""
-    return float(np.sum(np.linalg.norm(np.diff(path.planar, axis=0), axis=1)))
+    return _length(path.planar)
 
 
 def lipschitz_constant(path: HorizontalPath) -> float:
@@ -253,15 +286,22 @@ def _exact_payload(knots, rows, c0) -> tuple:
     )
 
 
+_GAMMA_KNOTS = np.array([0.0, 0.5, 1.0])
+_GAMMA_KNOTS.flags.writeable = False  # shared by every two-leg path
+
+
 def _gamma_rows(y: np.ndarray) -> np.ndarray:
-    """Planar knot rows (0, midpoint, p(y)) of the two-leg curve, float or exact."""
+    """Planar knot rows (0, midpoint, p(y)) of the two-leg curve, float or exact.
+
+    Leading axes of ``y`` are a batch; the rows run along axis -2.
+    """
     n = group_dim(y)
-    a, b, c = y[:n], y[n : 2 * n], y[-1]
-    L2 = a @ a + b @ b
-    if L2 == 0:
+    a, b, c = y[..., :n], y[..., n : 2 * n], y[..., -1:]
+    L2 = np.vecdot(a, a, keepdims=True) + np.vecdot(b, b, keepdims=True)
+    if np.any(L2 == 0):
         raise ValueError("gamma_y is undefined for points with zero projection")
-    mid = np.concatenate([a - b * c / L2, b + a * c / L2]) / 2
-    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b])])
+    mid = np.concatenate([a - b * c / L2, b + a * c / L2], axis=-1) / 2
+    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b], axis=-1)], axis=-2)
 
 
 def gamma_y(y, rational: bool = False) -> HorizontalPath:
@@ -275,11 +315,10 @@ def gamma_y(y, rational: bool = False) -> HorizontalPath:
     With ``rational=True`` the knot rows are computed exactly from the
     exact values of y, and the returned path carries them as fractions.
     """
-    knots = np.array([0.0, 0.5, 1.0])
     if not rational:
-        return HorizontalPath(knots, _gamma_rows(np.asarray(y, dtype=float)), 0.0)
+        return HorizontalPath(_GAMMA_KNOTS, _gamma_rows(np.asarray(y, dtype=float)), 0.0)
     rows = _gamma_rows(as_exact(y))
-    return HorizontalPath(knots, rows, 0.0, rational=_exact_payload((0, Fraction(1, 2), 1), rows, 0))
+    return HorizontalPath(_GAMMA_KNOTS, rows, 0.0, rational=_exact_payload((0, Fraction(1, 2), 1), rows, 0))
 
 
 @dataclass(frozen=True)

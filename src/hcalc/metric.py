@@ -15,6 +15,12 @@ inscribed polylines whose bulge is solved so that the polygonal enclosed
 area, and hence the lifted height, is exact; the returned upper bound is
 the actual polyline length and therefore always certified by the witness.
 
+Candidates stay plain knot and row arrays until one wins: :func:`cc_upper`
+measures each on its rows translated to x, the way :func:`horizontal_length`
+measures a path, and builds one :class:`HorizontalPath` for the winner.
+Callers that need only the value, like :func:`distance_pansu_check`, build
+no path at all.
+
 The bulge is found by bisection, in two forms that return the same bits.
 :func:`_solve_bulge` runs on numpy arrays and serves the batch path
 :func:`cc_upper_value_batch`; every step is elementwise, so a batch gives each
@@ -35,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import HorizontalPath, gamma_y, horizontal_length
+from .curves import _GAMMA_KNOTS, HorizontalPath, _chords, _gamma_rows, _interpolate, _length, horizontal_length
 from .group import (
     group_dim,
     group_inv,
@@ -258,44 +264,63 @@ def _embed_chain(chain: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return chain[:, :1] * w_hat + chain[:, 1:] * j_w
 
 
-def _chain_to_path(chain2d: np.ndarray, w: np.ndarray, n: int, x: np.ndarray) -> HorizontalPath:
-    planar_rel = _embed_chain(chain2d, w, n)
-    steps = np.linalg.norm(np.diff(planar_rel, axis=0), axis=1)
-    total = float(np.sum(steps))
-    if total == 0.0:
-        knots = np.array([0.0, 1.0])
-    else:
-        knots = np.concatenate([[0.0], np.cumsum(steps)])
-        knots[-1] = total
-    rel = HorizontalPath(knots, planar_rel, 0.0)
-    return rel.left_translate(x)
-
-
-def _arc_witness(z: np.ndarray, n: int, x: np.ndarray) -> HorizontalPath:
-    """Witness whose projection is an inscribed circular arc closing on z."""
+def _arc_witness(z: np.ndarray, n: int):
+    """Knots and projected rows, relative to the start, of the witness whose
+    projection is an inscribed circular arc closing on z."""
     w = project(z)
     D = float(np.linalg.norm(w))
     c = float(vertical(z))
     target_ccw = -c / 4.0
     if D == 0.0:
         chain = _circle_chain_2d(target_ccw, 1024) if c != 0.0 else np.zeros((2, 2))
-        return _chain_to_path(chain, w, n, x)
-    if c == 0.0:
-        return _chain_to_path(np.array([[0.0, 0.0], [D, 0.0]]), w, n, x)
-    ratio = abs(target_ccw) / (D * D)
-    if ratio > 1e10:
+    elif c == 0.0:
+        chain = np.array([[0.0, 0.0], [D, 0.0]])
+    elif (ratio := abs(target_ccw) / (D * D)) > 1e10:
         # bulge saturates in float; go straight to the projection, then close
         # the height with a full circle (out-and-back chord encloses nothing)
         circle = _circle_chain_2d(target_ccw, 1024) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
-        return _chain_to_path(chain, w, n, x)
-    theta0 = _solve_bulge_scalar(ratio, 64)
-    m = min(max(math.ceil(theta0 / 0.02), 16), 1024)
-    theta = _solve_bulge_scalar(ratio, m)
-    chain = _arc_chain_2d(D, theta, m)
-    if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
-        chain[:, 1] *= -1.0
-    return _chain_to_path(chain, w, n, x)
+    else:
+        theta0 = _solve_bulge_scalar(ratio, 64)
+        m = min(max(math.ceil(theta0 / 0.02), 16), 1024)
+        chain = _arc_chain_2d(D, _solve_bulge_scalar(ratio, m), m)
+        if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
+            chain[:, 1] *= -1.0
+    rel = _embed_chain(chain, w, n)
+    steps = _chords(rel)
+    total = float(np.sum(steps))
+    if total == 0.0:
+        knots = np.array([0.0, 1.0])
+    else:
+        knots = np.concatenate([[0.0], np.cumsum(steps)])
+        knots[-1] = total
+    return knots, rel
+
+
+def _shortest_route(x: np.ndarray, y: np.ndarray):
+    """``(length, (knots, rel))`` of the shorter of the arc and two-leg routes from x to y.
+
+    ``rel`` holds the projected rows relative to p(x); the route is None
+    when x == y.  Lengths are measured on the rows translated to p(x), as
+    the witness's are: translation moves their last bits.
+    """
+    z = group_mul(group_inv(x), y)
+    D = float(np.linalg.norm(project(z)))
+    c = float(vertical(z))
+    if D == 0.0 and c == 0.0:
+        return 0.0, None
+    px = project(x)
+    candidates = [_arc_witness(z, group_dim(x))]
+    if D > 0.0:
+        candidates.append((_GAMMA_KNOTS, _gamma_rows(z)))
+    best = None
+    for knots, rel in candidates:
+        length = _length(rel + px)
+        if not math.isfinite(length):
+            raise ValueError("path data must be finite")
+        if best is None or length < best[0]:
+            best = (length, (knots, rel))
+    return best
 
 
 def cc_upper(x: np.ndarray, y: np.ndarray):
@@ -304,29 +329,27 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
     Takes the shorter of the two-leg route and the exactly-closing circular
     arc (the full circle when the projections coincide) and returns
     ``(length, witness)`` where ``length`` is the measured length of the
-    returned path.
+    returned path.  One path is built per witness, directly at x, with the
+    start height :meth:`HorizontalPath.left_translate` would give the
+    route built at 0.  :func:`_shortest_route` gives the same length
+    without building a path.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = group_dim(x)
-    z = group_mul(group_inv(x), y)
-    D = float(np.linalg.norm(project(z)))
-    c = float(vertical(z))
-    if D == 0.0 and c == 0.0:
+    length, route = _shortest_route(x, y)
+    if route is None:
         trivial = HorizontalPath(np.array([0.0, 1.0]), np.stack([project(x)] * 2), float(vertical(x)))
         return 0.0, trivial
-    candidates = [_arc_witness(z, n, x)]
-    if D > 0.0:
-        candidates.append(gamma_y(z).left_translate(x))
-    best = min(candidates, key=horizontal_length)
-    return horizontal_length(best), best
+    knots, rel = route
+    # the start of HorizontalPath(knots, rel, 0.0), signed zeros included; its height is 0
+    start = np.append(_interpolate(knots, rel, knots[0]), 0.0)
+    return length, HorizontalPath(knots, rel + project(x), group_mul(x, start)[-1])
 
 
 def cc_bounds(x: np.ndarray, y: np.ndarray) -> DistanceBounds:
     """Distance bracket with witness; the core comparison primitive."""
     upper, witness = cc_upper(x, y)
-    lower = cc_lower(x, y)
-    return DistanceBounds(min(lower, upper), upper, witness)
+    return DistanceBounds(cc_lower(x, y), upper, witness)
 
 
 def cc_upper_value_batch(z: np.ndarray, m: int = 256) -> np.ndarray:
@@ -483,10 +506,10 @@ def distance_pansu_check(u_dir: np.ndarray, z_samples: np.ndarray, tol: float = 
         uz = group_mul(u, z)
         ip = float(np.dot(project(z), u_dir))
         lo = cc_lower(origin, uz)
-        up, _ = cc_upper(origin, uz)
+        up, _ = _shortest_route(origin, uz)
         margins[i] = lo - (1.0 + ip)
         dz_lo = cc_lower(origin, z)
-        dz_up, _ = cc_upper(origin, z)
+        dz_up, _ = _shortest_route(origin, z)
         worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
         residuals[i] = worst / max(dz_lo, 1e-300)
         scales[i] = dz_up

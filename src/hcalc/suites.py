@@ -440,31 +440,42 @@ def suite_goodcurve(cfg: RunConfig, seed: int) -> SuiteResult:
     trials = cfg.count(10_000)
     failures = 0
     worst = math.inf
+    knots = curves._GAMMA_KNOTS
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
-            y = rng.standard_normal(2 * n + 1) * rng.uniform(0.5, 2.0)
-            L = float(np.linalg.norm(y[:-1]))
-            if L == 0.0:
-                continue
-            c = float(y[-1])
-            path = curves.gamma_y(y)
-            scale = 1.0 + max(abs(c), L) ** 2 / L**2 + float(np.max(np.abs(y)))
-            end_err = float(np.max(np.abs(path.end() - y))) / scale
-            failures += int(end_err > 1e-12)
-            worst = _margin_update(worst, 1e-12 - end_err)
-            start_err = float(np.max(np.abs(path.start())))
-            failures += int(start_err > 1e-12 * scale)
-            lip = curves.lipschitz_constant(path)
-            lip_bound = L * math.sqrt(1.0 + c * c / L**4 + 4.0 * c * c / L**2)
-            failures += int(lip > lip_bound * (1.0 + 1e-12))
-            worst = _margin_update(worst, (lip_bound - lip) / lip_bound)
-            dev_bound = abs(c) / L * math.sqrt(1.0 + 4.0 * L * L)
-            flat = np.concatenate([y[:-1], [0.0]])
-            for tq in (0.25, 0.75):
-                d, _ = path.derivative(tq)
-                dev = float(np.linalg.norm(d - flat))
-                failures += int(dev > dev_bound * (1.0 + 1e-9) + 1e-12 * scale)
-                worst = _margin_update(worst, dev_bound * (1.0 + 1e-9) + 1e-12 * scale - dev)
+        ys = np.empty((trials // len(cfg.n_values), 2 * n + 1))
+        for i in range(len(ys)):  # one trial at a time, so the stream is the per-trial one
+            ys[i] = rng.standard_normal(2 * n + 1) * rng.uniform(0.5, 2.0)
+        L = np.sqrt(np.vecdot(ys[:, :-1], ys[:, :-1]))  # np.linalg.norm of each row
+        ys, L = ys[L != 0.0], L[L != 0.0]
+        c = ys[:, -1]
+        # The gamma_y(y) paths as one batch, evaluated by the helpers behind
+        # HorizontalPath.eval, .derivative and .segment_speeds: each trial gets
+        # the bits of its own path.
+        rows = curves._gamma_rows(ys)
+        vertices = curves._lift_vertices(rows, 0.0)
+        # scale and lip_bound stay Python floats per trial: Python's x**2 and
+        # x**4 call libm pow, which rounds differently from numpy's power.
+        top = np.max(np.abs(ys), axis=1)
+        scale, lip_bound = np.empty(len(ys)), np.empty(len(ys))
+        for i in range(len(ys)):
+            Li, ci = float(L[i]), float(c[i])
+            scale[i] = 1.0 + max(abs(ci), Li) ** 2 / Li**2 + float(top[i])
+            lip_bound[i] = Li * math.sqrt(1.0 + ci * ci / Li**4 + 4.0 * ci * ci / Li**2)
+        end_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[-1]) - ys), axis=1) / scale
+        failures += int(np.count_nonzero(end_err > 1e-12))
+        start_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[0])), axis=1)
+        failures += int(np.count_nonzero(start_err > 1e-12 * scale))
+        lip = np.max(curves._segment_speeds(knots, rows), axis=1)
+        failures += int(np.count_nonzero(lip > lip_bound * (1.0 + 1e-12)))
+        margins = [1e-12 - end_err, (lip_bound - lip) / lip_bound]
+        dev_slack = np.abs(c) / L * np.sqrt(1.0 + 4.0 * L * L) * (1.0 + 1e-9) + 1e-12 * scale
+        flat = np.concatenate([ys[:, :-1], np.zeros((len(ys), 1))], axis=1)
+        for tq in (0.25, 0.75):
+            d = curves._difference_quotient(knots, vertices, tq) - flat
+            dev = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row
+            failures += int(np.count_nonzero(dev > dev_slack))
+            margins.append(dev_slack - dev)
+        worst = _margin_update(worst, np.min(np.concatenate(margins), initial=math.inf))
     # frozen single-point checks
     path = curves.gamma_y(np.array([1.0, 0.0, 1.0]))
     checks = [

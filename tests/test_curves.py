@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hcalc import suites
 from hcalc.curves import (
+    _GAMMA_KNOTS,
+    _difference_quotient,
+    _gamma_rows,
+    _interpolate,
+    _lift_vertices,
+    _segment_speeds,
     HorizontalPath,
     ModifyLineParams,
     delta_cap,
@@ -16,7 +23,7 @@ from hcalc.curves import (
     lipschitz_constant,
     modify_line,
 )
-from hcalc.group import as_exact, dilate, group_mul, horizontal_point, project, vector_at
+from hcalc.group import as_exact, dilate, group_dim, group_mul, horizontal_point, project, vector_at
 
 
 def test_flat_segment_lifts_flat():
@@ -220,3 +227,106 @@ def test_exact_lift_commutes_with_left_translation(n):
         assert np.all(heights == moved[:, -1])
         # the float lift is the same recurrence on the rounded rows
         assert np.array_equal(path.heights, lift_heights(path.planar, path.c0))
+
+
+# -- batched two-leg curves --------------------------------------------------
+
+
+def _gamma_rows_one(y):
+    # reference: the one-point construction, squared norms by the 1-D dot product
+    n = group_dim(y)
+    a, b, c = y[:n], y[n : 2 * n], y[-1]
+    L2 = a @ a + b @ b
+    mid = np.concatenate([a - b * c / L2, b + a * c / L2]) / 2
+    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b])])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_gamma_rows_and_heights_match_one_path_at_a_time(n):
+    rng = np.random.default_rng(40 + n)
+    ys = rng.standard_normal((400, 2 * n + 1)) * rng.uniform(0.5, 2.0, (400, 1))
+    ys[:20, -1] = 0.0  # flat targets
+    ys[20:40, :-1] *= 1e-4  # steep targets
+    rows = _gamma_rows(ys)
+    heights = lift_heights(rows, 0.0)
+    # what the goodcurve suite evaluates on the batch
+    vertices = _lift_vertices(rows, 0.0)
+    ends = _interpolate(_GAMMA_KNOTS, vertices, 1.0)
+    slopes = [_difference_quotient(_GAMMA_KNOTS, vertices, t) for t in (0.25, 0.75)]
+    speeds = _segment_speeds(_GAMMA_KNOTS, rows)
+    for i, y in enumerate(ys):
+        path = gamma_y(y)
+        assert rows[i].tobytes() == path.planar.tobytes() == _gamma_rows_one(y).tobytes()
+        assert heights[i].tobytes() == np.ascontiguousarray(path.heights).tobytes()
+        assert ends[i].tobytes() == path.end().tobytes()
+        assert [d[i].tobytes() for d in slopes] == [path.derivative(t)[0].tobytes() for t in (0.25, 0.75)]
+        assert speeds[i].tobytes() == path.segment_speeds().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_gamma_rows_match_the_one_point_construction(n):
+    rng = np.random.default_rng(50 + n)
+    ys = as_exact(np.round(rng.uniform(-2.0, 2.0, (12, 2 * n + 1)) * 64) / 64)
+    ys[0, -1] = Fraction(1, 3)
+    batch = _gamma_rows(ys)
+    for y, rows in zip(ys, batch):
+        assert rows.tolist() == _gamma_rows_one(y).tolist() == _gamma_rows(y).tolist()
+        assert all(isinstance(v, Fraction) for v in rows[1:].ravel())
+        path = gamma_y(y, rational=True)
+        assert path.rational[1] == tuple(tuple(row) for row in _gamma_rows_one(y).tolist())
+
+
+def _goodcurve_per_trial(cfg, seed):
+    # reference: the goodcurve trials one gamma_y path at a time
+    rng = np.random.default_rng(seed)
+    failures, worst = 0, math.inf
+    for n in cfg.n_values:
+        for _ in range(cfg.trials // len(cfg.n_values)):
+            y = rng.standard_normal(2 * n + 1) * rng.uniform(0.5, 2.0)
+            L = float(np.linalg.norm(y[:-1]))
+            if L == 0.0:
+                continue
+            c = float(y[-1])
+            path = gamma_y(y)
+            scale = 1.0 + max(abs(c), L) ** 2 / L**2 + float(np.max(np.abs(y)))
+            end_err = float(np.max(np.abs(path.end() - y))) / scale
+            failures += int(end_err > 1e-12)
+            worst = min(worst, 1e-12 - end_err)
+            failures += int(float(np.max(np.abs(path.start()))) > 1e-12 * scale)
+            lip = lipschitz_constant(path)
+            lip_bound = L * math.sqrt(1.0 + c * c / L**4 + 4.0 * c * c / L**2)
+            failures += int(lip > lip_bound * (1.0 + 1e-12))
+            worst = min(worst, (lip_bound - lip) / lip_bound)
+            dev_bound = abs(c) / L * math.sqrt(1.0 + 4.0 * L * L)
+            flat = np.concatenate([y[:-1], [0.0]])
+            for tq in (0.25, 0.75):
+                dev = float(np.linalg.norm(path.derivative(tq)[0] - flat))
+                failures += int(dev > dev_bound * (1.0 + 1e-9) + 1e-12 * scale)
+                worst = min(worst, dev_bound * (1.0 + 1e-9) + 1e-12 * scale - dev)
+    return failures, worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_goodcurve_matches_per_trial_loop(seed):
+    cfg = suites.RunConfig(trials=2000, n_values=(1, 2, 3))
+    result = suites.suite_goodcurve(cfg, seed)
+    failures, worst = _goodcurve_per_trial(cfg, seed)
+    # the suite's frozen single-point checks pass and set no margin
+    assert result.failures == failures
+    assert result.worst_margin.hex() == worst.hex()
+
+
+# The batched checks rely on numpy's vecdot giving the bits of the 1-D dot
+# product that @ and np.linalg.norm use for one vector, and on row norms
+# over a batch axis giving the bits of row norms of one path.
+@pytest.mark.parametrize("length", range(1, 8))
+def test_vecdot_and_row_norms_match_one_vector_at_a_time(length):
+    rng = np.random.default_rng(60 + length)
+    wide = rng.standard_normal((3000, length + 2)) * 10.0 ** rng.uniform(-3, 3, (3000, 1))
+    for v in (np.ascontiguousarray(wide[:, 1:-1]), wide[:, 1:-1]):
+        batched = np.vecdot(v, v)
+        assert batched.tobytes() == np.array([row @ row for row in v]).tobytes()
+        assert np.sqrt(batched).tobytes() == np.array([np.linalg.norm(row) for row in v]).tobytes()
+    paths = wide[:, :length].reshape(1000, 3, length)
+    norms = np.linalg.norm(paths, axis=-1)
+    assert norms.tobytes() == np.stack([np.linalg.norm(p, axis=1) for p in paths]).tobytes()

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcalc.curves import gamma_y, horizontal_length
-from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist
+from hcalc import metric
+from hcalc.curves import HorizontalPath, gamma_y, horizontal_length
+from hcalc.calculus import sample_unit_ball
+from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, vertical
 from hcalc.metric import (
+    _arc_witness,
+    _shortest_route,
     _chain_area_coeff,
     _solve_bulge,
     _solve_bulge_scalar,
@@ -287,3 +291,106 @@ def test_bracket_dilation_homogeneity(pair, sixteenths):
     b1, b2 = cc_bounds(x, y), cc_bounds(rx, ry)
     assert _close(r * b1.lower, b2.lower, rx, ry)
     assert _close(r * b1.upper, b2.upper, rx, ry)
+
+
+def test_cc_bounds_raises_on_an_inconsistent_lower_bound(monkeypatch):
+    # a lower bound above the witness length is a defect, not something to clip
+    true_lower = metric.cc_lower
+    monkeypatch.setattr(metric, "cc_lower", lambda x, y: 2.0 * true_lower(x, y))
+    with pytest.raises(ValueError, match="exceeds upper bound"):
+        cc_bounds(ORIGIN, np.array([0.37, 0.0, 0.0]))
+
+
+# relative positions z = (p, c): |p| range, |c| range
+PAIR_SHAPES = {
+    "generic": (0.05, 1.5, 0.01, 2.0),
+    "vertical": (0.0, 0.0, 0.01, 2.0),  # the D = 0 circle
+    "horizontal": (0.05, 1.5, 0.0, 0.0),  # c = 0
+    "steep": (0.5e-4, 2e-4, 0.25, 2.0),
+    "saturated": (0.5e-6, 2e-6, 0.25, 2.0),  # |c| / (4 D^2) > 1e10
+    "tiny": (0.05e-6, 1.5e-6, 0.05e-12, 2e-12),
+    "large": (0.05 * 2**10, 1.5 * 2**10, 0.01 * 2**20, 2.0 * 2**20),
+}
+
+
+def _shape_pairs(rng, n, shape, count):
+    p_lo, p_hi, c_lo, c_hi = PAIR_SHAPES[shape]
+    direction = rng.standard_normal((count, 2 * n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    p = direction * rng.uniform(p_lo, p_hi, (count, 1))
+    c = rng.choice([-1.0, 1.0], count) * rng.uniform(c_lo, c_hi, count)
+    x = rng.uniform(-1.0, 1.0, (count, 2 * n + 1))
+    return x, group_mul(x, np.column_stack([p, c]))
+
+
+def _cc_upper_translating(x, y):
+    # reference: build each candidate at 0, left-translate both, keep the shorter
+    z = group_mul(group_inv(x), y)
+    if np.linalg.norm(project(z)) == 0.0 and vertical(z) == 0.0:
+        return cc_upper(x, y)
+    knots, rel = _arc_witness(z, (len(x) - 1) // 2)
+    candidates = [HorizontalPath(knots, rel, 0.0).left_translate(x)]
+    if np.linalg.norm(project(z)) > 0.0:
+        candidates.append(gamma_y(z).left_translate(x))
+    best = min(candidates, key=horizontal_length)
+    return horizontal_length(best), best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_built_once_matches_translated_candidates(n):
+    rng = np.random.default_rng(70 + n)
+    for shape in PAIR_SHAPES:
+        for x, y in zip(*_shape_pairs(rng, n, shape, 12)):
+            up, witness = cc_upper(x, y)
+            ref_up, ref = _cc_upper_translating(x, y)
+            assert up.hex() == ref_up.hex(), shape
+            assert witness.knots.tobytes() == ref.knots.tobytes()
+            assert witness.planar.tobytes() == ref.planar.tobytes()
+            assert witness.c0.hex() == ref.c0.hex()
+            assert np.ascontiguousarray(witness.heights).tobytes() == np.ascontiguousarray(ref.heights).tobytes()
+    up, witness = cc_upper(x, x)
+    assert up == 0.0 and np.array_equal(witness.start(), x)
+
+
+def test_non_finite_routes_raise():
+    # |p| = 1e160 overflows D^2 in the arc construction; the value-only route
+    # must refuse it as the witness does, not return a NaN length
+    y = np.array([1e160, 0.0, 1e-300])
+    with np.errstate(all="ignore"):
+        for route in (cc_upper, _shortest_route):
+            with pytest.raises(ValueError, match="finite"):
+                route(ORIGIN, y)
+
+
+def _pansu_per_sample(u_dir, zs):
+    # reference: the expansion check through cc_upper, one sample at a time
+    u = horizontal_point(u_dir)
+    origin = np.zeros_like(u)
+    out = []
+    for z in zs:
+        uz = group_mul(u, z)
+        ip = float(np.dot(project(z), u_dir))
+        lo, up = cc_lower(origin, uz), cc_upper(origin, uz)[0]
+        dz_lo, dz_up = cc_lower(origin, z), cc_upper(origin, z)[0]
+        worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
+        out.append((lo - (1.0 + ip), worst / max(dz_lo, 1e-300), dz_up))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_pansu_check_matches_per_sample_cc_upper(n):
+    rng = np.random.default_rng(80 + n)
+    u_dir = np.zeros(2 * n)
+    u_dir[0] = 1.0
+    zs = np.concatenate([
+        sample_unit_ball(rng, n, 150) * 0.5,
+        sample_unit_ball(rng, n, 50) * 1e-3,
+        np.zeros((1, 2 * n + 1)),
+        (0.01 * horizontal_point(u_dir))[None, :],
+        -horizontal_point(u_dir)[None, :],  # u z = 0
+    ])
+    rep = distance_pansu_check(u_dir, zs)
+    ref = _pansu_per_sample(u_dir, zs)
+    assert rep.inequality_margins.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes()
+    assert rep.residuals.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes()
+    assert rep.scales.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
