@@ -1,36 +1,39 @@
 """Carnot-Caratheodory distance brackets.
 
-No closed formula for the distance is used anywhere: every query returns a
-bracket [lower, upper].  The lower bound combines the projection norm and
-the square-root bound on the height,
+Every query returns a bracket [lower, upper].  The lower bound combines the
+projection norm and the square-root bound on the height,
 
     d(z) >= max(|p(z)|, sqrt(|c|)),
 
-both exact.  The upper bound is the measured length of an explicit witness
-curve: either the two-leg construction of :func:`hcalc.curves.gamma_y`, or
-a planar circular arc joining the projections whose lifted height closes
+both exact.  Upper bounds come in two kinds.
+
+Brackets with a witness, :func:`cc_upper` and :func:`cc_bounds`, stay
+polylines: the upper bound is the measured length of an explicit witness
+curve, either the two-leg construction of :func:`hcalc.curves.gamma_y`, or a
+planar circular arc joining the projections whose lifted height closes
 exactly on the target (projections of length minimizers are circular arcs,
 so this family contains near-optimal competitors).  Arcs are realized as
 inscribed polylines whose bulge is solved so that the polygonal enclosed
 area, and hence the lifted height, is exact; the returned upper bound is
 the actual polyline length and therefore always certified by the witness.
-
 Candidates stay plain knot and row arrays until one wins: :func:`cc_upper`
 measures each on its rows translated to x, the way :func:`horizontal_length`
 measures a path, and builds one :class:`HorizontalPath` for the winner.
-Callers that need only the value, like :func:`distance_pansu_check`, build
-no path at all.
+The bulge is found by bisection in plain floats, :func:`_solve_bulge_scalar`,
+which stops at the bisection's fixed point.
 
-The bulge is found by bisection, in two forms that return the same bits.
-:func:`_solve_bulge` runs on numpy arrays and serves the batch path
-:func:`cc_upper_value_batch`; every step is elementwise, so a batch gives each
-element the value a call on that element alone would.  :func:`_solve_bulge_scalar`
-serves the one witness of :func:`cc_upper` in plain floats: it repeats the
-same operations in the same order, with ``math.sin`` for ``np.sin``, and stops
-at the bisection's fixed point.  A step depends only on the current interval,
-so once a step leaves it unchanged no later step can change it, and the early
-stop returns the 90-step value.  The tests check the two bitwise, which also
-checks that ``math.sin`` and ``np.sin`` agree on the platform.
+Witness-free upper values, :func:`cc_upper_value_batch` and everything built
+on it, are the certified closed form.  Length minimizers project to circular
+arcs (Gaveau 1977), so for D = |p(z)| > 0 and height c
+
+    d(z) = D theta / sin(theta),  where  (theta - sin theta cos theta) / sin^2 theta = |c| / D^2,
+
+and d(z) = sqrt(pi |c|) when D = 0.  :func:`_gaveau_upper` finds theta by a
+few Newton steps, accepts an end only where the sign of the bracketing
+function exceeds a bound on its evaluation error, and rounds the mapped
+value outward, so the value is never below d and exceeds it by at most
+about 1e-14 relative for n <= 3.  The bounds assume ``np.sin`` and ``np.cos``
+are within two units in the last place.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "cc_bounds",
     "cc_upper_quick",
     "cc_upper_value_batch",
+    "CertificationError",
     "square_route_upper",
     "holder_fit",
     "angle_fit",
@@ -156,38 +160,14 @@ def cc_lower(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cc_lower_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`cc_lower` for each row, bit for bit."""
     z = group_mul(group_inv(x), y)
-    return np.maximum(np.linalg.norm(project(z), axis=-1), np.sqrt(np.abs(vertical(z))))
-
-
-def _chain_area_coeff(theta: np.ndarray, m: int) -> np.ndarray:
-    # enclosed area of the inscribed chain over a unit chord, bulge theta
-    s = np.sin(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = (m * np.sin(2.0 * theta / m) - np.sin(2.0 * theta)) / (8.0 * s * s)
-    small = theta < 1e-6
-    if np.any(small):
-        coeff = np.where(small, theta * (1.0 - 1.0 / (m * m)) / 6.0, coeff)
-    return coeff
-
-
-def _solve_bulge(area_over_d2: np.ndarray, m: int, iters: int = 90) -> np.ndarray:
-    """Solve chain_area_coeff(theta) = area_over_d2 on (0, pi) by bisection.
-
-    The batch solver, and the reference for :func:`_solve_bulge_scalar`.
-    """
-    lo = np.zeros_like(area_over_d2)
-    hi = np.full_like(area_over_d2, math.pi - 1e-12)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        too_small = _chain_area_coeff(mid, m) < area_over_d2
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
-    return 0.5 * (lo + hi)
+    p = project(z)
+    return np.maximum(np.sqrt(np.vecdot(p, p)), np.sqrt(np.abs(vertical(z))))
 
 
 def _chain_area_coeff_scalar(theta: float, m: int) -> float:
-    # _chain_area_coeff for one float: same operations, same order
+    # enclosed area of the inscribed m-chain over a unit chord, bulge theta
     if theta < 1e-6:
         return theta * (1.0 - 1.0 / (m * m)) / 6.0
     s = math.sin(theta)
@@ -195,7 +175,7 @@ def _chain_area_coeff_scalar(theta: float, m: int) -> float:
 
 
 def _solve_bulge_scalar(area_over_d2: float, m: int, iters: int = 90) -> float:
-    """:func:`_solve_bulge` for one float, bit for bit.
+    """Solve the inscribed chain's area coefficient = area_over_d2 on (0, pi) by bisection.
 
     Each step is a function of ``(lo, hi)`` alone, so once a step leaves
     them unchanged every later step does too, and stopping there returns
@@ -352,36 +332,133 @@ def cc_bounds(x: np.ndarray, y: np.ndarray) -> DistanceBounds:
     return DistanceBounds(cc_lower(x, y), upper, witness)
 
 
-def cc_upper_value_batch(z: np.ndarray, m: int = 256) -> np.ndarray:
-    """Vectorized witness-free upper bound of d(z, 0).
+class CertificationError(ArithmeticError):
+    """A closed-form distance bound whose certificate could not be met in floats."""
 
-    Same inscribed-arc family as :func:`cc_upper` at a fixed chain
-    resolution, taking the best of the closing arc, the two-leg route and
-    the move-then-circle composite.  Lengths come from the closed-form
-    inscribed-chain formulas, so no polyline is materialized.
+
+_EPS = float(np.finfo(float).eps)
+# r = |c| / D^2 at or below this: theta <= 1.5 r, so d / D - 1 < r^2 / 2 < eps / 500
+_R_FLAT = 2.0**-30
+# r at or above this: D <= 2^-50 sqrt(|c|), and d >= sqrt(pi |c|) - D, so
+# D + sqrt(pi |c|) exceeds d by a factor below 1 + 2^-49
+_R_STEEP = 2.0**100
+_NEWTON_STEPS = 6
+_WIDENINGS = 64
+
+
+def _area_excess(theta: np.ndarray):
+    """theta - sin(theta) cos(theta) = (u - sin u) / 2 at u = 2 theta, and a bound on its error.
+
+    For u <= 1 the Taylor series through u^19, whose next term is below 1e-19
+    of the sum, avoids the cancellation of u - sin u.
+    """
+    u = 2.0 * theta
+    u2 = u * u
+    small = u <= 1.0
+    series = u * u2 * (1 / 6 - u2 * (1 / 120 - u2 * (1 / 5040 - u2 * (1 / 362880 - u2 * (
+        1 / 39916800 - u2 * (1 / 6227020800 - u2 * (1 / 1307674368000 - u2 * (
+            1 / 355687428096000 - u2 / 121645100408832000))))))))
+    area = 0.5 * np.where(small, series, u - np.sin(u))
+    return area, 8.0 * _EPS * np.where(small, area, theta)
+
+
+def _gaveau_terms(t: np.ndarray, r: np.ndarray, steep: bool, r_err: float):
+    """``(F, err, step)`` at t = theta (shallow branch) or t = phi = pi - theta (steep).
+
+    F = (theta - sin theta cos theta) - r sin^2 theta increases with theta
+    and vanishes at the root, so F > err, with err a bound on the evaluation
+    error of F, certifies that theta is at or above the root.  ``step`` is
+    the Newton step of (theta - sin theta cos theta) / sin^2 theta - r, a
+    convex increasing function of theta, in the direction of t.  ``r_err``
+    bounds the relative error of r.
+    """
+    s, co = np.sin(t), np.cos(t)
+    if steep:
+        area = (math.pi - t) + s * co
+        area_err = 8.0 * _EPS * area
+        co = -co  # cos(theta)
+    else:
+        area, area_err = _area_excess(t)
+    rs2 = r * s * s
+    F = area - rs2
+    step = F * s / (2.0 * (s * s * s - co * area))
+    return F, area_err + (r_err + 8.0 * _EPS) * rs2, step if steep else -step
+
+
+def _gaveau_end(r: np.ndarray, steep: bool, r_err: float) -> np.ndarray:
+    """Certified end of the root of Gaveau's equation for each r.
+
+    theta >= theta* on the shallow branch (r <= pi/2), phi <= phi* = pi - theta*
+    on the steep one; either way the mapped length is an upper bound.
+    Newton starts on that side of a bracket of the root: theta* lies in
+    [r, min(1.5 r, pi/2)] and phi* in [2 pi / (1 + sqrt(1 + 4 pi r)), pi/2].
+    Where the certificate fails the end is widened geometrically.
+    """
+    if steep:
+        lo, hi = 2.0 * math.pi / (1.0 + np.sqrt(1.0 + 4.0 * math.pi * r)), 0.5 * math.pi
+        t = lo
+    else:
+        lo, hi = r, np.minimum(1.5 * r, 0.5 * math.pi)
+        t = hi
+    for _ in range(_NEWTON_STEPS):
+        t = np.clip(t + _gaveau_terms(t, r, steep, r_err)[2], lo, hi)
+    todo = np.arange(len(t))
+    widen = 4.0 * _EPS
+    for _ in range(_WIDENINGS):
+        F, err, _ = _gaveau_terms(t[todo], r[todo], steep, r_err)
+        todo = todo[~(F > err)]
+        if todo.size == 0:
+            return t
+        t[todo] = t[todo] / (1.0 + widen) if steep else t[todo] * (1.0 + widen)
+        widen *= 2.0
+    raise CertificationError(f"no certified root end for r = {r[todo[0]]!r}")
+
+
+def _gaveau_upper(D: np.ndarray, c: np.ndarray, rel_err: float) -> np.ndarray:
+    """Certified upper end of d(0, z) from D = |p(z)| and c = |height of z|.
+
+    ``rel_err`` bounds the relative error of D.  Every value is rounded
+    outward by 1 + rel_err + 8 eps, except c = 0, where d = D and the value
+    is D itself, as in the lower bound.  D = 0 gives sqrt(pi |c|).
+    """
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        r = (c / D) / D
+    slack = 1.0 + (rel_err + 8.0 * _EPS)
+    # sqrt(pi) sqrt(|c|) keeps its precision where pi |c| would be subnormal
+    out = np.where(r <= _R_FLAT, D, D + math.sqrt(math.pi) * np.sqrt(c)) * slack
+    shallow = (r > _R_FLAT) & (r <= 0.5 * math.pi)
+    for steep, branch in ((False, shallow), (True, (r > 0.5 * math.pi) & (r < _R_STEEP))):
+        if np.any(branch):
+            t = _gaveau_end(r[branch], steep, 2.0 * rel_err)
+            out[branch] = D[branch] * (((math.pi - t) if steep else t) / np.sin(t)) * slack
+    flat = c == 0.0
+    out[flat] = D[flat]
+    return out
+
+
+def _norm(p: np.ndarray) -> np.ndarray:
+    """|p| over the last axis; rows whose squares over- or underflow use hypot."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.vecdot(p, p)
+    D = np.sqrt(sq)
+    # from tiny / eps up, what squares lose to underflow is below eps^2 of the sum
+    odd = ~((sq >= np.finfo(float).tiny / _EPS) & (sq < np.inf))
+    if np.any(odd):
+        D[odd] = np.hypot.reduce(p[odd], axis=-1)
+    return D
+
+
+def cc_upper_value_batch(z: np.ndarray) -> np.ndarray:
+    """Vectorized witness-free upper bound of d(z, 0): the certified closed form.
+
+    Each row gets the value a one-row call gives it.  Non-finite rows raise.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    D = np.linalg.norm(project(z), axis=-1)
-    c = np.abs(vertical(z))
-    out = np.empty(len(z))
-    # perimeter of the area-|c|/4 polygon through the origin
-    sin_m = math.sin(2.0 * math.pi / 1024)
-    rho = np.sqrt((c / 4.0) / (0.5 * 1024 * sin_m))
-    circle_len = 2.0 * 1024 * rho * math.sin(math.pi / 1024)
-    flat = c == 0.0
-    vertical_only = (D == 0.0) & ~flat
-    saturated = (D > 0.0) & ~flat & (c / 4.0 > 1e10 * D * D)
-    generic = ~(flat | vertical_only | saturated)
-    out[flat] = D[flat]
-    out[vertical_only] = circle_len[vertical_only]
-    out[saturated] = D[saturated] + circle_len[saturated]
-    if np.any(generic):
-        Dg, cg = D[generic], c[generic]
-        theta = _solve_bulge(cg / (4.0 * Dg * Dg), m)
-        arc = Dg * m * np.sin(theta / m) / np.sin(theta)
-        legs = Dg * np.sqrt(1.0 + (cg * cg) / (Dg**4))
-        out[generic] = np.minimum(np.minimum(arc, legs), Dg + circle_len[generic])
-    return out
+    if not np.all(np.isfinite(z)):
+        raise ValueError("points must be finite")
+    p = project(z)
+    # |p| from 2n squares is within 2n eps of its value
+    return _gaveau_upper(_norm(p), np.abs(vertical(z)), p.shape[-1] * _EPS)
 
 
 def cc_upper_quick(z: np.ndarray) -> np.ndarray:
@@ -498,20 +575,15 @@ def distance_pansu_check(u_dir: np.ndarray, z_samples: np.ndarray, tol: float = 
     if z_samples.shape[0] == 0:
         raise ValueError("empty sample set")
     u = horizontal_point(u_dir)
-    margins = np.empty(len(z_samples))
-    residuals = np.empty(len(z_samples))
-    scales = np.empty(len(z_samples))
+    uz = group_mul(u, z_samples)
+    ip = np.vecdot(project(z_samples), u_dir)
     origin = np.zeros_like(u)
-    for i, z in enumerate(z_samples):
-        uz = group_mul(u, z)
-        ip = float(np.dot(project(z), u_dir))
-        lo = cc_lower(origin, uz)
-        up, _ = _shortest_route(origin, uz)
-        margins[i] = lo - (1.0 + ip)
-        dz_lo = cc_lower(origin, z)
-        dz_up, _ = _shortest_route(origin, z)
-        worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
-        residuals[i] = worst / max(dz_lo, 1e-300)
-        scales[i] = dz_up
+    lo = cc_lower_batch(origin, uz)
+    up = cc_upper_value_batch(uz)
+    dz_lo = cc_lower_batch(origin, z_samples)
+    margins = lo - (1.0 + ip)
+    worst = np.maximum(np.maximum(up - (1.0 + ip), (1.0 + ip) - lo), 0.0)
+    residuals = worst / np.maximum(dz_lo, 1e-300)
+    scales = cc_upper_value_batch(z_samples)
     passed = bool(np.all(margins >= -tol))
     return DistancePansuReport(margins, residuals, scales, passed)

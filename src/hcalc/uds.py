@@ -344,11 +344,11 @@ class Cover:
 
     def radius(self, level: int, index: int) -> float:
         self._check_level(level)
-        return self.radii_constants[level - 1] / 2.0 ** (index + 1)
+        return float(np.ldexp(self.radii_constants[level - 1], -(index + 1)))
 
     def radii(self, level: int) -> np.ndarray:
         self._check_level(level)
-        return self.radii_constants[level - 1] / 2.0 ** (np.arange(len(self.lines)) + 1)
+        return np.ldexp(self.radii_constants[level - 1], -(np.arange(len(self.lines)) + 1))
 
     def _check_level(self, level: int):
         if not (1 <= level <= self.depth):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,6 @@ from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_
 from hcalc.metric import (
     _arc_witness,
     _shortest_route,
-    _chain_area_coeff,
-    _solve_bulge,
     _solve_bulge_scalar,
     Ball,
     ConstantsEstimate,
@@ -167,6 +166,31 @@ BULGE_RATIOS = np.concatenate([
     10.0 ** np.random.default_rng(11).uniform(-14, 10, 200),
     [1e-14, 1.6e-7, 1.7e-7, 0.5, 1.0, 3.0e9, 1e10],
 ])
+
+
+def _chain_area_coeff(theta, m):
+    # enclosed area of the inscribed chain over a unit chord, bulge theta
+    s = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = (m * np.sin(2.0 * theta / m) - np.sin(2.0 * theta)) / (8.0 * s * s)
+    small = theta < 1e-6
+    if np.any(small):
+        coeff = np.where(small, theta * (1.0 - 1.0 / (m * m)) / 6.0, coeff)
+    return coeff
+
+
+def _solve_bulge(area_over_d2, m, iters=90):
+    # array bisection of _chain_area_coeff(theta) = area_over_d2 on (0, pi):
+    # the reference for _solve_bulge_scalar, and the inscribed-chain solve the
+    # witness-free upper value used before the closed form
+    lo = np.zeros_like(area_over_d2)
+    hi = np.full_like(area_over_d2, math.pi - 1e-12)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        too_small = _chain_area_coeff(mid, m) < area_over_d2
+        lo = np.where(too_small, mid, lo)
+        hi = np.where(too_small, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("m", [16, 64, 256, 1024])
@@ -363,15 +387,19 @@ def test_non_finite_routes_raise():
 
 
 def _pansu_per_sample(u_dir, zs):
-    # reference: the expansion check through cc_upper, one sample at a time
+    # reference: the expansion check one sample at a time, from cc_lower and
+    # one-row closed-form calls; each closed-form upper is at most the length
+    # of that sample's cc_upper witness
     u = horizontal_point(u_dir)
     origin = np.zeros_like(u)
     out = []
     for z in zs:
         uz = group_mul(u, z)
         ip = float(np.dot(project(z), u_dir))
-        lo, up = cc_lower(origin, uz), cc_upper(origin, uz)[0]
-        dz_lo, dz_up = cc_lower(origin, z), cc_upper(origin, z)[0]
+        lo, up = cc_lower(origin, uz), float(cc_upper_value_batch(uz)[0])
+        dz_lo, dz_up = cc_lower(origin, z), float(cc_upper_value_batch(z)[0])
+        assert up <= cc_upper(origin, uz)[0]
+        assert dz_up <= cc_upper(origin, z)[0]
         worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
         out.append((lo - (1.0 + ip), worst / max(dz_lo, 1e-300), dz_up))
     return np.array(out)
@@ -394,3 +422,172 @@ def test_distance_pansu_check_matches_per_sample_cc_upper(n):
     assert rep.inequality_margins.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes()
     assert rep.residuals.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes()
     assert rep.scales.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
+
+
+
+# -- the certified closed form of the witness-free upper value --------------------
+
+EPS = np.finfo(float).eps
+
+
+def _gaveau_distance(z):
+    # d(0, z) to 50 digits from the float coordinates of z: D theta / sin(theta)
+    # with (theta - sin theta cos theta) / sin^2 theta = |c| / D^2, solved by
+    # bisection in theta for r <= pi/2 and in phi = pi - theta above
+    with mp.workdps(50):
+        D = mp.sqrt(mp.fsum(mp.mpf(float(v)) ** 2 for v in project(z)))
+        c = abs(mp.mpf(float(vertical(z))))
+        if c == 0:
+            return D
+        if D == 0:
+            return mp.sqrt(mp.pi * c)
+        r = c / D / D
+        if r <= mp.pi / 2:
+            lo, hi = r, min(1.5 * r, mp.pi / 2)
+            below = lambda t: t - mp.sin(t) * mp.cos(t) < r * mp.sin(t) ** 2
+        else:
+            lo, hi = 2 * mp.pi / (1 + mp.sqrt(1 + 4 * mp.pi * r)), mp.asin(min(1, mp.sqrt(mp.pi / r)))
+            below = lambda p: mp.pi - p + mp.sin(p) * mp.cos(p) > r * mp.sin(p) ** 2
+        while hi - lo > hi * mp.mpf(10) ** -45:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        t = (lo + hi) / 2
+        return D * (t if r <= mp.pi / 2 else mp.pi - t) / mp.sin(t)
+
+
+def _ratio_points(rng, n, ratios, size=(0.5, 2.0)):
+    # relative positions z with |c| / |p|^2 = r for each r, |p| drawn from size
+    out = []
+    for r in ratios:
+        direction = rng.standard_normal(2 * n)
+        p = direction / np.linalg.norm(direction) * rng.uniform(*size)
+        out.append(np.append(p, rng.choice([-1.0, 1.0]) * r * float(np.dot(p, p))))
+    return np.array(out)
+
+
+# r = |c| / D^2 at pi/2, where the shallow and steep branches meet, below 1e-7
+# down past the flat cut-off 2^-30, and above 1e10 up past the saturated 2^100
+SPECIAL_RATIOS = (
+    [0.5 * math.pi * (1.0 + k * EPS) for k in (-4, -1, 0, 1, 4)]
+    + [1e-7, 3e-8, 1e-9, 2.0**-30 * (1 - EPS), 2.0**-30 * (1 + EPS), 1e-12, 1e-40, 1e-300]
+    + [1e10, 1e15, 1e25, 2.0**100 * (1 - EPS), 2.0**100, 1e40, 1e200]
+)
+
+
+def _shape_positions(rng, n, per_shape):
+    # relative positions x^-1 y of per_shape pairs of every shape in PAIR_SHAPES
+    pairs = [_shape_pairs(rng, n, shape, per_shape) for shape in PAIR_SHAPES]
+    return np.concatenate([group_mul(group_inv(x), y) for x, y in pairs])
+
+
+def _assert_certified(zs, ups):
+    # d <= upper <= d (1 + 1e-13); at c = 0 the value is the float norm |p|,
+    # which is d up to its rounding
+    for z, up in zip(zs, ups):
+        d = _gaveau_distance(z)
+        assert math.isfinite(up)
+        if vertical(z) == 0.0:
+            assert abs(mp.mpf(float(up)) - d) <= len(z) * EPS * d
+        else:
+            assert d <= up <= d * (1 + mp.mpf(1e-13)), (z, float(up / d - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_upper_brackets_the_distance(n):
+    rng = np.random.default_rng(90 + n)
+    zs = np.concatenate([_shape_positions(rng, n, 6), _ratio_points(rng, n, SPECIAL_RATIOS)])
+    _assert_certified(zs, cc_upper_value_batch(zs))
+
+
+def _inscribed_chain_upper(z, m=256):
+    # the witness-free upper value before the closed form: the best of the
+    # inscribed m-chain arc, the two-leg route and a move then a 1024-gon
+    D = np.linalg.norm(project(z), axis=-1)
+    c = np.abs(vertical(z))
+    rho = np.sqrt((c / 4.0) / (0.5 * 1024 * math.sin(2.0 * math.pi / 1024)))
+    circle_len = 2.0 * 1024 * rho * math.sin(math.pi / 1024)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = _solve_bulge(c / (4.0 * D * D), m)
+        arc = D * m * np.sin(theta / m) / np.sin(theta)
+        legs = D * np.sqrt(1.0 + (c * c) / D**4)
+    generic = (D > 0.0) & (c > 0.0) & (c / 4.0 <= 1e10 * D * D)
+    best = np.where(generic, np.minimum(np.minimum(arc, legs), D + circle_len), D + circle_len)
+    return np.where(c == 0.0, D, best)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_upper_is_below_the_inscribed_chain(n):
+    rng = np.random.default_rng(100 + n)
+    zs = _shape_positions(rng, n, 200)
+    up, chain = cc_upper_value_batch(zs), _inscribed_chain_upper(zs)
+    # where |c| / D^2 <= 2^-30 (horizontal pairs, whose height is a rounding
+    # residue) d rounds to D, and the chain's value, D to the last bit, is not
+    # an upper bound; there the closed form may exceed it by its outward rounding
+    flat = np.abs(vertical(zs)) <= 2.0**-30 * np.sum(project(zs) ** 2, axis=-1)
+    assert np.all(up[~flat] <= chain[~flat])
+    assert np.all(up[flat] <= chain[flat] * (1.0 + (2 * n + 9) * EPS))
+    assert np.count_nonzero(~flat) >= 6 * 200
+
+
+def test_closed_form_upper_at_extreme_scales():
+    # |p| = 1e160 overflows |p|^2 and D^2; r = |c| / D^2 under- or overflows
+    # at the others
+    zs = [
+        [1e160, 0.0, 1e-300],
+        [1e160, 0.0, 0.0],
+        [0.0, 1e160, 3e300],
+        [1e160, -1e160, 1e300],
+        [1.0, 0.0, 5e-324],
+        [1e100, 0.0, 1e-300],
+        [1e-300, 0.0, 1.0],
+        [5e-324, 0.0, 1e-300],
+        [1e-170, 1e-170, 1e-300],
+        [1e-170, 0.0, 0.0],
+        [0.0, 0.0, 1e300],
+        [0.0, 0.0, 5e-324],
+        [1e150, 2e150, 0.0, 5e150, -1e150, 1e160, 1e300],
+    ]
+    for z in map(np.array, zs):
+        up = cc_upper_value_batch(z)
+        assert not np.isnan(up).any()
+        _assert_certified(z[None, :], up)
+
+
+def test_closed_form_upper_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cc_upper_value_batch(np.array([[0.5, 0.25, 0.1], [bad, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            cc_upper_value_batch(np.array([0.5, 0.25, bad]))
+
+
+def test_certificate_widens_a_root_end_on_the_wrong_side(monkeypatch):
+    # Newton steps biased to end 1e-9 below the root in theta: the sign check
+    # must push every end back above it, or the values drop below d
+    terms = metric._gaveau_terms
+
+    def biased(t, r, steep, r_err):
+        F, err, step = terms(t, r, steep, r_err)
+        return F, err, step + (1e-9 if steep else -1e-9) * t
+
+    monkeypatch.setattr(metric, "_gaveau_terms", biased)
+    rng = np.random.default_rng(110)
+    zs = _ratio_points(rng, 1, 10.0 ** rng.uniform(-8, 29, 60))
+    ups = cc_upper_value_batch(zs)
+    for z, up in zip(zs, ups):
+        d = _gaveau_distance(z)
+        assert d <= up <= d * (1 + mp.mpf(1e-8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_batch_rows_match_one_row_calls_bitwise(n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = (np.concatenate(a) for a in zip(*(_shape_pairs(rng, n, shape, 4) for shape in PAIR_SHAPES)))
+    order = rng.permutation(len(x))
+    x, y = x[order], y[order]
+    z = group_mul(group_inv(x), y)
+    lower, upper = metric.cc_lower_batch(x, y), cc_upper_value_batch(z)
+    for i in range(len(x)):
+        assert lower[i].hex() == cc_lower(x[i], y[i]).hex()
+        assert upper[i].hex() == float(cc_upper_value_batch(z[i])[0]).hex()

@@ -132,6 +132,22 @@ class TestCover:
         assert all(b <= a for a, b in zip(rc, rc[1:]))
         assert np.all(np.diff(cover.radii(3)) < 0)
 
+    def test_radii_past_index_1022_are_exact_powers_of_two(self):
+        # c_k / 2^(i+1) overflowed 2^(i+1) from i = 1023 on: the radii read 0
+        # with an overflow warning and radius() raised OverflowError
+        line = RationalLine((0, 0, 0), (1, 0))
+        big = Cover([line] * 1100, depth=2, clip=Box.cube(10.0, 1))
+        scale = np.ldexp(1.0, -(np.arange(1100) + 1))
+        for level, c in enumerate(big.radii_constants, start=1):
+            with np.errstate(over="raise"):
+                radii = big.radii(level)
+            assert radii.tobytes() == np.ldexp(c, -(np.arange(1100) + 1)).tobytes()
+            # power-of-two scaling is exact until the radii turn subnormal
+            normal = radii >= np.finfo(float).tiny
+            assert np.array_equal(radii[normal], c * scale[normal])
+            assert np.all(radii[1023:1050] > 0.0)
+            assert [big.radius(level, i) for i in (0, 1023, 1099)] == [radii[0], radii[1023], radii[1099]]
+
     def test_exact_rational_membership(self, cover):
         pt = cover.lines[0].point_at(Fraction(2, 9))
         assert cover.contains(pt, cover.depth)
