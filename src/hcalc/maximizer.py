@@ -199,25 +199,20 @@ def _candidate_points(cover: Cover, center: np.ndarray, radius: float, rng: np.r
     Sampling concentrates on the parameter window where each line can
     still meet the ball, so candidates exist at every ball scale.
     """
-    pts = [center]
     per_line = max(3, count // max(len(cover.lines), 1))
-    p_center = project(center)
-    for base, vec, (t0, t1) in zip(cover._bases, cover._vecs, cover.spans):
-        h = vec[:-1]
-        h2 = float(h @ h)
-        t_near = float((p_center - base[:-1]) @ h) / h2
-        half = 2.0 * radius / math.sqrt(h2)
-        lo = max(t0, t_near - half)
-        hi = min(t1, t_near + half)
-        if lo >= hi:
-            continue
-        ts = rng.uniform(lo, hi, per_line)
-        cand = base + ts[:, None] * vec
-        z = group_mul(group_inv(center), cand)
-        keep = cc_upper_quick(z) < radius
-        if np.any(keep):
-            pts.append(cand[keep])
-    pool = np.vstack([np.atleast_2d(p) for p in pts])
+    bases, vecs = cover._bases, cover._vecs
+    h = vecs[:, :-1]
+    h2 = np.vecdot(h, h)
+    t_near = np.vecdot(project(center) - bases[:, :-1], h) / h2
+    half = 2.0 * radius / np.sqrt(h2)
+    lo = np.maximum(cover.spans[:, 0], t_near - half)
+    hi = np.minimum(cover.spans[:, 1], t_near + half)
+    live = lo < hi
+    # one draw for every live line, in line order: the stream of one call per line
+    ts = rng.uniform(lo[live, None], hi[live, None], (int(np.sum(live)), per_line))
+    cand = (bases[live, None, :] + ts[:, :, None] * vecs[live, None, :]).reshape(-1, len(center))
+    keep = cc_upper_quick(group_mul(group_inv(center), cand)) < radius
+    pool = np.vstack([center[None, :], cand[keep]])
     if len(pool) > count:
         idx = rng.choice(len(pool) - 1, size=count - 1, replace=False) + 1
         pool = np.vstack([pool[:1], pool[idx]])
@@ -245,12 +240,6 @@ def _candidate_directions(incumbent: np.ndarray, sigma: float, rng: np.random.Ge
     uniform = rng.standard_normal((extra, n2))
     uniform /= np.linalg.norm(uniform, axis=1, keepdims=True)
     return np.vstack([np.stack(dirs), uniform])
-
-
-def _ball_in_tube(cover: Cover, level: int, x: np.ndarray, delta: float) -> bool:
-    radii = cover.radii(level)
-    d = cover.upper_distances(x[None, :], needed=radii)[0]
-    return bool(np.any(d + delta <= radii))
 
 
 def step(
@@ -321,13 +310,17 @@ def step(
     inc_sel = line_increments(f_m, x_m, e_m, config.t_grid)
     inc_prev = line_increments(f_m, state.x, state.direction, config.t_grid)
     gap_sel = e_sel - d_prev.value + sigma_prev
-    level = min(m, cover.depth)
+    radii = cover.radii(min(m, cover.depth))
+    dist = None  # upper distances from x_m to the lines: they do not depend on delta
     for _ in range(600):
         t_range = config.c_holder**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
-        ok = np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12)
-        if ok and _ball_in_tube(cover, level, x_m, delta_m) and delta_m + d_move < delta_prev:
-            break
+        if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
+            if dist is None:
+                dist = cover.upper_distances(x_m[None, :], needed=radii)[0]
+            # the closed ball fits in a level-m tube, and inside the previous ball
+            if np.any(dist + delta_m <= radii) and delta_m + d_move < delta_prev:
+                break
         delta_m /= 2.0
     else:
         flag = (flag + "; " if flag else "") + "delta search exhausted"

@@ -156,14 +156,14 @@ class Ball:
 def cc_lower(x: np.ndarray, y: np.ndarray) -> float:
     """Certified lower bound max(|p(x)-p(y)|, sqrt(|height of x^-1 y|))."""
     z = group_mul(group_inv(np.asarray(x, float)), np.asarray(y, float))
-    return float(max(np.linalg.norm(project(z)), math.sqrt(abs(float(vertical(z))))))
+    return float(max(_norm(project(z)[None])[0], math.sqrt(abs(float(vertical(z))))))
 
 
 def cc_lower_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`cc_lower` for each row, bit for bit."""
     z = group_mul(group_inv(x), y)
     p = project(z)
-    return np.maximum(np.sqrt(np.vecdot(p, p)), np.sqrt(np.abs(vertical(z))))
+    return np.maximum(_norm(p), np.sqrt(np.abs(vertical(z))))
 
 
 def _chain_area_coeff_scalar(theta: float, m: int) -> float:

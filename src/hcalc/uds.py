@@ -6,8 +6,13 @@ Here everything is finite and explicit: a deterministic enumeration of
 lines (rational base point, primitive integer direction), clipped to a
 box, with per-line tube radii r_{k,i} = c_k / 2^(i+1) where the level
 constant c_k is solved so that an analytic bound on the total tube volume
-is at most 2^-k.  Deeper levels use smaller radii, so membership is
-monotone in the level.
+is at most 2^-k.  The constants are non-increasing in k by construction
+(c_k = min(c_k, c_{k-1})), so r_{k,i} <= r_{j,i} for j < k: a point within
+r_{k,i} of some line is within r_{j,i} of it at every shallower level.
+Membership in every tube union up to level k is therefore membership at
+level k alone, one comparison against the level-k radii.  It is decided
+over the (point, line) pairs a planar lower bound leaves open, with no
+dense points-by-lines matrix.
 
 Bases and directions are exact fractions; geometry queries convert to
 floats, except that points given as fractions are tested for incidence
@@ -64,7 +69,9 @@ class RationalLine:
     nonzero entry positive); the line is t -> base + t * E(base) where E is
     the horizontal field with these frame coefficients.  The base is stored
     with its projection orthogonal to the direction, which makes the pair a
-    canonical key for the line as a point set.
+    canonical key for the line as a point set.  The exact direction vector
+    is kept from construction: it is constant along the line, so moving the
+    base to its canonical point leaves it unchanged.
     """
 
     base: tuple
@@ -82,6 +89,7 @@ class RationalLine:
         base = tuple(base[i] + t_star * vec[i] for i in range(2 * n + 1))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "_vec", vec)
 
     @staticmethod
     def _vector(base: tuple, direction: tuple, n: int) -> tuple:
@@ -98,7 +106,7 @@ class RationalLine:
 
     def vector(self) -> tuple:
         """Exact direction vector of the line in R^{2n+1} (constant along it)."""
-        return self._vector(self.base, self.direction, self.n)
+        return self._vec
 
     def base_float(self) -> np.ndarray:
         return np.array([float(v) for v in self.base])
@@ -290,56 +298,63 @@ class Cover:
         self.depth = depth
         self.meta = dict(meta or {})
         self.n = lines[0].n
-        kept, spans = [], []
+        kept = []
         for line in lines:
             if line.n != self.n:
                 raise ValueError("mixed dimensions in line enumeration")
-            span = clip.clip_line(line.base_float(), line.vector_float())
+            base, vec = line.base_float(), line.vector_float()
+            span = clip.clip_line(base, vec)
             if span is not None:
-                kept.append(line)
-                spans.append(span)
+                kept.append((line, span, base, vec))
         if not kept:
             raise ValueError("no line meets the clip box")
-        self.lines = tuple(kept)
-        self.spans = np.asarray(spans)
-        speeds = np.array([np.linalg.norm(l.vector_float()[:-1]) for l in self.lines])
-        self.lengths = (self.spans[:, 1] - self.spans[:, 0]) * speeds
+        self.lines, spans, bases, vecs = zip(*kept)
+        self.spans, self._bases, self._vecs = np.asarray(spans), np.stack(bases), np.stack(vecs)
+        # integer directions: the squares and their sums are exact
+        self.lengths = (self.spans[:, 1] - self.spans[:, 0]) * np.linalg.norm(self._vecs[:, :-1], axis=1)
         self.radii_constants = []
         prev = math.inf
-        for k in range(1, depth + 1):
-            c = self._solve_constant(2.0**-k * safety)
-            c = min(c, prev)
+        for k, c in enumerate(self._solve_constants(2.0 ** -np.arange(1, depth + 1) * safety), start=1):
+            c = min(float(c), prev)
             while self.volume_bound(c) > 2.0**-k:
                 c *= 0.999
             self.radii_constants.append(c)
             prev = c
-        self._bases = np.stack([l.base_float() for l in self.lines])
-        self._vecs = np.stack([l.vector_float() for l in self.lines])
 
     def volume_bound(self, c: float) -> float:
         """Analytic upper bound of the total tube volume for constant c."""
+        return float(self._volume_bounds(np.array([c]))[0])
+
+    def _volume_bounds(self, cs: np.ndarray) -> np.ndarray:
+        """:meth:`volume_bound` for each constant of ``cs``, bit for bit."""
         q = 2 * self.n + 2
         v_ball = _unit_ball_volume_bound(self.n)
-        radii = np.ldexp(c, -(np.arange(len(self.lines)) + 1))
+        radii = np.ldexp(cs[:, None], -(np.arange(len(self.lines)) + 1))
+        lengths = np.broadcast_to(self.lengths, radii.shape)
         ball = (1.5 * radii) ** q
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = (self.lengths / radii + 1.0) * ball * v_ball
+            terms = (lengths / radii + 1.0) * ball * v_ball
         # Where lengths/radii overflows (or radii is 0), ball has underflowed:
         # (L/r + 1)(1.5r)^q = 1.5 L (1.5r)^(q-1) + (1.5r)^q has no factor that overflows.
         bad = ~np.isfinite(terms)
-        terms[bad] = (1.5 * self.lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
-        return float(np.sum(terms))
+        terms[bad] = (1.5 * lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
+        return np.sum(terms, axis=1)
 
-    def _solve_constant(self, target: float) -> float:
-        lo, hi = 1e-300, 1e9
+    def _solve_constants(self, targets: np.ndarray) -> np.ndarray:
+        """Largest constant with volume bound at most each target: one geometric
+        bisection for all targets, each stopping at its own fixed point."""
+        lo, hi = np.full(len(targets), 1e-300), np.full(len(targets), 1e9)
+        live = np.arange(len(targets))
         for _ in range(300):
-            mid = math.sqrt(lo * hi)
-            if mid == lo or mid == hi:
-                break  # fixed point: the interval cannot shrink any further
-            if self.volume_bound(mid) > target:
-                hi = mid
-            else:
-                lo = mid
+            mid = np.sqrt(lo[live] * hi[live])
+            # fixed point: the interval cannot shrink any further
+            moving = (mid != lo[live]) & (mid != hi[live])
+            live, mid = live[moving], mid[moving]
+            if not len(live):
+                break
+            over = self._volume_bounds(mid) > targets[live]
+            hi[live[over]] = mid[over]
+            lo[live[~over]] = mid[~over]
         return lo
 
     def radius(self, level: int, index: int) -> float:
@@ -368,13 +383,13 @@ class Cover:
 
     def _candidate_pairs(self, pts: np.ndarray, needed: np.ndarray):
         """(point, line) index pairs whose planar lower bound is at most
-        ``needed`` of the line; see :meth:`upper_distances`."""
+        ``needed`` of the line, sorted; see :meth:`upper_distances`."""
         b, h = self._bases[:, :-1], self._vecs[:, :-1]
         h2 = np.sum(h * h, axis=1)
         bh = np.sum(b * h, axis=1)
         b2 = np.sum(b * b, axis=1)
         needed2 = needed * needed
-        mask = np.zeros((len(pts), len(self.lines)), dtype=bool)
+        pairs = [np.empty((2, 0), dtype=np.intp)]
         for start in range(0, len(pts), 1024):
             p = pts[start : start + 1024, :-1]
             p2 = np.sum(p * p, axis=1)[:, None]
@@ -384,8 +399,10 @@ class Cover:
             d2 = scale - 2.0 * pb - 2.0 * t * (ph - bh)
             pi, li = np.nonzero(d2 <= needed2 + 1e-12 * scale)
             pi += start
-            mask[pi, li] = self._planar_lower(pts, pi, li) <= needed[li]
-        return np.nonzero(mask)
+            keep = self._planar_lower(pts, pi, li) <= needed[li]
+            pairs.append(np.stack([pi[keep], li[keep]]))
+        # blocks are in point order and nonzero is row-major: pairs come sorted
+        return tuple(np.concatenate(pairs, axis=1))
 
     def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, grid: int = 33, golden: int = 60) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
@@ -400,9 +417,8 @@ class Cover:
         t0s, t1s = self.spans[li, 0], self.spans[li, 1]
 
         def val(ts):
-            reps = len(ts) // m
-            line_pts = np.tile(bases, (reps, 1)) + ts[:, None] * np.tile(vecs, (reps, 1))
-            return cc_upper_quick(group_mul(group_inv(line_pts), np.tile(p, (reps, 1)))).reshape(reps, m)
+            line_pts = bases + ts.reshape(-1, m)[:, :, None] * vecs
+            return cc_upper_quick(group_mul(group_inv(line_pts), p))
 
         us = np.linspace(0.0, 1.0, grid)
         vals = val((t0s + us[:, None] * (t1s - t0s)).ravel())
@@ -437,6 +453,10 @@ class Cover:
         about a thousandth of the slack, so the kept set contains every pair
         the exact test accepts.  The second stage applies the exact
         per-pair distance to the kept pairs only.
+        Membership at level k needs only ``needed = radii(k)``, as radii never
+        grow with the level (see the module docstring).  The dense (points,
+        lines) result suits few points, such as the maximizer's ball centre;
+        :meth:`contains_batch` builds none.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         needed = np.asarray(needed, dtype=float)
@@ -464,11 +484,20 @@ class Cover:
         return bool(self.contains_batch(x.astype(float)[None, :], level)[0])
 
     def contains_batch(self, pts: np.ndarray, level: int) -> np.ndarray:
+        """Per point: an upper distance to some line is within its level radius.
+
+        Radii never grow with the level, so this is membership at every level
+        up to ``level`` (see the module docstring).  The pairs of
+        :meth:`upper_distances` at the level's radii reduce straight into the
+        membership vector, with no dense (points, lines) matrix.
+        """
         self._check_level(level)
-        d = self.upper_distances(pts, needed=self.radii(1))
-        member = np.ones(len(pts), dtype=bool)
-        for k in range(1, level + 1):
-            member &= np.any(d <= self.radii(k)[None, :], axis=1)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        radii = self.radii(level)
+        member = np.zeros(len(pts), dtype=bool)
+        pi, li = self._candidate_pairs(pts, radii)
+        if len(pi):
+            member[pi[self._refine_pairs(pts, pi, li) <= radii[li]]] = True
         return member
 
     def cover_measure_mc(self, level: int, region: Box, n_samples: int, seed: int):

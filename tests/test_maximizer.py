@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from hcalc.calculus import ScalarField, compare_pairs, hlinear_field
-from hcalc.group import HLinearMap
+from hcalc.group import HLinearMap, group_inv, group_mul, project
 from hcalc.maximizer import (
+    _candidate_points,
     IterationState,
     MaximizerConfig,
     Pair,
@@ -16,6 +18,7 @@ from hcalc.maximizer import (
     step,
     verify_trajectory,
 )
+from hcalc.metric import cc_upper_quick
 from hcalc.uds import Cover
 
 E1 = np.array([1.0, 0.0])
@@ -176,3 +179,71 @@ class TestStateLog:
         nxt = step(state0, f0, MaximizerConfig(budget=16, seed=0), cover, rng)
         assert nxt.m == 1
         assert nxt.e_value > state0.e_value
+
+
+def _candidate_points_per_line(cover, center, radius, rng, count):
+    """Reference: one draw and one distance filter per cover line."""
+    pts = [center]
+    per_line = max(3, count // max(len(cover.lines), 1))
+    p_center = project(center)
+    for base, vec, (t0, t1) in zip(cover._bases, cover._vecs, cover.spans):
+        h = vec[:-1]
+        h2 = float(h @ h)
+        t_near = float((p_center - base[:-1]) @ h) / h2
+        half = 2.0 * radius / math.sqrt(h2)
+        lo = max(t0, t_near - half)
+        hi = min(t1, t_near + half)
+        if lo >= hi:
+            continue
+        ts = rng.uniform(lo, hi, per_line)
+        cand = base + ts[:, None] * vec
+        keep = cc_upper_quick(group_mul(group_inv(center), cand)) < radius
+        if np.any(keep):
+            pts.append(cand[keep])
+    pool = np.vstack([np.atleast_2d(p) for p in pts])
+    if len(pool) > count:
+        idx = rng.choice(len(pool) - 1, size=count - 1, replace=False) + 1
+        pool = np.vstack([pool[:1], pool[idx]])
+    return pool
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_candidate_points_equal_the_per_line_loop(n):
+    cover = Cover.build(n=n, height=2, depth=4, max_lines=64)
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        center = cover._bases[trial % 64] + rng.uniform(-1, 1) * cover._vecs[trial % 64]
+        center = center + rng.normal(scale=10.0 ** rng.uniform(-6, 0), size=center.shape)
+        radius = 10.0 ** rng.uniform(-4, 0.5)
+        count = int(rng.integers(4, 400))
+        ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        got = _candidate_points(cover, center, radius, ours, count)
+        want = _candidate_points_per_line(cover, center, radius, ref, count)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+    # a ball that meets no line keeps only its centre
+    far, ours, ref = np.full(2 * n + 1, 50.0), np.random.default_rng(0), np.random.default_rng(0)
+    assert _candidate_points(cover, far, 1e-3, ours, 16).tolist() == [far.tolist()]
+    assert _candidate_points_per_line(cover, far, 1e-3, ref, 16).tolist() == [far.tolist()]
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_step_computes_tube_distances_at_most_once(cover, monkeypatch):
+    calls = []
+    original = Cover.upper_distances
+
+    def counting(self, pts, needed):
+        calls.append(len(np.atleast_2d(pts)))
+        return original(self, pts, needed)
+
+    monkeypatch.setattr(Cover, "upper_distances", counting)
+    f0 = hlinear_field(HLinearMap(0.5, E1))
+    for seed in range(4):
+        cfg = MaximizerConfig(seed=seed, max_steps=5, budget=128)
+        state = IterationState(m=0, accum=np.zeros(2), x=np.zeros(3), direction=E1,
+                               sigma=2.0, t=0.25, delta=1.0, e_value=0.5)
+        rng = np.random.default_rng(seed)
+        for _ in range(cfg.max_steps):
+            calls.clear()
+            state = step(state, f0, cfg, cover, rng)
+            assert calls in ([], [1])

@@ -591,3 +591,30 @@ def test_batch_rows_match_one_row_calls_bitwise(n, seed):
     for i in range(len(x)):
         assert lower[i].hex() == cc_lower(x[i], y[i]).hex()
         assert upper[i].hex() == float(cc_upper_value_batch(z[i])[0]).hex()
+
+
+def test_lower_bound_keeps_extreme_planar_norms():
+    # |p|^2 overflows at 1e160 and underflows at 1e-170: the lower end read
+    # inf (above the finite upper end) and 0
+    for s in (1e160, 1e-170):
+        for z in ([s, 0.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, s, 0.0, 0.0]):
+            z = np.array(z)
+            with np.errstate(over="raise", under="raise"):
+                lower = metric.cc_lower_batch(np.zeros((1, len(z))), z[None, :])[0]
+            assert lower == s
+            assert cc_lower(np.zeros(len(z)), z).hex() == lower.hex()
+            assert lower <= cc_upper_value_batch(z)[0]
+    x = np.array([[1e160, 0.0, 0.0], [0.0, 1e-170, 0.0], [3e155, -4e155, 0.0]])
+    y = np.array([[-1e160, 0.0, 0.0], [0.0, -1e-170, 0.0], [0.0, 0.0, 0.0]])
+    lower = metric.cc_lower_batch(x, y)
+    assert lower.tolist() == [2e160, 2e-170, 5e155]
+    assert [cc_lower(a, b) for a, b in zip(x, y)] == lower.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_triples)
+def test_triangle_inequality_across_brackets(triple):
+    # d(x, z) <= d(x, y) + d(y, z), read from the certified ends of each bracket
+    x, y, z = triple
+    upper = lambda a, b: float(cc_upper_value_batch(group_mul(group_inv(a), b))[0])
+    assert metric.cc_lower_batch(x[None], z[None])[0] <= upper(x, y) + upper(y, z)

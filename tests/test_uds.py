@@ -49,6 +49,19 @@ class TestRationalLine:
         assert shifted.vector() == v0
         assert shifted.base == line.base  # same canonical representative
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kept_vector_equals_the_one_recomputed_at_the_base(self, n):
+        # the vector is kept from the uncanonical base given to the constructor
+        for line in islice(enumerate_lines(2, n), 0, 400, 7):
+            assert line.vector() == RationalLine._vector(line.base, line.direction, n)
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            base = tuple(Fraction(int(v), int(d)) for v, d in zip(rng.integers(-9, 10, 2 * n + 1), rng.integers(1, 9, 2 * n + 1)))
+            direction = [int(v) for v in rng.integers(-4, 5, 2 * n)]
+            direction[0] = direction[0] or 1
+            line = RationalLine(base, tuple(direction))
+            assert line.vector() == RationalLine._vector(line.base, line.direction, n)
+
 
 class TestStereographic:
     def test_exact_unit(self):
@@ -168,6 +181,19 @@ class TestCover:
         for a, b in zip(members, members[1:]):
             assert np.all(b <= a)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nesting_at_every_pair_of_levels(self, n):
+        # membership at level k compares against radii(k) alone; that is the
+        # all-levels membership because the radii never grow with the level
+        cover = Cover.build(n=n, height=2, depth=8, max_lines=48)
+        pts = _random_and_near_line_points(cover, np.random.default_rng(10 + n), 800)
+        members = [cover.contains_batch(pts, k) for k in range(1, cover.depth + 1)]
+        for j in range(1, cover.depth + 1):
+            for k in range(j + 1, cover.depth + 1):
+                assert np.all(cover.radii(k) <= cover.radii(j))
+                assert np.all(members[j - 1][members[k - 1]])
+        assert members[0].any() and not members[0].all()
+
     def test_level_validation(self, cover):
         with pytest.raises(ValueError):
             cover.contains(np.zeros(3), cover.depth + 1)
@@ -280,6 +306,40 @@ def _planar_lower_dense(cover, pts):
     return np.linalg.norm(pts[:, None, :-1] - near, axis=2)
 
 
+def _random_and_near_line_points(cover, rng, count):
+    """Uniform points in a cube, plus points at offsets 1e-12..1e-1 from each line."""
+    dim = 2 * cover.n + 1
+    near = []
+    for i in range(len(cover.lines)):
+        t = rng.uniform(*cover.spans[i])
+        for offset in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+            step = rng.standard_normal(dim)
+            near.append(cover._bases[i] + t * cover._vecs[i] + offset * step / np.linalg.norm(step))
+    return np.vstack([rng.uniform(-3.0, 3.0, (count, dim)), near])
+
+
+def _contains_per_level_reference(cover, pts, level):
+    """Reference: distances refined at the level-1 radii, one test per level."""
+    d = cover.upper_distances(pts, needed=cover.radii(1))
+    member = np.ones(len(pts), dtype=bool)
+    for k in range(1, level + 1):
+        member &= np.any(d <= cover.radii(k)[None, :], axis=1)
+    return member
+
+
+def _volume_bound_reference(cover, c):
+    """Reference: the one-constant volume bound formula."""
+    q = 2 * cover.n + 2
+    v_ball = uds._unit_ball_volume_bound(cover.n)
+    radii = np.ldexp(c, -(np.arange(len(cover.lines)) + 1))
+    ball = (1.5 * radii) ** q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = (cover.lengths / radii + 1.0) * ball * v_ball
+    bad = ~np.isfinite(terms)
+    terms[bad] = (1.5 * cover.lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
+    return float(np.sum(terms))
+
+
 def _solve_constant_reference(cover, target):
     """Reference: the geometric bisection run for all 300 iterations."""
     lo, hi = 1e-300, 1e9
@@ -304,15 +364,7 @@ class TestCoverInternals:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_upper_distances_match_the_exact_pair_test(self, n):
         cover = Cover.build(n=n, height=2, depth=6, max_lines=48)
-        rng = np.random.default_rng(n)
-        dim = 2 * n + 1
-        near = []
-        for i in range(len(cover.lines)):
-            t = rng.uniform(*cover.spans[i])
-            for offset in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
-                step = rng.standard_normal(dim)
-                near.append(cover._bases[i] + t * cover._vecs[i] + offset * step / np.linalg.norm(step))
-        pts = np.vstack([rng.uniform(-3.0, 3.0, (1500, dim)), near])
+        pts = _random_and_near_line_points(cover, np.random.default_rng(n), 1500)
         lower = _planar_lower_dense(cover, pts)
         for needed in (cover.radii(1), cover.radii(6), np.full(len(cover.lines), 1e-6), np.full(len(cover.lines), 0.25)):
             got = cover.upper_distances(pts, needed)
@@ -328,11 +380,31 @@ class TestCoverInternals:
         single = [cover._refine_pairs(pts, pi[k : k + 1], li[k : k + 1])[0] for k in range(24)]
         assert batched.tolist() == single
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_contains_batch_equals_the_per_level_loop(self, n):
+        cover = Cover.build(n=n, height=2, depth=8, max_lines=48)
+        pts = _random_and_near_line_points(cover, np.random.default_rng(20 + n), 1500)
+        for level in range(1, cover.depth + 1):
+            got = cover.contains_batch(pts, level)
+            assert np.array_equal(got, _contains_per_level_reference(cover, pts, level))
+        assert cover.contains_batch(pts[:0], 1).shape == (0,)
+
     def test_solve_constant_equals_full_bisection(self, benchmark_covers):
         for cover in benchmark_covers:
+            targets = 2.0 ** -np.arange(1, 13) * 0.99
+            solved = cover._solve_constants(targets)
             for k in range(1, 13):
                 target = 2.0**-k * 0.99
-                assert cover._solve_constant(target) == _solve_constant_reference(cover, target)
+                assert solved[k - 1] == _solve_constant_reference(cover, target)
+
+    def test_volume_bounds_equal_the_one_constant_formula(self, benchmark_covers):
+        rng = np.random.default_rng(4)
+        for cover in benchmark_covers:
+            cs = np.concatenate([cover.radii_constants, 10.0 ** rng.uniform(-300, 9, 40), [0.0, 1e-300, 1e9]])
+            bounds = cover._volume_bounds(cs)
+            for c, b in zip(cs, bounds):
+                assert b.hex() == _volume_bound_reference(cover, c).hex()
+                assert cover.volume_bound(c).hex() == b.hex()
 
     def test_volume_bounds_finite_when_radii_go_subnormal(self, benchmark_covers):
         cover = benchmark_covers[2]
