@@ -1,11 +1,17 @@
 """Directional derivatives, Lipschitz estimation and Pansu-derivative residuals.
 
 Scalar fields are real functions on the group evaluated in batches: the
-callable receives an array of shape ``(..., 2n+1)`` and returns ``(...)``.
+callable receives an array of shape ``(m, 2n+1)`` and returns ``(m,)``.
+Every input, a lone point of shape ``(2n+1,)`` included, reaches it as the
+rows of one such array (a lone point is a one-row batch), so a point's
+value has the same bits whatever the shape of the call it comes in.
+
 Derivative estimators use symmetric difference quotients along horizontal
 lines with Richardson extrapolation and report an error bar from the
-successive quotient levels; a quotient sequence that grows twice in a row
-is flagged as diverging instead of being extrapolated.
+successive quotient levels; on a ladder of four or more levels, a quotient
+sequence that grows twice in a row is flagged as diverging instead of
+being extrapolated.  One column-wise ladder serves a single point, a
+batch of points and a curve.
 """
 
 from __future__ import annotations
@@ -67,7 +73,9 @@ class ScalarField:
     label: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        rows = np.asarray(self.eval(x.reshape(-1, x.shape[-1])), dtype=float)
+        return rows.reshape(x.shape[:-1])
 
     def shifted(self, coeffs: np.ndarray) -> "ScalarField":
         """Field plus the homomorphism x -> <p(x), coeffs>."""
@@ -75,7 +83,7 @@ class ScalarField:
         base = self.eval
         lip = None if self.declared_lip is None else self.declared_lip + float(np.linalg.norm(coeffs))
         return ScalarField(
-            lambda x: np.asarray(base(x), dtype=float) + x[..., :-1] @ coeffs,
+            lambda x: np.asarray(base(x), dtype=float) + np.vecdot(x[..., :-1], coeffs),
             declared_lip=lip,
             label=f"{self.label}+linear" if self.label else "shifted",
         )
@@ -108,14 +116,13 @@ def cc_distance_field(target: np.ndarray, max_rel_width: float = 0.5) -> ScalarF
     target = np.asarray(target, dtype=float)
 
     def ev(x: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(x)
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
+        out = np.empty(len(x))
+        for i, p in enumerate(x):
             b = cc_bounds(target, p)
             if b.width > max_rel_width * max(b.midpoint, 1e-12):
                 raise ValueError(f"distance bracket too wide at {p}: [{b.lower}, {b.upper}]")
             out[i] = b.midpoint
-        return out.reshape(np.asarray(x).shape[:-1])
+        return out
 
     return ScalarField(ev, label="cc-dist")
 
@@ -156,32 +163,46 @@ class DerivativeEstimate:
         return not self.diverging and np.isfinite(self.value)
 
 
-def _finish_quotients(q: np.ndarray, floors: np.ndarray) -> DerivativeEstimate:
-    """Extrapolate a quotient ladder at its most trustworthy level.
+def _ladder(f: ScalarField, plus: np.ndarray, minus: np.ndarray, steps: np.ndarray):
+    """Extrapolate each column's quotient ladder at its most trustworthy level.
 
-    ``floors`` is the roundoff noise floor of each quotient level.  The
-    returned value is the Richardson extrapolation at the level minimizing
-    (extrapolation gap + noise), which avoids both the truncation error of
-    coarse levels and the cancellation noise of the finest ones.  Growth of
-    the quotient differences clearly above the noise floor at the tail is
-    flagged as divergence.
+    ``plus`` and ``minus`` hold the points at +-steps, shape (levels, m, 2n+1);
+    returns (values, errors, diverging, quotients) per column.  Each value is
+    the Richardson extrapolation at the level minimizing (extrapolation gap +
+    roundoff noise floor), which avoids both the truncation error of coarse
+    levels and the cancellation noise of the finest ones.  With four or more
+    levels, growth of the quotient differences clearly above the noise floor
+    at the tail is flagged as divergence and widens the error bar.
     """
-    diffs = np.abs(np.diff(q))
+    if len(steps) < 3 or np.any(np.diff(steps) >= 0) or np.any(steps <= 0):
+        raise ValueError("steps must be >= 3 values decreasing to 0")
+    vp, vm = f(plus), f(minus)
+    q = (vp - vm) / (2.0 * steps[:, None])
+    diffs = np.abs(np.diff(q, axis=0))
     rich = (4.0 * q[1:] - q[:-1]) / 3.0
-    base = 1e-15 * (1.0 + float(np.max(np.abs(q))))
-    floors = np.maximum(floors, base)
-    diverging = bool(
-        len(diffs) >= 3
-        and diffs[-1] > diffs[-2] > diffs[-3]
-        and diffs[-1] > 8.0 * float(floors[-1])
-    )
-    scores = np.abs(np.diff(rich)) + 2.0 * floors[2:]
-    k = int(np.argmin(scores)) + 1
-    value = float(rich[k])
-    err = float(max(scores[k - 1], base))
-    if diverging:
-        err = max(err, float(diffs[-1]))
-    return DerivativeEstimate(value, err, q, diverging)
+    scale = np.maximum(np.max(np.abs(vp), axis=0), np.max(np.abs(vm), axis=0))
+    base = 1e-15 * (1.0 + np.max(np.abs(q), axis=0))
+    floors = np.maximum(4.0 * np.finfo(float).eps * np.maximum(scale, 1.0) / steps[:, None], base)
+    diverging = np.zeros(q.shape[1], dtype=bool)
+    if len(diffs) >= 3:
+        diverging = (diffs[-1] > diffs[-2]) & (diffs[-2] > diffs[-3]) & (diffs[-1] > 8.0 * floors[-1])
+    scores = np.abs(np.diff(rich, axis=0)) + 2.0 * floors[2:]
+    k = np.argmin(scores, axis=0) + 1
+    cols = np.arange(q.shape[1])
+    errors = np.maximum(scores[k - 1, cols], base)
+    errors = np.where(diverging, np.maximum(errors, diffs[-1]), errors)
+    return rich[k, cols], errors, diverging, q
+
+
+def _line_ladder(f: ScalarField, xs: np.ndarray, directions: np.ndarray, steps: Optional[np.ndarray]):
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
+    shift = steps[:, None, None] * vector_at(np.atleast_2d(np.asarray(directions, dtype=float)), xs)
+    return _ladder(f, xs + shift, xs - shift, steps)
+
+
+def _first(values, errors, diverging, q) -> DerivativeEstimate:
+    return DerivativeEstimate(float(values[0]), float(errors[0]), q[:, 0], bool(diverging[0]))
 
 
 def directional_derivative(
@@ -193,20 +214,11 @@ def directional_derivative(
     """Derivative of f at x along the horizontal line of a unit direction.
 
     Symmetric quotients over a decreasing step schedule, Richardson
-    order-2 extrapolation, error bar from the last extrapolation gap.
+    order-2 extrapolation, error bar from the last extrapolation gap: the
+    one-column case of :func:`directional_derivative_batch`, bit for bit.
     """
     direction = require_unit(np.asarray(direction, dtype=float))
-    x = np.asarray(x, dtype=float)
-    steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
-    if len(steps) < 3 or np.any(np.diff(steps) >= 0) or np.any(steps <= 0):
-        raise ValueError("steps must be >= 3 values decreasing to 0")
-    e_x = vector_at(direction, x)
-    pts_plus = x + steps[:, None] * e_x
-    pts_minus = x - steps[:, None] * e_x
-    vp, vm = np.asarray(f(pts_plus), float), np.asarray(f(pts_minus), float)
-    q = (vp - vm) / (2.0 * steps)
-    scale = float(max(np.max(np.abs(vp)), np.max(np.abs(vm)), 1.0))
-    return _finish_quotients(q, 4.0 * np.finfo(float).eps * scale / steps)
+    return _first(*_line_ladder(f, x, direction, steps))
 
 
 def directional_derivative_batch(
@@ -216,34 +228,7 @@ def directional_derivative_batch(
     steps: Optional[np.ndarray] = None,
 ):
     """Vectorized derivative estimates: returns (values, errors, diverging)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
-    e_xs = vector_at(directions, xs)
-    pts_plus = xs[None, :, :] + steps[:, None, None] * e_xs[None, :, :]
-    pts_minus = xs[None, :, :] - steps[:, None, None] * e_xs[None, :, :]
-    vp, vm = np.asarray(f(pts_plus), float), np.asarray(f(pts_minus), float)
-    q = (vp - vm) / (2.0 * steps[:, None])
-    rich = (4.0 * q[1:] - q[:-1]) / 3.0
-    scale = np.maximum(np.max(np.abs(vp), axis=0), np.max(np.abs(vm), axis=0))
-    base = 1e-15 * (1.0 + np.max(np.abs(q), axis=0))
-    floors = np.maximum(4.0 * np.finfo(float).eps * np.maximum(scale, 1.0)[None, :] / steps[:, None], base[None, :])
-    scores = np.abs(np.diff(rich, axis=0)) + 2.0 * floors[2:]
-    k = np.argmin(scores, axis=0) + 1
-    cols = np.arange(q.shape[1])
-    values = rich[k, cols]
-    errors = np.maximum(scores[k - 1, cols], base)
-    diffs = np.abs(np.diff(q, axis=0))
-    diverging = (diffs[-1] > diffs[-2]) & (diffs[-2] > diffs[-3]) & (diffs[-1] > 8.0 * floors[-1])
-    return values, errors, diverging
-
-
-def _curve_quotients(f: ScalarField, path: HorizontalPath, at: float, steps: np.ndarray) -> DerivativeEstimate:
-    vals_p = np.asarray(f(path.eval(at + steps)), float)
-    vals_m = np.asarray(f(path.eval(at - steps)), float)
-    q = (vals_p - vals_m) / (2.0 * steps)
-    scale = float(max(np.max(np.abs(vals_p)), np.max(np.abs(vals_m)), 1.0))
-    return _finish_quotients(q, 4.0 * np.finfo(float).eps * scale / steps)
+    return _line_ladder(f, xs, directions, steps)[:3]
 
 
 def curve_directional_consistency(
@@ -273,8 +258,7 @@ def curve_directional_consistency(
     steps = steps[steps <= max_step]
     if len(steps) < 3:
         raise ValueError("parameter too close to a domain endpoint")
-    eg = _curve_quotients(f, g, at, steps)
-    eh = _curve_quotients(f, h, at, steps)
+    eg, eh = (_first(*_ladder(f, p.eval(at + steps)[:, None], p.eval(at - steps)[:, None], steps)) for p in (g, h))
     gap = abs(eg.value - eh.value)
     budget = eg.error + eh.error
     return {
@@ -384,10 +368,8 @@ def pansu_residual(
     f_x = float(f(x))
     lw = L(ws)
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
-    res = np.empty(len(radii))
-    for i, t in enumerate(radii):
-        pts = group_mul(x, dilate(t, ws))
-        res[i] = float(np.max(np.abs(f(pts) - f_x - t * lw))) / t
+    pts = group_mul(x, dilate(radii[:, None], ws))
+    res = np.max(np.abs(f(pts) - f_x - radii[:, None] * lw), axis=1) / radii
     return PansuReport(L, radii, res, tol=tol)
 
 
@@ -538,15 +520,12 @@ def line_increments(f: ScalarField, x: np.ndarray, direction: np.ndarray, t_grid
     """Increments f(x + t E(x)) - f(x) over the grid, for a point or a batch of points.
 
     ``E`` is the horizontal field with frame coefficients ``direction``; the
-    result has shape ``x.shape[:-1] + t_grid.shape``.  The centre values
-    f(x) are taken one point at a time: a field's rounding can depend on
-    the shape of its input, and this keeps them equal to a lone ``f(x)``.
+    result has shape ``x.shape[:-1] + t_grid.shape``.
     """
     x = np.asarray(x, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     pts = x[..., None, :] + t_grid[:, None] * vector_at(direction, x)[..., None, :]
-    centre = np.array([float(f(p)) for p in x.reshape(-1, x.shape[-1])]).reshape(x.shape[:-1])
-    return np.asarray(f(pts), float) - centre[..., None]
+    return f(pts) - f(x)[..., None]
 
 
 class PairComparison(NamedTuple):

@@ -270,20 +270,13 @@ def step(
     t_m = min(t_prev / 2.0, sigma_prev / (4.0 * m)) / 2.0
     lam_m = t_m * sigma_m**4 / (4.0 * config.c_angle**4)
 
-    incumbent = Pair(state.x, state.direction)
     n_dirs = max(4, int(math.sqrt(config.budget)))
     n_pts = max(4, config.budget // n_dirs)
     points = _candidate_points(cover, state.x, delta_prev, rng, n_pts)
     dirs = _candidate_directions(state.direction, sigma_prev, rng, n_dirs)
-    cand_x, cand_e = [incumbent.x], [incumbent.direction]
-    for i in range(len(points)):
-        for j in range(len(dirs)):
-            if i == 0 and j == 0:
-                continue
-            cand_x.append(points[i])
-            cand_e.append(dirs[j])
-    cand_x = np.stack(cand_x)[: config.budget + 1]
-    cand_e = np.stack(cand_e)[: config.budget + 1]
+    # every (point, direction) pair, point-major; pair 0 is the incumbent itself
+    cand_x = np.repeat(points, len(dirs), axis=0)[: config.budget + 1]
+    cand_e = np.tile(dirs, (len(points), 1))[: config.budget + 1]
 
     cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, config.K, config.t_grid,
                         sigma=sigma_prev, steps=config.deriv_steps)

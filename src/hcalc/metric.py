@@ -66,7 +66,6 @@ __all__ = [
     "cc_upper_quick",
     "cc_upper_value_batch",
     "CertificationError",
-    "square_route_upper",
     "holder_fit",
     "angle_fit",
     "distance_pansu_check",
@@ -153,17 +152,19 @@ class Ball:
         return f"ball(r={self.radius:g}, n={self.n})"
 
 
+def _lower(z: np.ndarray) -> np.ndarray:
+    # max(|p(z)|, sqrt|c(z)|) over the last axis: the one formula of both lower bounds
+    return np.maximum(_norm(project(z)), np.sqrt(np.abs(vertical(z))))
+
+
 def cc_lower(x: np.ndarray, y: np.ndarray) -> float:
     """Certified lower bound max(|p(x)-p(y)|, sqrt(|height of x^-1 y|))."""
-    z = group_mul(group_inv(np.asarray(x, float)), np.asarray(y, float))
-    return float(max(_norm(project(z)[None])[0], math.sqrt(abs(float(vertical(z))))))
+    return float(_lower(group_mul(group_inv(np.asarray(x, float)), np.asarray(y, float))[None])[0])
 
 
 def cc_lower_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`cc_lower` for each row, bit for bit."""
-    z = group_mul(group_inv(x), y)
-    p = project(z)
-    return np.maximum(_norm(p), np.sqrt(np.abs(vertical(z))))
+    return _lower(group_mul(group_inv(x), y))
 
 
 def _chain_area_coeff_scalar(theta: float, m: int) -> float:
@@ -475,11 +476,6 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     legs = np.where(D > 0.0, legs, np.inf)
     split_route = D + np.sqrt(math.pi * c)
     return np.where(c == 0.0, D, np.minimum(legs, split_route))
-
-
-def square_route_upper(c: float) -> float:
-    """Cross-check route for a purely vertical target: a square of area |c|/4."""
-    return 2.0 * math.sqrt(abs(c))
 
 
 def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:

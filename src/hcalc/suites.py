@@ -94,8 +94,6 @@ class RunConfig:
                 data[name] = [int(v) for v in env.split(",")]
             elif name == "trials":
                 data[name] = int(env)
-            elif isinstance(data[name], bool):
-                data[name] = env.lower() in ("1", "true", "yes")
             elif isinstance(data[name], int) or data[name] is None:
                 data[name] = int(env)
             elif isinstance(data[name], float):

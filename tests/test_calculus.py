@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from hcalc.calculus import (
     MeanValueHypothesisError,
@@ -19,6 +21,7 @@ from hcalc.calculus import (
     koranyi_gauge_field,
     lattice_max,
     lattice_min,
+    line_increments,
     lipschitz_estimate,
     mean_value_search,
     pansu_residual,
@@ -26,8 +29,9 @@ from hcalc.calculus import (
     vertical_coordinate_field,
 )
 from hcalc import suites
+from hcalc.cli import main
 from hcalc.curves import line_path
-from hcalc.group import HLinearMap, group_mul, horizontal_point, random_directions
+from hcalc.group import HLinearMap, dilate, group_mul, horizontal_point, random_directions
 from hcalc.maximizer import default_t_grid
 from hcalc.metric import Ball, cc_upper_quick
 
@@ -150,6 +154,15 @@ class TestPansuResidual:
         )
         ratios = rep.residuals[:-1] / rep.residuals[1:]
         assert np.all(np.abs(ratios - 10.0) < 0.5)
+
+    def test_radii_in_one_call_match_one_radius_at_a_time(self):
+        f = koranyi_gauge_field(np.array([0.4, -0.3, 0.2]))
+        x, L = np.array([0.3, 0.1, -0.7]), HLinearMap(0.8, np.array([0.6, 0.8]))
+        rep = pansu_residual(f, x, L, seed=3)
+        ws = sample_unit_ball(np.random.default_rng(3), 1, 256)
+        f_x, lw = float(f(x)), L(ws)
+        loop = [float(np.max(np.abs(f(group_mul(x, dilate(t, ws))) - f_x - t * lw))) / t for t in rep.radii]
+        assert rep.residuals.tobytes() == np.array(loop).tobytes()
 
     def test_report_validation(self):
         L = HLinearMap(1.0, E1)
@@ -400,3 +413,96 @@ class TestFieldLibrary:
         est = directional_derivative(f, np.zeros(3), E1)
         assert est.value == pytest.approx(0.75, abs=1e-10)
         assert f.declared_lip == pytest.approx(0.75)
+
+
+def _shape_fields(n):
+    e1 = np.zeros(2 * n)
+    e1[0] = 1.0
+    rng = np.random.default_rng(n)
+    half = hlinear_field(HLinearMap(0.5, e1))
+    other = hlinear_field(HLinearMap.from_coeffs(rng.standard_normal(2 * n)))
+    return {
+        "hlinear": other,
+        "shifted": half.shifted(rng.standard_normal(2 * n)),
+        "koranyi": koranyi_gauge_field(),
+        "koranyi@c": koranyi_gauge_field(rng.standard_normal(2 * n + 1)),
+        "vertical": vertical_coordinate_field(),
+        "max": lattice_max(half.shifted(rng.standard_normal(2 * n)), other),
+        "min": lattice_min(half.shifted(rng.standard_normal(2 * n)), koranyi_gauge_field()),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_values_do_not_depend_on_the_call_shape(n):
+    xs = np.random.default_rng(10 + n).standard_normal((600, 2 * n + 1))
+    for name, f in _shape_fields(n).items():
+        batch = f(xs)
+        assert batch.shape == (600,), name
+        assert f(xs.reshape(20, 30, -1)).tobytes() == batch.tobytes(), name
+        lone = np.array([f(x) for x in xs])
+        rows = np.array([f(xs[i : i + 1])[0] for i in range(len(xs))])
+        assert lone.tobytes() == batch.tobytes(), name
+        assert rows.tobytes() == batch.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_line_increments_batch_matches_single_points(n):
+    rng = np.random.default_rng(20 + n)
+    xs = rng.standard_normal((64, 2 * n + 1))
+    e = random_directions(rng, 1, n)[0]
+    grid = default_t_grid()
+    for name, f in _shape_fields(n).items():
+        batch = line_increments(f, xs, e, grid)
+        one = np.stack([line_increments(f, x, e, grid) for x in xs])
+        assert one.tobytes() == batch.tobytes(), name
+
+
+@pytest.mark.parametrize("steps", [None, np.array([0.01, 0.005, 0.0025])])
+def test_derivative_is_its_row_of_the_batch(steps):
+    rng = np.random.default_rng(30)
+    xs = rng.standard_normal((48, 3))
+    xs[::4, 0] = 0.0  # on the jump of the sign field: these ladders diverge
+    dirs = random_directions(rng, 48, 1)
+    fields = dict(_shape_fields(1), sign=ScalarField(lambda x: np.sign(x[..., 0])))
+    for name, f in fields.items():
+        values, errors, diverging = directional_derivative_batch(f, xs, dirs, steps)
+        for i in range(len(xs)):
+            est = directional_derivative(f, xs[i], dirs[i], steps)
+            assert est.value.hex() == values[i].hex(), name
+            assert est.error.hex() == errors[i].hex(), name
+            assert est.diverging is bool(diverging[i]), name
+    # the sign field comes last: its default ladders diverge, its 3-level ones cannot
+    assert np.any(diverging) == (steps is None)
+
+
+class TestLadderSteps:
+    SIGN = ScalarField(lambda x: np.sign(x[..., 0]))
+
+    def test_three_levels_never_flag_divergence(self):
+        three = np.array([0.01, 0.005, 0.0025])
+        assert directional_derivative(self.SIGN, np.zeros(3), E1).diverging
+        assert not directional_derivative(self.SIGN, np.zeros(3), E1, three).diverging
+        _, _, diverging = directional_derivative_batch(self.SIGN, np.zeros((2, 3)), np.stack([E1, E2]), three)
+        assert not np.any(diverging)
+
+    @pytest.mark.parametrize("steps", [[0.1, 0.2, 0.3], [0.1, 0.05, 0.05], [0.1, 0.0, -0.1], [0.1, 0.05]])
+    def test_batch_rejects_bad_steps(self, steps):
+        f = hlinear_field(HLinearMap(1.0, E1))
+        with pytest.raises(ValueError, match="steps must be"):
+            directional_derivative_batch(f, np.zeros((2, 3)), np.stack([E1, E2]), np.array(steps))
+        with pytest.raises(ValueError, match="steps must be"):
+            compare_pairs(f, (np.zeros(3), E1), np.zeros(3), E2, K=8.0, t_grid=default_t_grid(),
+                          steps=np.array(steps))
+
+    def test_compare_pairs_on_a_three_level_ladder(self):
+        f = hlinear_field(HLinearMap(0.5, E1))
+        out = compare_pairs(f, (np.zeros(3), E1), np.zeros((2, 3)), np.stack([E1, E2]), K=8.0,
+                            t_grid=default_t_grid(), steps=np.array([0.01, 0.005, 0.0025]))
+        assert list(out.reason) == ["", "ordering"]
+
+    def test_maximize_cli_on_a_three_level_ladder(self, tmp_path):
+        cfg = tmp_path / "mx.json"
+        cfg.write_text('{"max_steps": 1, "budget": 32, "deriv_steps": [0.01, 0.005, 0.0025]}')
+        out = CliRunner().invoke(main, ["maximize", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+        assert not isinstance(out.exception, IndexError)
+        assert json.loads(out.output)["steps"] == 1

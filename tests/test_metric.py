@@ -25,7 +25,6 @@ from hcalc.metric import (
     cc_upper_value_batch,
     distance_pansu_check,
     holder_fit,
-    square_route_upper,
 )
 
 ORIGIN = np.zeros(3)
@@ -43,9 +42,8 @@ def test_vertical_upper_route():
     assert math.sqrt(math.pi) <= up <= math.sqrt(math.pi) + 1e-5
     assert np.allclose(witness.end(), [0, 0, 1.0], atol=1e-12)
     assert horizontal_length(witness) == pytest.approx(up, abs=1e-12)
-    # the square route is a strictly worse competitor
-    assert square_route_upper(1.0) == pytest.approx(2.0)
-    assert up < square_route_upper(1.0)
+    # the square route (a square of area 1/4, perimeter 2) is a strictly worse competitor
+    assert up < 2.0
 
 
 def test_bracket_collapses_on_horizontal_lines():
