@@ -191,7 +191,10 @@ def uds_measure(n, height, depth, max_lines, level, samples, region_half_width, 
 def uds_query(point_text, level, n, height, depth, max_lines):
     """Cover membership of a point at a level."""
     cover = uds.Cover.build(n=n, height=height, depth=depth, max_lines=max_lines)
-    member = cover.contains(_parse_vector(point_text), level)
+    try:
+        member = cover.contains(_parse_vector(point_text), level)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     click.echo(json.dumps({"member": bool(member), "level": level}))
 
 

@@ -118,13 +118,11 @@ def group_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     n = group_dim(x)
-    a, b = x[..., :n], x[..., n : 2 * n]
-    a2, b2 = y[..., :n], y[..., n : 2 * n]
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
-    out[..., : 2 * n] = x[..., : 2 * n] + y[..., : 2 * n]
-    cross = np.sum(a * b2, axis=-1) - np.sum(b * a2, axis=-1)
-    # fused single-pass combination keeps the oracle deterministic
-    out[..., -1] = x[..., -1] + y[..., -1] - 2 * cross
+    # the sum gives every coordinate, the height before its correction:
+    # c + c' - 2 cross is evaluated left to right
+    out = x + y
+    out[..., -1] -= 2 * (np.add.reduce(x[..., :n] * y[..., n : 2 * n], axis=-1)
+                         - np.add.reduce(x[..., n : 2 * n] * y[..., :n], axis=-1))
     return out
 
 

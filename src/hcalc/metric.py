@@ -469,13 +469,18 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     projection followed by the optimal vertical circle.
     """
     z = np.asarray(z, dtype=float)
-    D = np.linalg.norm(project(z), axis=-1)
-    c = np.abs(vertical(z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        legs = D * np.sqrt(1.0 + (c * c) / (D * D * D * D))
-    legs = np.where(D > 0.0, legs, np.inf)
-    split_route = D + np.sqrt(math.pi * c)
-    return np.where(c == 0.0, D, np.minimum(legs, split_route))
+    p = project(z)
+    D = np.sqrt(np.add.reduce(p * p, axis=-1))
+    c = np.abs(z[..., -1])
+    D4 = D * D * D * D
+    # D = 0 has no two-leg route, and where D^4 underflows the route is
+    # infinite: those entries keep inf instead of dividing by zero
+    legs = np.full(D.shape, np.inf)
+    np.divide(c * c, D4, out=legs, where=D4 > 0.0)
+    np.multiply(D, np.sqrt(1.0 + legs), out=legs, where=D > 0.0)
+    # the shorter of the two-leg route and the split route, kept in place
+    np.minimum(legs, D + np.sqrt(math.pi * c), out=legs)
+    return np.where(c == 0.0, D, legs)
 
 
 def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:

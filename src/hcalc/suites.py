@@ -887,11 +887,17 @@ def suite_meanvalue(cfg: RunConfig, seed: int) -> SuiteResult:
         failures += 1
     except calculus.MeanValueHypothesisError:
         pass
-    # exclusion set: force the choice into a window on the rising edge
+    # exclusion set: force the choice into the middle third of the edge where
+    # phi' exceeds psi'(0), the rising edge [-s, zeta] of a positive bump or
+    # the falling edge [zeta, s] of a negative one
     inst = _mean_value_instance(rng)
     iz = inst.index_of(inst.zeta)
-    lo_edge = int(inst.index_of(inst.grid[np.argmin(np.abs(inst.grid + inst.s))]))
-    window = set(range(len(inst.grid))) - set(range(lo_edge + (iz - lo_edge) // 3, lo_edge + 2 * (iz - lo_edge) // 3))
+    if inst.phi[iz] >= inst.psi[iz]:
+        lo_edge, hi_edge = int(np.argmin(np.abs(inst.grid + inst.s))), iz
+    else:
+        lo_edge, hi_edge = iz, int(np.argmin(np.abs(inst.grid - inst.s)))
+    width = hi_edge - lo_edge
+    window = set(range(len(inst.grid))) - set(range(lo_edge + width // 3, lo_edge + 2 * width // 3))
     try:
         tau = calculus.mean_value_search(inst, exclude=window)
         failures += int(not _mean_value_verify(inst, tau))

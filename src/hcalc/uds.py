@@ -11,8 +11,12 @@ is at most 2^-k.  The constants are non-increasing in k by construction
 r_{k,i} of some line is within r_{j,i} of it at every shallower level.
 Membership in every tube union up to level k is therefore membership at
 level k alone, one comparison against the level-k radii.  It is decided
-over the (point, line) pairs a planar lower bound leaves open, with no
-dense points-by-lines matrix.
+over the (point, line) pairs whose planar point-to-segment distance, a
+lower bound of the distance, is within the radius.  A cell index finds
+those pairs: the query points are sorted along a Z-order cell grid into
+groups of at most 16, each inside a ball, and only the pairs of a group
+whose ball comes within reach of a segment are tested point by point, a
+bounded number of pairs at a time (see :meth:`Cover.upper_distances`).
 
 Bases and directions are exact fractions; geometry queries convert to
 floats, except that points given as fractions are tested for incidence
@@ -274,6 +278,12 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# Points per group of the pair finder's cell index, and the most (group or
+# point, line) pairs it tests at once.
+_CELL_POINTS = 16
+_PAIR_BLOCK = 1 << 15
+
+
 def _unit_ball_volume_bound(n: int) -> float:
     # metric unit ball sits inside {|p| <= 1} x {|c| <= 1}
     return 2.0 * math.pi**n / math.factorial(n)
@@ -372,8 +382,8 @@ class Cover:
     # -- distance machinery ------------------------------------------------
 
     def _planar_lower(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray) -> np.ndarray:
-        """Exact planar point-to-segment distances per (point, line) pair, a
-        distance lower bound."""
+        """Float planar point-to-segment distances per (point, line) pair, a
+        distance lower bound up to rounding."""
         h = self._vecs[li, :-1]
         p = pts[pi, :-1] - self._bases[li, :-1]
         t = np.sum(p * h, axis=1) / np.sum(h * h, axis=1)
@@ -381,27 +391,77 @@ class Cover:
         near = self._bases[li, :-1] + t[:, None] * h
         return np.linalg.norm(pts[pi, :-1] - near, axis=1)
 
+    def _cell_order(self, planar: np.ndarray) -> np.ndarray:
+        """Permutation of the points in Z-order of a cell grid.
+
+        The grid spans the points' bounding box within the clip box (points
+        outside it fall in the boundary cells), with 2^bits cells per axis.
+        Interleaving the cell coordinates' bits makes every run of the order
+        spatially compact, however unevenly the points are spread.
+        """
+        dim = planar.shape[1]
+        bits = min(10, 62 // dim)
+        lo = np.maximum(planar.min(axis=0), self.clip.lo[:-1])
+        width = np.minimum(planar.max(axis=0), self.clip.hi[:-1]) - lo
+        scale = 2.0**bits / np.where(width > 0.0, width, np.inf)
+        cells = np.clip((planar - lo) * scale, 0, 2**bits - 1).astype(np.int64)
+        # spread[v] holds the bits of v `dim` places apart
+        spread = np.zeros(2**bits, dtype=np.int64)
+        for bit in range(bits):
+            spread |= ((np.arange(2**bits) >> bit) & 1) << (bit * dim)
+        code = np.zeros(len(planar), dtype=np.int64)
+        for j in range(dim):
+            code |= spread[cells[:, j]] << j
+        return np.argsort(code)
+
     def _candidate_pairs(self, pts: np.ndarray, needed: np.ndarray):
-        """(point, line) index pairs whose planar lower bound is at most
-        ``needed`` of the line, sorted; see :meth:`upper_distances`."""
-        b, h = self._bases[:, :-1], self._vecs[:, :-1]
-        h2 = np.sum(h * h, axis=1)
-        bh = np.sum(b * h, axis=1)
-        b2 = np.sum(b * b, axis=1)
-        needed2 = needed * needed
+        """(point, line) index pairs whose :meth:`_planar_lower` is at most
+        ``needed`` of the line, in no particular order, found through the
+        cell index; :meth:`upper_distances` states the group bound and its
+        rounding slack."""
+        m, lines = len(pts), len(self.lines)
+        if not m:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        size = min(_CELL_POINTS, m)
+        groups = -(-m // size)
+        # slot (g, k) holds the k-th point of group g in cell order; the last
+        # group is padded with its last point, which ``real`` masks out
+        order = self._cell_order(pts[:, :-1]) if m > size else np.arange(m)
+        slot = order[np.minimum(np.arange(groups * size), m - 1)].reshape(groups, size)
+        real = (np.arange(groups * size) < m).reshape(groups, size)
+        coords = pts[slot, :-1].transpose(2, 0, 1)  # one (groups, size) array per axis
+        centre = 0.5 * coords.min(axis=2) + 0.5 * coords.max(axis=2)
+        radius = np.sqrt(np.max(sum((x - c[:, None]) ** 2 for x, c in zip(coords, centre)), axis=1))
+        norm = np.sqrt(sum(x * x for x in coords))
+        b, h = self._bases[:, :-1].T, self._vecs[:, :-1].T
+        b2, h2, bh = np.sum(b * b, axis=0), np.sum(h * h, axis=0), np.sum(b * h, axis=0)
+        reach = np.sqrt(b2) + np.max(np.abs(self.spans), axis=1) * np.sqrt(h2)
+
+        def close(qq, qh, li, r, length):
+            # squared distance to the segment, expanded: |q|^2 - 2 t q.h + t^2 |h|^2
+            t = np.clip(qh / h2[li], self.spans[li, 0], self.spans[li, 1])
+            d2 = qq - t * (2.0 * qh - t * h2[li])
+            bound = needed[li] + r + length + reach[li]
+            # not d2 > ...: a NaN from overflowing squares keeps the pair
+            return ~(d2 > (needed[li] + r) ** 2 + 1e-12 * bound * bound)
+
         pairs = [np.empty((2, 0), dtype=np.intp)]
-        for start in range(0, len(pts), 1024):
-            p = pts[start : start + 1024, :-1]
-            p2 = np.sum(p * p, axis=1)[:, None]
-            ph, pb = p @ h.T, p @ b.T
-            t = np.clip((ph - bh) / h2, self.spans[:, 0], self.spans[:, 1])
-            scale = p2 + b2 + t * t * h2
-            d2 = scale - 2.0 * pb - 2.0 * t * (ph - bh)
-            pi, li = np.nonzero(d2 <= needed2 + 1e-12 * scale)
-            pi += start
-            keep = self._planar_lower(pts, pi, li) <= needed[li]
-            pairs.append(np.stack([pi[keep], li[keep]]))
-        # blocks are in point order and nonzero is row-major: pairs come sorted
+        per_block, step = max(1, _PAIR_BLOCK // lines), max(1, _PAIR_BLOCK // size)
+        for g0 in range(0, groups, per_block):
+            c = centre[:, g0 : g0 + per_block].T
+            c2 = np.sum(c * c, axis=1)[:, None]
+            r = radius[g0 : g0 + per_block, None]
+            gi, li = np.nonzero(close(c2 + b2 - 2.0 * (c @ b), c @ h - bh, np.arange(lines), r, np.sqrt(c2)))
+            gi += g0
+            for k in range(0, len(gi), step):
+                g, l = gi[k : k + step], li[k : k + step, None]
+                q = [x[g] - y[l] for x, y in zip(coords, b)]
+                qq = sum(x * x for x in q)
+                qh = sum(x * y[l] for x, y in zip(q, h))
+                rows, cols = np.nonzero(close(qq, qh, l, 0.0, norm[g]) & real[g])
+                pi, lj = slot[g[rows], cols], l[rows, 0]
+                keep = self._planar_lower(pts, pi, lj) <= needed[lj]
+                pairs.append(np.stack([pi[keep], lj[keep]]))
         return tuple(np.concatenate(pairs, axis=1))
 
     def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, grid: int = 33, golden: int = 60) -> np.ndarray:
@@ -442,23 +502,37 @@ class Cover:
     def upper_distances(self, pts: np.ndarray, needed: np.ndarray) -> np.ndarray:
         """Per (point, line) upper distance, ``inf`` where no pair was refined.
 
-        A pair is refined only where the exact planar point-to-segment
-        distance, a lower bound of the distance, does not exceed the
-        per-line ``needed`` radius.  Pairs are found in two stages, over
-        blocks of points.  The first expands the squared planar distance
-        |p - b - t h|^2 through the products p.h and p.b (two matrix
-        products per block) and keeps the pairs with
-        d2 <= needed^2 + 1e-12 (|p|^2 + |b|^2 + t^2 |h|^2).  The rounding
-        error of the expansion is a few units of 2^-53 times that scale,
-        about a thousandth of the slack, so the kept set contains every pair
-        the exact test accepts.  The second stage applies the exact
-        per-pair distance to the kept pairs only.
+        A pair is refined only where the float planar point-to-segment
+        distance :meth:`_planar_lower`, a lower bound of the distance, does
+        not exceed the per-line ``needed`` radius.  The pairs are found
+        through a cell index, in three stages:
+
+        1. The points are sorted in Z-order of a cell grid and cut into
+           groups of at most ``_CELL_POINTS``; each group lies in the ball
+           of radius r around the centre c of its bounding box.
+        2. A group meets a line when the squared distance from c to the
+           segment, expanded as |q|^2 - 2 t q.h + t^2 |h|^2 with q = c - b,
+           is at most (needed + r)^2 + 1e-12 S^2, where
+           S = needed + r + |c| + |b| + max|t| |h|.  By the triangle
+           inequality every point of the group within ``needed`` of the
+           segment leaves c within needed + r of it.  The rounding errors of
+           the expansion, of the point's and the centre's distances and of
+           r add up to less than 20 (2n+4) units of 2^-53 times S^2; the
+           slack is about 9,000 units, so for every n below 200 no pair the
+           exact test accepts is lost.  A centre whose squares overflow
+           keeps all its pairs.
+        3. The points of each surviving (group, line) pair take the same
+           test with r = 0 and their own |p|, then :meth:`_planar_lower`
+           itself.  Stages 2 and 3 each handle at most ``_PAIR_BLOCK``
+           pairs at a time, so their memory does not grow with the query.
+
         Membership at level k needs only ``needed = radii(k)``, as radii never
         grow with the level (see the module docstring).  The dense (points,
         lines) result suits few points, such as the maximizer's ball centre;
-        :meth:`contains_batch` builds none.
+        :meth:`contains_batch` builds none.  Raises ``ValueError`` on points
+        of the wrong length or with a non-finite coordinate.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self._query_points(pts)
         needed = np.asarray(needed, dtype=float)
         out = np.full((len(pts), len(self.lines)), np.inf)
         pi, li = self._candidate_pairs(pts, needed)
@@ -468,20 +542,32 @@ class Cover:
 
     # -- queries -------------------------------------------------------------
 
+    def _query_points(self, pts) -> np.ndarray:
+        """``pts`` as a float batch of shape (m, 2n+1); ``ValueError`` on any
+        other point length or on a non-finite coordinate."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != 2 * self.n + 1:
+            raise ValueError(f"points of this cover have length {2 * self.n + 1}, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        return pts
+
     def contains(self, x, level: int) -> bool:
         """Point lies in every tube union up to ``level`` (certified side).
 
         Accepts a float array, or fractions as a sequence or an object array;
         exact inputs that lie on an enumerated line are members at every level.
+        Raises ``ValueError`` on a point of the wrong length or a non-finite one.
         """
         self._check_level(level)
         x = np.asarray(x)
+        pt = self._query_points(x.astype(float)[None, :])
         if x.dtype == object:
             for i, line in enumerate(self.lines):
                 t = line.incidence_parameter(x)
                 if t is not None and self.spans[i, 0] - 1e-12 <= float(t) <= self.spans[i, 1] + 1e-12:
                     return True
-        return bool(self.contains_batch(x.astype(float)[None, :], level)[0])
+        return bool(self.contains_batch(pt, level)[0])
 
     def contains_batch(self, pts: np.ndarray, level: int) -> np.ndarray:
         """Per point: an upper distance to some line is within its level radius.
@@ -492,7 +578,7 @@ class Cover:
         membership vector, with no dense (points, lines) matrix.
         """
         self._check_level(level)
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self._query_points(pts)
         radii = self.radii(level)
         member = np.zeros(len(pts), dtype=bool)
         pi, li = self._candidate_pairs(pts, radii)

@@ -285,6 +285,13 @@ def test_mean_value_verify_matches_the_index_loop():
     assert True in verdicts and False in verdicts
 
 
+def test_meanvalue_exclusion_case_at_a_negative_bump():
+    # base seed 2 draws a negative bump (-0.225) for the exclusion case: its
+    # window lies on the falling edge, where phi' exceeds psi'(0)
+    result = suites.run_suite("meanvalue", suites.RunConfig(seed=2))
+    assert result.failures == 0 and result.passed
+
+
 def envelope_verdict(f, star, comp, K, t_grid):
     """The envelope check of the iteration: sigma = 0 and lip = Lip(f)."""
     return compare_pairs(f, star, comp[0], comp[1], K=K, t_grid=t_grid, lip=f.declared_lip).verdict[0]

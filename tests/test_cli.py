@@ -62,6 +62,13 @@ def test_uds_query(runner):
     assert json.loads(out.output)["member"] is True
 
 
+@pytest.mark.parametrize("point", ["[NaN, 0, 0]", "[0, Infinity, 0]", "[0, 0]", "[0, 0, 0, 0]"])
+def test_uds_query_rejects_a_degenerate_point(runner, point):
+    out = runner.invoke(main, ["uds", "query", "--point", point, "--level", "3", "--max-lines", "32"])
+    assert out.exit_code == 2
+    assert "finite" in out.output or "length 3" in out.output
+
+
 def test_uds_build_writes_manifest(runner, tmp_path):
     dst = tmp_path / "manifest.json"
     out = runner.invoke(main, ["uds", "build", "--max-lines", "24", "--depth", "4", "--out", str(dst)])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -189,3 +190,59 @@ def test_float_results_round_the_exact_ones_on_few_bit_input(n):
     for floats, exact in pairs:
         assert floats.dtype == np.float64
         assert np.array_equal(floats, exact.astype(float))
+
+
+def _group_mul_reference(x, y):
+    """Reference: the group product as written with one preallocated output."""
+    x, y = np.asarray(x), np.asarray(y)
+    x = x if x.dtype == object else x.astype(float, copy=False)
+    y = y if y.dtype == object else y.astype(float, copy=False)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    m = x.shape[-1]
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"point arrays need odd trailing length >= 3, got {m}")
+    n = (m - 1) // 2
+    a, b = x[..., :n], x[..., n : 2 * n]
+    a2, b2 = y[..., :n], y[..., n : 2 * n]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    out[..., : 2 * n] = x[..., : 2 * n] + y[..., : 2 * n]
+    cross = np.sum(a * b2, axis=-1) - np.sum(b * a2, axis=-1)
+    out[..., -1] = x[..., -1] + y[..., -1] - 2 * cross
+    return out
+
+
+def _wide_floats(rng, shape):
+    """Floats of magnitude 1e-300..1e150 with either sign, and signed zeros."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 150, shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_mul_is_bitwise_the_reference(n):
+    rng = np.random.default_rng(40 + n)
+    d = 2 * n + 1
+    shapes = [((300, d), (300, d)), ((d,), (300, d)), ((300, d), (d,)), ((4, 5, d), (4, 5, d)),
+              ((4, 1, d), (5, d)), ((d,), (d,))]
+    for (sx, sy), draw in product(shapes, (rng.standard_normal, lambda shape: _wide_floats(rng, shape))):
+        x, y = draw(sx), draw(sy)
+        got, ref = group_mul(x, y), _group_mul_reference(x, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for sx, sy in shapes:
+        x, y = as_exact(dyadic(rng, sx, 30)), as_exact(dyadic(rng, sy, 30))
+        got, ref = group_mul(x, y), _group_mul_reference(x, y)
+        assert got.shape == ref.shape and got.dtype == object
+        assert got.ravel().tolist() == ref.ravel().tolist()
+        assert all(type(v) is Fraction for v in got.ravel())
+
+
+def test_group_mul_rejects_mismatched_and_even_lengths():
+    for x, y in ((np.zeros(3), np.zeros(5)), (np.zeros((2, 5)), np.zeros((2, 3))),
+                 (np.zeros(4), np.zeros(4)), (np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros(1), np.zeros(1))):
+        with pytest.raises(ValueError):
+            group_mul(x, y)
+        with pytest.raises(ValueError):
+            _group_mul_reference(x, y)

@@ -616,3 +616,47 @@ def test_triangle_inequality_across_brackets(triple):
     x, y, z = triple
     upper = lambda a, b: float(cc_upper_value_batch(group_mul(group_inv(a), b))[0])
     assert metric.cc_lower_batch(x[None], z[None])[0] <= upper(x, y) + upper(y, z)
+
+
+def _cc_upper_quick_reference(z):
+    """Reference: the quick bound with ``np.linalg.norm`` and an ``errstate`` guard."""
+    z = np.asarray(z, dtype=float)
+    D = np.linalg.norm(project(z), axis=-1)
+    c = np.abs(vertical(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        legs = D * np.sqrt(1.0 + (c * c) / (D * D * D * D))
+    legs = np.where(D > 0.0, legs, np.inf)
+    split_route = D + np.sqrt(math.pi * c)
+    return np.where(c == 0.0, D, np.minimum(legs, split_route))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cc_upper_quick_is_bitwise_the_reference(n):
+    rng = np.random.default_rng(70 + n)
+    d = 2 * n + 1
+    generic = rng.standard_normal((500, d)) * 10.0 ** rng.integers(-8, 8, (500, 1))
+    vertical_only = np.zeros((6, d))
+    vertical_only[:, -1] = [0.0, -0.0, 1e-320, 1.0, -3.5, 1e300]
+    horizontal = rng.standard_normal((50, d))
+    horizontal[:, -1] = 0.0
+    subnormal = rng.standard_normal((200, d)) * 10.0 ** rng.integers(-323, -300, (200, d))
+    tiny_plane = rng.standard_normal((200, d))
+    tiny_plane[:, :-1] *= 1e-90  # D^4 underflows to 0 while D > 0
+    large = rng.standard_normal((200, d)) * 10.0 ** rng.integers(154, 300, (200, 1))
+    large_plane = rng.standard_normal((200, d))
+    large_plane[:, :-1] *= 10.0 ** rng.integers(154, 300, (200, 1))
+    # no division by zero and no invalid operation where the squares stay finite
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        for z in (generic, vertical_only, horizontal, subnormal, tiny_plane):
+            assert _same_bits(cc_upper_quick(z), _cc_upper_quick_reference(z))
+            assert _same_bits(cc_upper_quick(z[0]), _cc_upper_quick_reference(z[0]))
+            assert _same_bits(cc_upper_quick(z.reshape(2, -1, d)), _cc_upper_quick_reference(z.reshape(2, -1, d)))
+    # squares overflow here; both sides may warn, and give the same bits
+    with np.errstate(all="ignore"):
+        for z in (large, large_plane):
+            assert _same_bits(cc_upper_quick(z), _cc_upper_quick_reference(z))

@@ -1,9 +1,12 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcalc import uds
 from hcalc.curves import ModifyLineParams, gamma_y, modify_line
@@ -17,6 +20,11 @@ from hcalc.uds import (
     stereographic_unit,
     wilson_interval,
 )
+
+
+@functools.cache
+def _small_covers():
+    return {n: Cover.build(n=n, height=2, depth=6, max_lines=48) for n in (1, 2, 3)}
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +208,25 @@ class TestCover:
         with pytest.raises(ValueError):
             cover.radius(0, 0)
 
+    def test_degenerate_query_points_raise(self, cover):
+        nonfinite = [np.array([np.nan, 0.0, 0.0]), np.array([0.0, np.inf, 0.0]), np.array([0.0, 0.0, -np.inf])]
+        for x in nonfinite:
+            with pytest.raises(ValueError, match="finite"):
+                cover.contains(x, 2)
+            with pytest.raises(ValueError, match="finite"):
+                cover.contains_batch(np.vstack([np.zeros(3), x]), 2)
+            with pytest.raises(ValueError, match="finite"):
+                cover.upper_distances(x, cover.radii(1))
+        for x in (np.zeros(2), np.zeros(4), np.zeros(5), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError, match="length 3"):
+                cover.contains(x, 2)
+            with pytest.raises(ValueError, match="length 3"):
+                cover.contains_batch(x, 2)
+            with pytest.raises(ValueError, match="length 3"):
+                cover.upper_distances(x, cover.radii(1))
+        with pytest.raises(ValueError, match="length 3"):
+            cover.contains([Fraction(0), Fraction(0)], 2)
+
     def test_measure_mc(self, cover):
         est, (lo, hi) = cover.cover_measure_mc(6, Box.cube(2.0, 1), 5000, seed=0)
         assert 0.0 <= lo <= hi
@@ -306,6 +333,60 @@ def _planar_lower_dense(cover, pts):
     return np.linalg.norm(pts[:, None, :-1] - near, axis=2)
 
 
+def _block_scan_reference(cover, pts, needed):
+    """Reference: the dense block scan the cell index replaced, 1024 points
+    against every line at a time, pairs sorted by point then line."""
+    b, h = cover._bases[:, :-1], cover._vecs[:, :-1]
+    h2 = np.sum(h * h, axis=1)
+    bh = np.sum(b * h, axis=1)
+    b2 = np.sum(b * b, axis=1)
+    needed2 = needed * needed
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for start in range(0, len(pts), 1024):
+        p = pts[start : start + 1024, :-1]
+        p2 = np.sum(p * p, axis=1)[:, None]
+        ph, pb = p @ h.T, p @ b.T
+        t = np.clip((ph - bh) / h2, cover.spans[:, 0], cover.spans[:, 1])
+        scale = p2 + b2 + t * t * h2
+        d2 = scale - 2.0 * pb - 2.0 * t * (ph - bh)
+        pi, li = np.nonzero(d2 <= needed2 + 1e-12 * scale)
+        pi += start
+        keep = cover._planar_lower(pts, pi, li) <= needed[li]
+        pairs.append(np.stack([pi[keep], li[keep]]))
+    return tuple(np.concatenate(pairs, axis=1))
+
+
+def _sorted_pairs(pairs):
+    pi, li = pairs
+    order = np.lexsort((li, pi))
+    return pi[order].tolist(), li[order].tolist()
+
+
+def _finder_clouds(cover, rng):
+    """Named point clouds the cell index must handle, for a cover of any n."""
+    dim = 2 * cover.n + 1
+    line_pt = cover._bases[0] + 0.3 * cover._vecs[0]
+    # points placed at the level-1 radius from a line, where the exact test decides
+    rim = []
+    for i in range(len(cover.lines)):
+        step = rng.standard_normal(dim)
+        step[:-1] -= (step[:-1] @ cover._vecs[i, :-1]) / (cover._vecs[i, :-1] @ cover._vecs[i, :-1]) * cover._vecs[i, :-1]
+        rim.append(cover._bases[i] + cover._vecs[i] * rng.uniform(*cover.spans[i])
+                   + cover.radius(1, i) * step / np.linalg.norm(step[:-1]))
+    return {
+        "one cell": line_pt + 1e-9 * rng.standard_normal((300, dim)),
+        "duplicates": np.vstack([np.tile(line_pt, (150, 1)), rng.uniform(-1.0, 1.0, (40, dim))]),
+        "outside the clip box": np.vstack([rng.uniform(-30.0, 30.0, (400, dim)),
+                                           1e6 * np.sign(rng.standard_normal((20, dim))), line_pt[None, :]]),
+        "single point": line_pt[None, :],
+        # one group whose centre's squares overflow: its pairs must survive
+        "huge": np.vstack([line_pt, np.full(dim, 1e160), np.full(dim, 1e308)]),
+        "empty": np.zeros((0, dim)),
+        "near lines": _random_and_near_line_points(cover, rng, 600),
+        "on the rim": np.array(rim),
+    }
+
+
 def _random_and_near_line_points(cover, rng, count):
     """Uniform points in a cube, plus points at offsets 1e-12..1e-1 from each line."""
     dim = 2 * cover.n + 1
@@ -371,6 +452,63 @@ class TestCoverInternals:
             pi, li = np.nonzero(lower <= needed[None, :])
             assert np.array_equal(np.nonzero(np.isfinite(got)), (pi, li))
             assert np.array_equal(got[pi, li], cover._refine_pairs(pts, pi, li))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cell_index_finds_exactly_the_pairs_of_the_dense_test(self, n):
+        cover = _small_covers()[n]
+        rng = np.random.default_rng(30 + n)
+        lines = len(cover.lines)
+        for name, pts in _finder_clouds(cover, rng).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower = _planar_lower_dense(cover, pts)
+                for needed in (cover.radii(1), cover.radii(cover.depth), np.full(lines, 1e-6), np.full(lines, 0.25)):
+                    want = _sorted_pairs(np.nonzero(lower <= needed[None, :]))
+                    assert _sorted_pairs(cover._candidate_pairs(pts, needed)) == want, name
+                    assert _sorted_pairs(_block_scan_reference(cover, pts, needed)) == want, name
+
+    def test_cell_index_blocks_stay_within_the_pair_budget(self, monkeypatch):
+        cover = _small_covers()[2]
+        pts = _random_and_near_line_points(cover, np.random.default_rng(5), 800)
+        needed = np.full(len(cover.lines), 0.25)
+        want = _sorted_pairs(np.nonzero(_planar_lower_dense(cover, pts) <= needed[None, :]))
+        sizes = []
+        original = Cover._planar_lower
+
+        def recording(self, pts, pi, li):
+            sizes.append(len(pi))
+            return original(self, pts, pi, li)
+
+        monkeypatch.setattr(Cover, "_planar_lower", recording)
+        for cell_points, budget in ((1, 64), (5, 64), (16, 200), (64, 64)):
+            monkeypatch.setattr(uds, "_CELL_POINTS", cell_points)
+            monkeypatch.setattr(uds, "_PAIR_BLOCK", budget)
+            sizes.clear()
+            assert _sorted_pairs(cover._candidate_pairs(pts, needed)) == want
+            assert max(sizes) <= max(budget, cell_points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.floats(-12.0, 12.0), min_size=0, max_size=280),
+        st.sampled_from(["level 1", "level 6", "tiny", "wide"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cell_index_equals_the_dense_test_on_drawn_clouds(self, n, coords, kind, seed):
+        cover = _small_covers()[n]
+        dim = 2 * n + 1
+        pts = np.array(coords[: len(coords) // dim * dim], dtype=float).reshape(-1, dim)
+        rng = np.random.default_rng(seed)
+        # repeat some points and pull some onto the lines
+        if len(pts):
+            pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 3)]])
+            idx = rng.integers(0, len(cover.lines), len(pts) // 2)
+            ts = rng.uniform(cover.spans[idx, 0], cover.spans[idx, 1])
+            pts[: len(idx)] = cover._bases[idx] + ts[:, None] * cover._vecs[idx] + 1e-7 * pts[: len(idx)]
+        lines = len(cover.lines)
+        needed = {"level 1": cover.radii(1), "level 6": cover.radii(6),
+                  "tiny": np.full(lines, 1e-6), "wide": np.full(lines, 0.25)}[kind]
+        want = np.nonzero(_planar_lower_dense(cover, pts) <= needed[None, :])
+        assert _sorted_pairs(cover._candidate_pairs(pts, needed)) == _sorted_pairs(want)
 
     def test_refine_equals_one_pair_at_a_time(self, cover):
         rng = np.random.default_rng(3)
