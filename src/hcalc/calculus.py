@@ -31,7 +31,7 @@ from .group import (
     require_unit,
     vector_at,
 )
-from .metric import Ball, cc_bounds, cc_upper_quick
+from .metric import Ball, cc_lower_batch, cc_upper_quick, cc_upper_value_batch
 from .curves import HorizontalPath
 
 __all__ = [
@@ -109,20 +109,23 @@ def vertical_coordinate_field() -> ScalarField:
 def cc_distance_field(target: np.ndarray, max_rel_width: float = 0.5) -> ScalarField:
     """Bracket midpoint of the distance to ``target``.
 
-    Raises when the bracket at a queried point is wider than
-    ``max_rel_width`` times its midpoint, so callers never silently consume
-    a poorly-determined value.
+    The bracket is the witness-free one, :func:`cc_lower_batch` below and
+    the certified closed form :func:`cc_upper_value_batch` above, for the
+    whole batch at once.  Raises when the bracket at a queried point is
+    wider than ``max_rel_width`` times its midpoint, so callers never
+    silently consume a poorly-determined value.
     """
     target = np.asarray(target, dtype=float)
 
     def ev(x: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x))
-        for i, p in enumerate(x):
-            b = cc_bounds(target, p)
-            if b.width > max_rel_width * max(b.midpoint, 1e-12):
-                raise ValueError(f"distance bracket too wide at {p}: [{b.lower}, {b.upper}]")
-            out[i] = b.midpoint
-        return out
+        lower = cc_lower_batch(target, x)
+        upper = cc_upper_value_batch(group_mul(group_inv(target), x))
+        mid = 0.5 * (lower + upper)
+        wide = np.flatnonzero(upper - lower > max_rel_width * np.maximum(mid, 1e-12))
+        if wide.size:
+            i = wide[0]
+            raise ValueError(f"distance bracket too wide at {x[i]}: [{lower[i]}, {upper[i]}]")
+        return mid
 
     return ScalarField(ev, label="cc-dist")
 

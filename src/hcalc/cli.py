@@ -8,7 +8,6 @@ when every executed suite passed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import sys
 import time
@@ -32,29 +31,21 @@ def main():
 @click.option("--suite", "suite_names", multiple=True, help="Suite to run (repeatable); default: all registered.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--trials", type=int, default=None, help="Trial-count override for every suite.")
-@click.option("--jobs", type=int, default=None,
-              help="Concurrent suites; overrides --config and HCALC_JOBS (default there: 1).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="RunConfig JSON.")
 @click.option("--out", "out_path", type=click.Path(), default="hcalc_report.json", show_default=True)
-def verify(suite_names, seed, trials, jobs, config_path, out_path):
+def verify(suite_names, seed, trials, config_path, out_path):
     """Run verification suites and write the JSON report."""
     cfg = suites.RunConfig.load(config_path) if config_path else suites.RunConfig().with_env_overrides()
     if seed is not None:
         cfg.seed = seed
     if trials is not None:
         cfg.trials = trials
-    if jobs is not None:
-        cfg.jobs = jobs
     names = list(suite_names) if suite_names else sorted(suites.SUITES)
     for name in names:
         if name not in suites.SUITES:
             raise click.ClickException(f"unknown suite {name!r}; registered: {', '.join(sorted(suites.SUITES))}")
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda s: suites.run_suite(s, cfg), names))
-    else:
-        results = [suites.run_suite(s, cfg) for s in names]
+    results = [suites.run_suite(s, cfg) for s in names]
     report = suites.emit_report(results, out_path, config=cfg)
     for r in sorted(results, key=lambda r: r.suite):
         status = "pass" if r.passed else "FAIL"
@@ -129,12 +120,15 @@ def curve_gamma(y_text, out_path):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def curve_modify(x_text, u_text, e_text, r, delta, eta, out_path):
     """Modify the horizontal line through x to pass through x * dil_r(u)."""
-    u = _parse_vector(u_text)
-    params = curves.ModifyLineParams(
-        x=_parse_vector(x_text), u=u, direction=_parse_vector(e_text),
-        r=r, delta=delta, eta=eta, cc_bound_of_u=float(metric.cc_upper_quick(u)),
-    )
-    path, zeta = curves.modify_line(params)
+    try:
+        u = _parse_vector(u_text)
+        params = curves.ModifyLineParams(
+            x=_parse_vector(x_text), u=u, direction=_parse_vector(e_text),
+            r=r, delta=delta, eta=eta, cc_bound_of_u=float(metric.cc_upper_quick(u)),
+        )
+        path, zeta = curves.modify_line(params)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     payload = json.dumps({"zeta": zeta, "path": path.to_json()}, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:

@@ -349,8 +349,9 @@ class ModifyLineParams:
             raise ValueError("need 0 < r < delta")
         if not (self.delta < delta_cap(self.eta)):
             raise ValueError(f"delta must be below {delta_cap(self.eta):.3g} = delta_cap(eta)")
-        if self.cc_bound_of_u > 1.0 + 1e-12:
-            raise ValueError("u must come with a certified distance bound <= 1")
+        # a NaN bound fails no comparison, so finiteness is checked first
+        if not np.isfinite(self.cc_bound_of_u) or self.cc_bound_of_u > 1.0 + 1e-12:
+            raise ValueError(f"u must come with a finite certified distance bound <= 1, got {self.cc_bound_of_u}")
 
     @property
     def s(self) -> float:

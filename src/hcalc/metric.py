@@ -175,17 +175,20 @@ def _chain_area_coeff_scalar(theta: float, m: int) -> float:
     return (m * math.sin(2.0 * theta / m) - math.sin(2.0 * theta)) / (8.0 * s * s)
 
 
-def _solve_bulge_scalar(area_over_d2: float, m: int, iters: int = 90) -> float:
+_BULGE_STEPS = 90
+
+
+def _solve_bulge_scalar(area_over_d2: float, m: int) -> float:
     """Solve the inscribed chain's area coefficient = area_over_d2 on (0, pi) by bisection.
 
     Each step is a function of ``(lo, hi)`` alone, so once a step leaves
     them unchanged every later step does too, and stopping there returns
-    exactly the value after ``iters`` steps.  The interval closes on
+    exactly the value after ``_BULGE_STEPS`` steps.  The interval closes on
     adjacent doubles after about 53 steps for ratios near 1 and 85 steps at
-    1e-10; below about 1e-11 all ``iters`` steps run.
+    1e-10; below about 1e-11 all ``_BULGE_STEPS`` steps run.
     """
     lo, hi = 0.0, math.pi - 1e-12
-    for _ in range(iters):
+    for _ in range(_BULGE_STEPS):
         mid = 0.5 * (lo + hi)
         if _chain_area_coeff_scalar(mid, m) < area_over_d2:
             if mid == lo:
@@ -478,8 +481,10 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     legs = np.full(D.shape, np.inf)
     np.divide(c * c, D4, out=legs, where=D4 > 0.0)
     np.multiply(D, np.sqrt(1.0 + legs), out=legs, where=D > 0.0)
-    # the shorter of the two-leg route and the split route, kept in place
-    np.minimum(legs, D + np.sqrt(math.pi * c), out=legs)
+    # the shorter of the two-leg route and the split route, kept in place;
+    # where D^4 and c^2 both overflow the two-leg route is inf / inf = NaN
+    # and fmin takes the split route
+    np.fmin(legs, D + np.sqrt(math.pi * c), out=legs)
     return np.where(c == 0.0, D, legs)
 
 
@@ -506,14 +511,12 @@ def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:
     return ConstantsEstimate(c_holder=c_fit, region=region.describe(), samples=samples)
 
 
-def angle_fit(
-    speed_bound: float,
-    trials: int,
-    seed: int,
-    n: int = 1,
-    t_span: float = 1.0,
-    grid: int = 33,
-) -> ConstantsEstimate:
+# the divergence fit samples each curve pair at _ANGLE_GRID times evenly over
+# [-1, 1], zero left out
+_ANGLE_GRID = 33
+
+
+def angle_fit(speed_bound: float, trials: int, seed: int, n: int = 1) -> ConstantsEstimate:
     """Fit the divergence constant for curves leaving a common point.
 
     Generates pairs (g, h) with g(0) = h(0), speeds <= speed_bound and
@@ -524,7 +527,7 @@ def angle_fit(
     if speed_bound < 1.0:
         raise ValueError("speed bound below 1 leaves no unit directions")
     rng = np.random.default_rng(seed)
-    ts = np.linspace(-t_span, t_span, grid)
+    ts = np.linspace(-1.0, 1.0, _ANGLE_GRID)
     ts = ts[ts != 0.0]
     rel, scales = [], []
     for _ in range(trials):

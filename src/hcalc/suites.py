@@ -5,7 +5,16 @@ counts and reports a :class:`SuiteResult`: trial count, failure count,
 the worst margin observed (positive means the checked inequality held
 with room to spare) and enough detail to plot.  All randomness flows from
 the suite seed through a single generator, so results are reproducible
-and independent of scheduling.
+and do not depend on which other suites run.
+
+A suite states its checks to one ledger, and :func:`run_suite` times the
+suite and turns the ledger into its result.  A check whose failure is
+exactly "margin < 0" is one :meth:`_Ledger.check` call: every entry of
+the margin below zero counts as one failure, and its smallest entry folds
+into the worst margin.  A check whose failure test is anything else
+records its two halves apart, :meth:`_Ledger.count` for the failures and
+:meth:`_Ledger.margin` for the margin.  A NaN margin entry neither fails
+nor moves the worst margin.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ class RunConfig:
     n_values: tuple = (1, 2)
     seed: int = 20250808
     trials: Optional[int] = None  # scales each suite's default trial count
-    jobs: int = 1
     uds_height: int = 8
     uds_depth: int = 12
     uds_max_lines: int = 96
@@ -50,14 +58,11 @@ class RunConfig:
     max_steps: int = 10
     mu: float = 0.5
     K: float = 8.0
-    out_dir: str = "."
 
     def __post_init__(self):
         self.n_values = tuple(int(v) for v in self.n_values)
         if not self.n_values or any(v < 1 for v in self.n_values):
             raise ValueError("n_values must be positive dimensions")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def to_json(self) -> dict:
         data = dataclasses.asdict(self)
@@ -85,21 +90,14 @@ class RunConfig:
 
     def with_env_overrides(self) -> "RunConfig":
         data = self.to_json()
-        casts = {f.name: f.type for f in dataclasses.fields(self)}
-        for name in casts:
+        for name, value in list(data.items()):
             env = os.environ.get("HCALC_" + name.upper())
             if env is None:
                 continue
             if name == "n_values":
                 data[name] = [int(v) for v in env.split(",")]
-            elif name == "trials":
-                data[name] = int(env)
-            elif isinstance(data[name], int) or data[name] is None:
-                data[name] = int(env)
-            elif isinstance(data[name], float):
-                data[name] = float(env)
             else:
-                data[name] = env
+                data[name] = float(env) if isinstance(value, float) else int(env)
         return RunConfig.from_json(data)
 
     def count(self, default: int) -> int:
@@ -137,26 +135,42 @@ class SuiteResult:
         return data
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+class _Ledger:
+    """Failure count and worst margin of one suite run (rule in the module docstring).
 
+    A lone float (numpy's float64 is one) skips numpy: most checks are
+    scalars made once per trial.
+    """
 
-def _margin_update(worst: float, margin: float) -> float:
-    return min(worst, float(margin))
+    def __init__(self):
+        self.failures = 0
+        self.worst = math.inf
+
+    def check(self, margin) -> None:
+        """One failure per entry below zero; the smallest entry is a margin."""
+        scalar = isinstance(margin, float)
+        self.count(margin < 0.0 if scalar else np.count_nonzero(np.less(margin, 0.0)))
+        self.margin(margin)
+
+    def count(self, failures) -> None:
+        self.failures += int(failures)
+
+    def margin(self, margin) -> None:
+        if not isinstance(margin, float):
+            margin = np.fmin.reduce(np.ravel(margin), initial=math.inf)  # passes over NaN entries
+        if margin < self.worst:  # False for NaN
+            self.worst = float(margin)
 
 
 # ---------------------------------------------------------------------------
 # group arithmetic
 
 
-def suite_group(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_group(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Group axioms, dilations, gauge invariance and the line-translation identity."""
-    t0 = time.perf_counter()
     trials = cfg.count(10_000)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     tol = 1e-10
-    failures = 0
-    worst = math.inf
     for n in cfg.n_values:
         m = trials // len(cfg.n_values)
         x = group.random_points(rng, m, n, scale=2.0)
@@ -189,21 +203,17 @@ def suite_group(cfg: RunConfig, seed: int) -> SuiteResult:
             hom = np.abs(Li(group.dilate(r[:50], x[:50])) - r[:50] * Li(x[:50])) / scale[:50]
             checks.extend([add, hom])
         for c in checks:
-            failures += int(np.sum(c > tol))
-            worst = _margin_update(worst, tol - float(np.max(c)))
-    return SuiteResult("group", trials, failures, worst, seed, time.perf_counter() - t0, {"tol": tol})
+            ledger.check(tol - c)
+    return trials, {"tol": tol}
 
 
 # ---------------------------------------------------------------------------
 # lifting
 
 
-def suite_lift(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_lift(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Horizontality of constructed paths and closed-form lift exactness."""
-    t0 = time.perf_counter()
-    rng = _rng(seed)
-    failures = 0
-    worst = math.inf
+    rng = np.random.default_rng(seed)
     details = {}
     # finite-difference residual of the lift identity on random polylines
     samples = cfg.count(1000)
@@ -226,43 +236,36 @@ def suite_lift(cfg: RunConfig, seed: int) -> SuiteResult:
             sc = 1.0 + np.max(np.abs(mid), axis=1) ** 2
             res = np.abs(fd - expected) / sc
             res_max = max(res_max, float(np.max(res)))
-            failures += int(np.sum(res > tol_fd))
-    worst = _margin_update(worst, tol_fd - res_max)
+            ledger.check(tol_fd - res)
     details["fd_residual_max"] = res_max
     # straight segment lifts flat
     seg = curves.lift_planar(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(3))
     flat = abs(float(seg.end()[-1]))
-    failures += int(flat > 1e-12)
-    worst = _margin_update(worst, 1e-12 - flat)
+    ledger.check(1e-12 - flat)
     # unit circle at 10^4 segments closes on -4*pi
     m = 10_000
     th = np.linspace(0.0, 2.0 * math.pi, m + 1)
     circle = np.stack([np.cos(th), np.sin(th)], axis=1)
     lifted = curves.lift_planar(circle, np.array([1.0, 0.0, 0.0]))
     err = abs(float(lifted.end()[-1]) + 4.0 * math.pi)
-    failures += int(err > 1e-6)
-    worst = _margin_update(worst, 1e-6 - err)
+    ledger.check(1e-6 - err)
     details["circle_error"] = err
     # duplicated vertex keeps the endpoint at the base
     still = curves.lift_planar(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5, 0.25]))
     drift = float(np.max(np.abs(still.end() - np.array([0.5, 0.5, 0.25]))))
-    failures += int(drift > 1e-12)
-    worst = _margin_update(worst, 1e-12 - drift)
-    return SuiteResult("lift", samples, failures, worst, seed, time.perf_counter() - t0, details)
+    ledger.check(1e-12 - drift)
+    return samples, details
 
 
 # ---------------------------------------------------------------------------
 # distances along horizontal lines
 
 
-def suite_horizontaldistances(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_horizontaldistances(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Distance brackets collapse to |t| omega(E) along horizontal lines."""
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     trials = cfg.count(1000)
     tol = 1e-9
-    failures = 0
-    worst = math.inf
     for n in cfg.n_values:
         for _ in range(trials // len(cfg.n_values)):
             x = 2.0 * rng.standard_normal(2 * n + 1)
@@ -273,22 +276,18 @@ def suite_horizontaldistances(cfg: RunConfig, seed: int) -> SuiteResult:
             b = metric.cc_bounds(x, y)
             target = abs(t) * w
             err = max(abs(b.lower - target), abs(b.upper - target))
-            failures += int(err > tol)
-            worst = _margin_update(worst, tol - err)
-    return SuiteResult("horizontaldistances", trials, failures, worst, seed, time.perf_counter() - t0, {"tol": tol})
+            ledger.check(tol - err)
+    return trials, {"tol": tol}
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz constants of horizontal curves
 
 
-def suite_lipschitzhorizontal(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_lipschitzhorizontal(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Curve speed equals projected speed: brackets below, attained on segments."""
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     trials = cfg.count(200)
-    failures = 0
-    worst = math.inf
     for n in cfg.n_values:
         for _ in range(trials // len(cfg.n_values)):
             k = int(rng.integers(3, 8))
@@ -303,9 +302,7 @@ def suite_lipschitzhorizontal(cfg: RunConfig, seed: int) -> SuiteResult:
                 if gap <= 1e-12:
                     continue
                 lo = metric.cc_lower(pts[i], pts[i + 1])
-                margin = lip * gap * (1.0 + 1e-9) + 1e-12 - lo
-                failures += int(margin < 0)
-                worst = _margin_update(worst, margin)
+                ledger.check(lip * gap * (1.0 + 1e-9) + 1e-12 - lo)
             # the max-speed segment attains the constant
             speeds = path.segment_speeds()
             j = int(np.argmax(speeds))
@@ -313,36 +310,30 @@ def suite_lipschitzhorizontal(cfg: RunConfig, seed: int) -> SuiteResult:
             tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
             b = metric.cc_bounds(path.eval(ta), path.eval(tb))
             attain = b.lower / (tb - ta)
-            margin = attain - lip * (1.0 - 1e-9)
-            failures += int(margin < 0)
-            worst = _margin_update(worst, margin)
+            ledger.check(attain - lip * (1.0 - 1e-9))
             # left translation preserves length and speed
             g = 2.0 * rng.standard_normal(2 * n + 1)
             moved = path.left_translate(g)
             dlen = abs(curves.horizontal_length(moved) - curves.horizontal_length(path))
             dlip = abs(curves.lipschitz_constant(moved) - lip)
             err = max(dlen, dlip) / (1.0 + lip)
-            failures += int(err > 1e-12)
-            worst = _margin_update(worst, 1e-12 - err)
-    return SuiteResult("lipschitzhorizontal", trials, failures, worst, seed, time.perf_counter() - t0, {})
+            ledger.check(1e-12 - err)
+    return trials, {}
 
 
 # ---------------------------------------------------------------------------
 # derivative independence of the realizing curve
 
 
-def suite_welldefined(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_welldefined(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Composed derivatives agree for curves sharing a point and derivative.
 
     Pairs a straight line with a detour that splits off just inside the
     comparison window: coarse difference quotients disagree, the
     extrapolated derivatives agree.
     """
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     trials = cfg.count(120)
-    failures = 0
-    worst = math.inf
     coarse_gap_max = 0.0
     for n in cfg.n_values:
         for _ in range(trials // len(cfg.n_values)):
@@ -366,30 +357,24 @@ def suite_welldefined(cfg: RunConfig, seed: int) -> SuiteResult:
             at = -(params.s + float(rng.uniform(0.002, 0.01)))
             fld = calculus.koranyi_gauge_field(x + np.concatenate([np.ones(2 * n), [0.5]]))
             rep = calculus.curve_directional_consistency(fld, line, detour, at=at)
-            failures += int(not rep["consistent"])
-            worst = _margin_update(worst, rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
+            ledger.count(not rep["consistent"])
+            ledger.margin(rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
             coarse = abs(float(fld(line.eval(at + 0.015))) - float(fld(detour.eval(at + 0.015))))
             coarse_gap_max = max(coarse_gap_max, coarse)
             # same germ, affinely shifted domain
             shifted = curves.HorizontalPath(line.knots + 0.0, line.planar, line.c0)
             rep2 = calculus.curve_directional_consistency(fld, line, shifted, at=at)
-            failures += int(not rep2["consistent"] or rep2["gap"] > 1e-12)
-    return SuiteResult(
-        "welldefined", trials, failures, worst, seed, time.perf_counter() - t0,
-        {"max_coarse_disagreement": coarse_gap_max},
-    )
+            ledger.count(not rep2["consistent"] or rep2["gap"] > 1e-12)
+    return trials, {"max_coarse_disagreement": coarse_gap_max}
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz constant equals the directional-derivative supremum
 
 
-def suite_lipismaximal(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+def suite_lipismaximal(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
+    rng = np.random.default_rng(seed)
     trials = cfg.count(10_000)
-    failures = 0
-    worst = math.inf
     details = {}
     n = cfg.n_values[0]
     ball = metric.Ball(np.zeros(2 * n + 1), 1.5)
@@ -399,8 +384,8 @@ def suite_lipismaximal(cfg: RunConfig, seed: int) -> SuiteResult:
     rep = calculus.lipschitz_estimate(f_lin, ball, trials, max(200, trials // 20), seed=seed + 1)
     for key, lo, hi in (("pair_sup", 0.95, 1.0 + 1e-9), ("dir_sup", 0.99, 1.0 + 1e-6)):
         v = rep[key]
-        failures += int(not (lo <= v <= hi))
-        worst = _margin_update(worst, min(v - lo, hi - v))
+        ledger.count(not (lo <= v <= hi))
+        ledger.margin(min(v - lo, hi - v))
     details["hlinear"] = rep
     # declared bounds are never exceeded by sampled directional derivatives
     lattice = calculus.lattice_max(
@@ -409,35 +394,30 @@ def suite_lipismaximal(cfg: RunConfig, seed: int) -> SuiteResult:
     )
     rep2 = calculus.lipschitz_estimate(lattice, ball, trials // 2, 200, seed=seed + 2)
     cap = lattice.declared_lip * (1.0 + 1e-6)
-    failures += int(rep2["dir_sup"] > cap)
-    worst = _margin_update(worst, cap - rep2["dir_sup"])
+    ledger.check(cap - rep2["dir_sup"])
     details["lattice"] = rep2
     # gauge distance away from its singular point: the two estimators agree
     off = np.zeros(2 * n + 1)
     off[0] = 3.0
     rep3 = calculus.lipschitz_estimate(calculus.koranyi_gauge_field(), metric.Ball(off, 1.0), trials, max(200, trials // 20), seed=seed + 3)
     spread = abs(rep3["dir_sup"] - rep3["pair_sup"]) / max(rep3["pair_sup"], 1e-12)
-    failures += int(spread > 0.05)
-    worst = _margin_update(worst, 0.05 - spread)
+    ledger.check(0.05 - spread)
     details["gauge"] = rep3
     # constant field
     f_const = calculus.ScalarField(lambda x: np.full(np.asarray(x).shape[:-1], 2.5), declared_lip=0.0)
     rep4 = calculus.lipschitz_estimate(f_const, ball, 200, 100, seed=seed + 4)
-    failures += int(rep4["pair_sup"] > 1e-12 or rep4["dir_sup"] > 1e-12)
-    return SuiteResult("lipismaximal", trials, failures, worst, seed, time.perf_counter() - t0, details)
+    ledger.count(rep4["pair_sup"] > 1e-12 or rep4["dir_sup"] > 1e-12)
+    return trials, details
 
 
 # ---------------------------------------------------------------------------
 # the two-leg connecting curve
 
 
-def suite_goodcurve(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_goodcurve(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Endpoint exactness, speed bound and derivative-deviation bound."""
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     trials = cfg.count(10_000)
-    failures = 0
-    worst = math.inf
     knots = curves._GAMMA_KNOTS
     for n in cfg.n_values:
         ys = np.empty((trials // len(cfg.n_values), 2 * n + 1))
@@ -460,20 +440,18 @@ def suite_goodcurve(cfg: RunConfig, seed: int) -> SuiteResult:
             scale[i] = 1.0 + max(abs(ci), Li) ** 2 / Li**2 + float(top[i])
             lip_bound[i] = Li * math.sqrt(1.0 + ci * ci / Li**4 + 4.0 * ci * ci / Li**2)
         end_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[-1]) - ys), axis=1) / scale
-        failures += int(np.count_nonzero(end_err > 1e-12))
+        ledger.check(1e-12 - end_err)
         start_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[0])), axis=1)
-        failures += int(np.count_nonzero(start_err > 1e-12 * scale))
+        ledger.count(np.count_nonzero(start_err > 1e-12 * scale))
         lip = np.max(curves._segment_speeds(knots, rows), axis=1)
-        failures += int(np.count_nonzero(lip > lip_bound * (1.0 + 1e-12)))
-        margins = [1e-12 - end_err, (lip_bound - lip) / lip_bound]
+        ledger.count(np.count_nonzero(lip > lip_bound * (1.0 + 1e-12)))
+        ledger.margin((lip_bound - lip) / lip_bound)
         dev_slack = np.abs(c) / L * np.sqrt(1.0 + 4.0 * L * L) * (1.0 + 1e-9) + 1e-12 * scale
         flat = np.concatenate([ys[:, :-1], np.zeros((len(ys), 1))], axis=1)
         for tq in (0.25, 0.75):
             d = curves._difference_quotient(knots, vertices, tq) - flat
             dev = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row
-            failures += int(np.count_nonzero(dev > dev_slack))
-            margins.append(dev_slack - dev)
-        worst = _margin_update(worst, np.min(np.concatenate(margins), initial=math.inf))
+            ledger.check(dev_slack - dev)
     # frozen single-point checks
     path = curves.gamma_y(np.array([1.0, 0.0, 1.0]))
     checks = [
@@ -484,30 +462,27 @@ def suite_goodcurve(cfg: RunConfig, seed: int) -> SuiteResult:
         abs(curves.horizontal_length(path) - math.sqrt(2.0)) < 1e-12,
         np.linalg.norm(path.derivative(0.75)[0] - np.array([1.0, 0.0, 0.0])) <= math.sqrt(5.0) + 1e-12,
     ]
-    failures += sum(not c for c in checks)
+    ledger.count(sum(not c for c in checks))
     # c = 0 collapses to the straight chord
     straight = curves.gamma_y(np.array([2.0, 0.0, 0.0]))
-    failures += int(abs(curves.lipschitz_constant(straight) - 2.0) > 1e-12)
-    return SuiteResult("goodcurve", trials, failures, worst, seed, time.perf_counter() - t0, {})
+    ledger.count(abs(curves.lipschitz_constant(straight) - 2.0) > 1e-12)
+    return trials, {}
 
 
 # ---------------------------------------------------------------------------
 # comparison with the Euclidean distance
 
 
-def suite_holder(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_holder(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """Two-sided Euclidean comparison on a ball, and the square-root exponent."""
-    t0 = time.perf_counter()
     trials = cfg.count(10_000)
-    failures = 0
-    worst = math.inf
     n = cfg.n_values[0]
     ball = metric.Ball(np.zeros(2 * n + 1), 2.0)
     est = metric.holder_fit(ball, trials, seed)
     c_h = est.c_holder
-    failures += int(not math.isfinite(c_h) or c_h < 1.0)
+    ledger.count(not math.isfinite(c_h) or c_h < 1.0)
     # verify both inequalities on a fresh draw with the fitted constant
-    rng = _rng(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     xs, ys = ball.sample(rng, 2000), ball.sample(rng, 2000)
     eu = np.linalg.norm(xs - ys, axis=1)
     keep = eu > 0.0
@@ -515,8 +490,8 @@ def suite_holder(cfg: RunConfig, seed: int) -> SuiteResult:
     up = metric.cc_upper_value_batch(group.group_mul(group.group_inv(xs[keep]), ys[keep]))
     m1 = lo - eu[keep] / (c_h * 1.01)
     m2 = (c_h * 1.01) * np.sqrt(eu[keep]) - up
-    failures += int(np.sum(m1 < 0)) + int(np.sum(m2 < 0))
-    worst = _margin_update(worst, min(float(np.min(m1)), float(np.min(m2))))
+    ledger.check(m1)
+    ledger.check(m2)
     # vertical pairs pin the 1/2 exponent
     ratios = []
     for eps in np.logspace(-6, -1, 11):
@@ -525,32 +500,25 @@ def suite_holder(cfg: RunConfig, seed: int) -> SuiteResult:
         lo = metric.cc_lower(np.zeros(2 * n + 1), z)
         up, _ = metric.cc_upper(np.zeros(2 * n + 1), z)
         ratios.append((lo / math.sqrt(eps), up / math.sqrt(eps)))
-        failures += int(not (1.0 - 1e-9 <= ratios[-1][0] and ratios[-1][1] <= math.sqrt(math.pi) + 1e-4))
-        worst = _margin_update(worst, math.sqrt(math.pi) + 1e-4 - ratios[-1][1])
-    return SuiteResult(
-        "holder", trials, failures, worst, seed, time.perf_counter() - t0,
-        {"c_holder": c_h, "vertical_ratio_range": [min(r[0] for r in ratios), max(r[1] for r in ratios)]},
-    )
+        ledger.count(not (1.0 - 1e-9 <= ratios[-1][0] and ratios[-1][1] <= math.sqrt(math.pi) + 1e-4))
+        ledger.margin(math.sqrt(math.pi) + 1e-4 - ratios[-1][1])
+    return trials, {"c_holder": c_h, "vertical_ratio_range": [min(r[0] for r in ratios), max(r[1] for r in ratios)]}
 
 
 # ---------------------------------------------------------------------------
 # first-order behavior of the distance at horizontal points
 
 
-def suite_differentiabilityofdistance(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+def suite_differentiabilityofdistance(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
+    rng = np.random.default_rng(seed)
     trials = cfg.count(1000)
     tol = 1e-9
-    failures = 0
-    worst = math.inf
     n = 1
     u_dir = np.zeros(2 * n)
     u_dir[0] = 1.0
     zs = calculus.sample_unit_ball(rng, n, trials) * 0.5
     report = metric.distance_pansu_check(u_dir, zs, tol=tol)
-    failures += int(np.sum(report.inequality_margins < -tol))
-    worst = _margin_update(worst, float(np.min(report.inequality_margins)) + tol)
+    ledger.check(report.inequality_margins + tol)
     # residual decays through the scales
     scales = (1e-1, 1e-2, 1e-3, 1e-4)
     sups = []
@@ -560,34 +528,27 @@ def suite_differentiabilityofdistance(cfg: RunConfig, seed: int) -> SuiteResult:
         rep = metric.distance_pansu_check(u_dir, zso, tol=tol)
         sups.append(float(np.max(rep.residuals)))
     mono = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
-    failures += int(not mono)
-    failures += int(sups[-1] > 1e-2)
-    worst = _margin_update(worst, 1e-2 - sups[-1])
+    ledger.count(not mono)
+    ledger.check(1e-2 - sups[-1])
     # along the line itself the inequality is tight
     t_small = 0.01
     z_line = t_small * group.horizontal_point(u_dir)
     rep_line = metric.distance_pansu_check(u_dir, z_line[None, :], tol=tol)
-    failures += int(abs(float(rep_line.inequality_margins[0])) > 1e-9)
-    return SuiteResult(
-        "differentiabilityofdistance", trials, failures, worst, seed, time.perf_counter() - t0,
-        {"residual_sups": dict(zip((str(s) for s in scales), sups))},
-    )
+    ledger.count(abs(float(rep_line.inequality_margins[0])) > 1e-9)
+    return trials, {"residual_sups": dict(zip((str(s) for s in scales), sups))}
 
 
 # ---------------------------------------------------------------------------
 # maximal directional derivative and the Pansu residual
 
 
-def suite_maximality(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_maximality(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """A field with a maximal derivative is differentiable there.
 
     Checks residual decay for the homomorphism plus a second-order
     perturbation, exactness for plain homomorphisms, and the quadratic
     height example.
     """
-    t0 = time.perf_counter()
-    failures = 0
-    worst = math.inf
     n = cfg.n_values[0]
     e = np.zeros(2 * n)
     e[0] = 1.0
@@ -599,43 +560,36 @@ def suite_maximality(cfg: RunConfig, seed: int) -> SuiteResult:
 
     f = calculus.ScalarField(perturbed, label="hlinear+quadratic")
     rep = calculus.pansu_residual(f, np.zeros(2 * n + 1), L, radii=(1e-1, 1e-2, 1e-3, 1e-4), dir_samples=256, seed=seed, tol=1e-3)
-    failures += int(not rep.accepted)
-    worst = _margin_update(worst, 1e-3 - float(rep.residuals[-1]))
+    ledger.count(not rep.accepted)
+    ledger.margin(1e-3 - float(rep.residuals[-1]))
     mono = bool(np.all(np.diff(rep.residuals) < 0))
-    failures += int(not mono)
+    ledger.count(not mono)
     # homomorphisms are their own derivative everywhere, residual ~ 0
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(5):
         x0 = rng.standard_normal(2 * n + 1)
         rep0 = calculus.pansu_residual(calculus.hlinear_field(L), x0, L, dir_samples=128, seed=seed + 1, tol=1e-10)
-        failures += int(float(np.max(rep0.residuals)) > 1e-10)
-        worst = _margin_update(worst, 1e-10 - float(np.max(rep0.residuals)))
+        ledger.check(1e-10 - float(np.max(rep0.residuals)))
     # quadratic height at the origin: residual at radius t scales like t
     rep_v = calculus.pansu_residual(
         calculus.vertical_coordinate_field(), np.zeros(2 * n + 1),
         group.HLinearMap.from_coeffs(np.zeros(2 * n)), dir_samples=128, seed=seed + 2, tol=1e-3,
     )
     ratio = rep_v.residuals[:-1] / rep_v.residuals[1:]
-    failures += int(not np.all(np.abs(ratio - 10.0) < 1.0))
-    return SuiteResult(
-        "maximality", 4, failures, worst, seed, time.perf_counter() - t0,
-        {"radii": rep.radii.tolist(), "residuals": rep.residuals.tolist()},
-    )
+    ledger.count(not np.all(np.abs(ratio - 10.0) < 1.0))
+    return 4, {"radii": rep.radii.tolist(), "residuals": rep.residuals.tolist()}
 
 
 # ---------------------------------------------------------------------------
 # line modification
 
 
-def suite_newcurveg(cfg: RunConfig, seed: int) -> SuiteResult:
+def suite_newcurveg(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """All posts of the line modification plus the cover membership clause."""
-    t0 = time.perf_counter()
     trials = cfg.count(1000)
-    failures = 0
-    worst = math.inf
     c_m_per_seed = []
     for rep_i in range(3):
-        rng = _rng(seed + rep_i)
+        rng = np.random.default_rng(seed + rep_i)
         c_m = 1.0
         for _ in range(trials // 3):
             n = int(rng.choice(cfg.n_values))
@@ -656,28 +610,24 @@ def suite_newcurveg(cfg: RunConfig, seed: int) -> SuiteResult:
             # (1) straight tails
             for tt in (-1.5 * s, 1.5 * s, -s, s):
                 err = float(np.max(np.abs(path.eval(tt) - group.group_mul(x, group.horizontal_point(tt * e)))))
-                failures += int(err > 1e-9 * scale)
-                worst = _margin_update(worst, 1e-9 * scale - err)
+                ledger.check(1e-9 * scale - err)
             # (2) the detour target
             target = group.group_mul(x, group.dilate(r, u))
             err = float(np.max(np.abs(path.eval(zeta) - target)))
-            failures += int(err > 1e-9 * scale)
-            worst = _margin_update(worst, 1e-9 * scale - err)
+            ledger.check(1e-9 * scale - err)
             # (3) speed bound
             lip = curves.lipschitz_constant(path)
-            failures += int(lip > 1.0 + eta * delta)
-            worst = _margin_update(worst, 1.0 + eta * delta - lip)
+            ledger.check(1.0 + eta * delta - lip)
             # (4) projected derivative deviation, recording the constant
             vels = np.diff(path.planar, axis=0) / np.diff(path.knots)[:, None]
             dev = float(np.max(np.linalg.norm(vels - e, axis=1)))
-            failures += int(dev > 184.0 * delta)
+            ledger.count(dev > 184.0 * delta)
             c_m = max(c_m, dev / delta)
         c_m_per_seed.append(c_m)
     spread = (max(c_m_per_seed) - min(c_m_per_seed)) / max(c_m_per_seed)
-    failures += int(spread > 0.10)
-    worst = _margin_update(worst, 0.10 - spread)
+    ledger.check(0.10 - spread)
     # rational data: the modified line lives on enumerated lines at all levels
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(3):
         params = curves.ModifyLineParams(
             x=np.array([1.0, *([0.0] * 1), 0.5]),
@@ -690,13 +640,13 @@ def suite_newcurveg(cfg: RunConfig, seed: int) -> SuiteResult:
         path, _ = curves.modify_line(params, rational=True)
         cover = uds.Cover.build(n=1, height=2, depth=12, max_lines=48, extra_lines=uds.lines_of_path(path))
         ok = cover.curve_in_cover(path, cover.depth)
-        failures += int(not ok)
+        ledger.count(not ok)
     # open question probe: how far past the proven cap does the speed
     # post keep holding empirically?  Informational only, never relied on.
     eta_probe = 0.5
     cap = curves.delta_cap(eta_probe)
     largest_factor = 0.0
-    rng = _rng(seed + 7)
+    rng = np.random.default_rng(seed + 7)
     for factor in (1.0, 4.0, 16.0, 64.0, 256.0):
         held = True
         for _ in range(40):
@@ -712,35 +662,28 @@ def suite_newcurveg(cfg: RunConfig, seed: int) -> SuiteResult:
         if not held:
             break
         largest_factor = factor
-    return SuiteResult(
-        "newcurveg", trials, failures, worst, seed, time.perf_counter() - t0,
-        {
-            "c_modify_per_seed": c_m_per_seed,
-            "c_modify": max(c_m_per_seed),
-            "speed_post_holds_to_cap_factor": largest_factor,
-        },
-    )
+    return trials, {
+        "c_modify_per_seed": c_m_per_seed,
+        "c_modify": max(c_m_per_seed),
+        "speed_post_holds_to_cap_factor": largest_factor,
+    }
 
 
 # ---------------------------------------------------------------------------
 # divergence of curves with close directions
 
 
-def suite_closedirection(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_closedirection(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     trials = cfg.count(1000)
-    failures = 0
-    worst = math.inf
     fits = []
     for rep_i in range(3):
         est = metric.angle_fit(2.0, trials // 3, seed + rep_i, n=cfg.n_values[0])
         fits.append(est.c_angle)
     c_a = max(fits)
     spread = (max(fits) - min(fits)) / max(fits)
-    failures += int(spread > 0.10)
-    worst = _margin_update(worst, 0.10 - spread)
+    ledger.check(0.10 - spread)
     # validation: polyline pairs with controlled derivative offset
-    rng = _rng(seed + 99)
+    rng = np.random.default_rng(seed + 99)
     n = cfg.n_values[0]
     amps, times, rel = [], [], []
     for _ in range(100):
@@ -761,24 +704,18 @@ def suite_closedirection(cfg: RunConfig, seed: int) -> SuiteResult:
         rel.append(group.group_mul(group.group_inv(g.eval(tts)), h.eval(tts)))
     ups = metric.cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), -1)
     margins = (c_a * np.sqrt(amps))[:, None] * np.stack(times) - ups
-    failures += int(np.sum(margins < -1e-9))
-    worst = _margin_update(worst, float(np.min(margins)))
-    return SuiteResult(
-        "closedirection", trials, failures, worst, seed, time.perf_counter() - t0,
-        {"c_angle_per_seed": fits, "c_angle": c_a},
-    )
+    ledger.count(np.count_nonzero(margins < -1e-9))
+    ledger.margin(margins)
+    return trials, {"c_angle_per_seed": fits, "c_angle": c_a}
 
 
 # ---------------------------------------------------------------------------
 # the scalar homomorphisms
 
 
-def suite_scalarlip(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+def suite_scalarlip(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
+    rng = np.random.default_rng(seed)
     trials = cfg.count(1000)
-    failures = 0
-    worst = math.inf
     for n in cfg.n_values:
         m = trials // (2 * len(cfg.n_values))
         e = group.random_directions(rng, 1, n)[0]
@@ -787,19 +724,16 @@ def suite_scalarlip(cfg: RunConfig, seed: int) -> SuiteResult:
         y = group.random_points(rng, m, n, scale=2.0)
         scale = 1.0 + np.max(np.abs(np.concatenate([x, y], axis=0)))
         add = np.max(np.abs(L(group.group_mul(x, y)) - L(x) - L(y))) / scale
-        failures += int(add > 1e-12)
-        worst = _margin_update(worst, 1e-12 - add)
+        ledger.check(1e-12 - add)
         r = rng.uniform(0.1, 4.0, m)
         hom = np.max(np.abs(L(group.dilate(r, x)) - r * L(x))) / scale
-        failures += int(hom > 1e-12)
-        worst = _margin_update(worst, 1e-12 - hom)
+        ledger.check(1e-12 - hom)
         # unit speed along the defining direction, never above one
         quot = np.abs(L(x) - L(y)) / np.maximum(metric.cc_upper_quick(group.group_mul(group.group_inv(x), y)), 1e-12)
-        failures += int(np.max(quot) > 1.0 + 1e-9)
-        worst = _margin_update(worst, 1.0 + 1e-9 - float(np.max(quot)))
+        ledger.check(1.0 + 1e-9 - float(np.max(quot)))
         b = metric.cc_bounds(np.zeros(2 * n + 1), group.horizontal_point(e))
         attain = (L(group.horizontal_point(e)) - L(np.zeros(2 * n + 1))) / b.upper
-        failures += int(abs(attain - 1.0) > 1e-9)
+        ledger.count(abs(attain - 1.0) > 1e-9)
         # directional derivatives equal the frame inner product
         f_l = calculus.hlinear_field(L)
         for _ in range(20):
@@ -807,9 +741,8 @@ def suite_scalarlip(cfg: RunConfig, seed: int) -> SuiteResult:
             e2 = group.random_directions(rng, 1, n)[0]
             est = calculus.directional_derivative(f_l, x0, e2)
             err = abs(est.value - float(e2 @ e))
-            failures += int(err > 1e-10)
-            worst = _margin_update(worst, 1e-10 - err)
-    return SuiteResult("scalarlip", trials, failures, worst, seed, time.perf_counter() - t0, {})
+            ledger.check(1e-10 - err)
+    return trials, {}
 
 
 # ---------------------------------------------------------------------------
@@ -859,32 +792,27 @@ def _mean_value_verify(inst: calculus.MeanValueInstance, tau: float) -> bool:
     return not np.any(lhs > slope * np.abs(t) + 1e-9)
 
 
-def suite_meanvalue(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
+def suite_meanvalue(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
+    rng = np.random.default_rng(seed)
     trials = cfg.count(100)
-    failures = 0
-    worst = math.inf
     for _ in range(trials):
         inst = _mean_value_instance(rng)
         try:
             tau = calculus.mean_value_search(inst)
         except (calculus.MeanValueHypothesisError, calculus.MeanValueSearchError):
-            failures += 1
+            ledger.count(1)
             continue
-        ok = _mean_value_verify(inst, tau)
-        failures += int(not ok)
-        worst = _margin_update(worst, 1.0 if ok else -1.0)
+        ledger.check(1.0 if _mean_value_verify(inst, tau) else -1.0)
     # named hypothesis failures
     inst = _mean_value_instance(rng)
     try:
         calculus.mean_value_search(dataclasses.replace(inst, phi=inst.psi.copy()))
-        failures += 1
+        ledger.count(1)
     except calculus.MeanValueHypothesisError:
         pass
     try:
         calculus.mean_value_search(dataclasses.replace(inst, v=0.2))
-        failures += 1
+        ledger.count(1)
     except calculus.MeanValueHypothesisError:
         pass
     # exclusion set: force the choice into the middle third of the edge where
@@ -900,22 +828,19 @@ def suite_meanvalue(cfg: RunConfig, seed: int) -> SuiteResult:
     window = set(range(len(inst.grid))) - set(range(lo_edge + width // 3, lo_edge + 2 * width // 3))
     try:
         tau = calculus.mean_value_search(inst, exclude=window)
-        failures += int(not _mean_value_verify(inst, tau))
-        failures += int(inst.index_of(tau) in window)
+        ledger.count(not _mean_value_verify(inst, tau))
+        ledger.count(inst.index_of(tau) in window)
     except calculus.MeanValueSearchError:
-        failures += 1
-    return SuiteResult("meanvalue", trials, failures, worst, seed, time.perf_counter() - t0, {})
+        ledger.count(1)
+    return trials, {}
 
 
 # ---------------------------------------------------------------------------
 # tube covers
 
 
-def suite_uds(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
-    failures = 0
-    worst = math.inf
+def suite_uds(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
+    rng = np.random.default_rng(seed)
     details = {}
     cover = uds.Cover.build(
         n=1, height=cfg.uds_height, depth=cfg.uds_depth,
@@ -923,11 +848,9 @@ def suite_uds(cfg: RunConfig, seed: int) -> SuiteResult:
     )
     # analytic volume bounds hold by construction at every level
     for k, c in enumerate(cover.radii_constants, start=1):
-        margin = 2.0**-k - cover.volume_bound(c)
-        failures += int(margin < 0)
-        worst = _margin_update(worst, margin)
+        ledger.check(2.0**-k - cover.volume_bound(c))
     rc = np.asarray(cover.radii_constants)
-    failures += int(np.any(np.diff(rc) > 0))
+    ledger.count(np.any(np.diff(rc) > 0))
     # nesting over random and near-line points
     n_query = cfg.count(10_000)
     half = n_query // 2
@@ -944,7 +867,7 @@ def suite_uds(cfg: RunConfig, seed: int) -> SuiteResult:
     for k in range(1, cover.depth + 1):
         members = members & np.any(d <= cover.radii(k)[None, :], axis=1)
         count = int(np.sum(members))
-        failures += int(count > prev_count)
+        ledger.count(count > prev_count)
         per_level.append(count)
         prev_count = count
     details["members_per_level"] = per_level
@@ -952,42 +875,36 @@ def suite_uds(cfg: RunConfig, seed: int) -> SuiteResult:
     level = min(6, cover.depth)
     est, (ci_lo, ci_hi) = cover.cover_measure_mc(level, uds.Box.cube(2.0, 1), cfg.mc_samples, seed)
     bound = 2.0**-level
-    failures += int(ci_lo > bound)
-    worst = _margin_update(worst, bound - ci_lo)
+    ledger.check(bound - ci_lo)
     details["mc"] = {"level": level, "estimate": est, "ci": [ci_lo, ci_hi], "bound": bound}
     # exact incidence keeps rational on-line points inside at all depths
     line = cover.lines[0]
     pt = line.point_at(Fraction(1, 7))
-    failures += int(not cover.contains(pt, cover.depth))
+    ledger.count(not cover.contains(pt, cover.depth))
     # distant points are excluded
     far = np.array([0.47, 1.93, 8.21])
-    failures += int(cover.contains(far, min(4, cover.depth)))
+    ledger.count(cover.contains(far, min(4, cover.depth)))
     # enumeration contains the first axis line and is height-monotone
     first = list(l for _, l in zip(range(80), uds.enumerate_lines(1, 1)))
     has_axis = any(l.direction == (1, 0) and all(v == 0 for v in l.base) for l in first)
-    failures += int(not has_axis)
+    ledger.count(not has_axis)
     # direction rationalization: exact unit, within tolerance
     for _ in range(20):
         e = group.random_directions(rng, 1, 1)[0]
         exact = uds.rationalize_direction(e, 1e-4)
-        failures += int(sum(v * v for v in exact) != 1)
+        ledger.count(sum(v * v for v in exact) != 1)
         err = float(np.linalg.norm(np.array([float(v) for v in exact]) - e))
-        failures += int(err > 1e-4)
-        worst = _margin_update(worst, 1e-4 - err)
-    failures += int(uds.stereographic_unit([Fraction(1, 2)]) != (Fraction(4, 5), Fraction(-3, 5)))
+        ledger.check(1e-4 - err)
+    ledger.count(uds.stereographic_unit([Fraction(1, 2)]) != (Fraction(4, 5), Fraction(-3, 5)))
     details["manifest"] = cover.manifest()
-    return SuiteResult("uds", n_query, failures, worst, seed, time.perf_counter() - t0, details)
+    return n_query, details
 
 
 # ---------------------------------------------------------------------------
 # the comparison relation and the envelope check
 
 
-def suite_almostmax(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = _rng(seed)
-    failures = 0
-    worst = math.inf
+def suite_almostmax(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     n = cfg.n_values[0]
     e1 = np.zeros(2 * n)
     e1[0] = 1.0
@@ -1002,35 +919,33 @@ def suite_almostmax(cfg: RunConfig, seed: int) -> SuiteResult:
         return calculus.compare_pairs(h, star, x, e, K=8.0, t_grid=grid, sigma=sigma, lip=lip).verdict[0]
 
     # envelope check (sigma = 0, lip = Lip(f)): reflexive acceptance
-    failures += int(verdict(f, (origin, e1), origin, e1, lip=f.declared_lip) is not True)
+    ledger.count(verdict(f, (origin, e1), origin, e1, lip=f.declared_lip) is not True)
     # competitor along the gradient at another point: equal derivative, accepted
-    failures += int(verdict(f, (origin, e1), along, e1, lip=f.declared_lip) is not True)
+    ledger.count(verdict(f, (origin, e1), along, e1, lip=f.declared_lip) is not True)
     # lower derivative: rejected
-    failures += int(verdict(f, (origin, e1), origin, e2, lip=f.declared_lip) is not False)
+    ledger.count(verdict(f, (origin, e1), origin, e2, lip=f.declared_lip) is not False)
     # the maximizer's comparison (lip = 1) on the same cases
-    failures += int(verdict(f, (origin, e1), origin, e1) is not True)
-    failures += int(verdict(f, (origin, e1), along, e1, sigma=0.1) is not True)
-    failures += int(verdict(f, (origin, e1), origin, e2) is not False)
+    ledger.count(verdict(f, (origin, e1), origin, e1) is not True)
+    ledger.count(verdict(f, (origin, e1), along, e1, sigma=0.1) is not True)
+    ledger.count(verdict(f, (origin, e1), origin, e2) is not False)
     # with generous slack the orthogonal-direction increments are admissible
-    failures += int(verdict(f, (origin, e2), origin, e1, sigma=1.0) is not True)
+    ledger.count(verdict(f, (origin, e2), origin, e1, sigma=1.0) is not True)
     # a constructed counterexample: equal derivatives, so the sigma=0 bound
     # is zero, but the kink between the base points separates the increments
     g = calculus.lattice_max(
         calculus.hlinear_field(group.HLinearMap(0.5, e1)),
         calculus.hlinear_field(group.HLinearMap(0.5, -e1)),
     )
-    failures += int(verdict(g, (group.horizontal_point(-e1), -e1), group.horizontal_point(e1), e1) is not False)
-    return SuiteResult("almostmax", 8, failures, worst if worst < math.inf else 1.0, seed, time.perf_counter() - t0, {})
+    ledger.count(verdict(g, (group.horizontal_point(-e1), -e1), group.horizontal_point(e1), e1) is not False)
+    ledger.margin(1.0)  # a placeholder: no check here computes a margin
+    return 8, {}
 
 
 # ---------------------------------------------------------------------------
 # the full iteration
 
 
-def suite_algorithm(cfg: RunConfig, seed: int) -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = 0
-    worst = math.inf
+def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     n = 1
     e1 = np.array([1.0, 0.0])
     cover = uds.Cover.build(n=n, height=2, depth=max(cfg.max_steps + 2, 12), max_lines=64)
@@ -1042,33 +957,29 @@ def suite_algorithm(cfg: RunConfig, seed: int) -> SuiteResult:
     start = maximizer.Pair.in_cover(np.zeros(2 * n + 1), e1, cover, config.uds_level)
     traj = maximizer.run(f0, start, config, cover)
     report = maximizer.verify_trajectory(traj)
-    failures += len(report["violations"])
+    ledger.count(len(report["violations"]))
     drift = float(metric.cc_upper_quick(group.group_mul(
         group.group_inv(group.horizontal_point(traj.final_pair().direction)), group.horizontal_point(e1))))
     sigma_last = traj.states[-1].sigma
-    failures += int(drift > sigma_last)
-    worst = _margin_update(worst, sigma_last - drift)
+    ledger.check(sigma_last - drift)
     shift = traj.field_shift_norm()
-    failures += int(shift > cfg.mu)
-    worst = _margin_update(worst, cfg.mu - shift)
+    ledger.check(cfg.mu - shift)
     e_values = report["e_values"]
-    failures += int(not all(b > a for a, b in zip(e_values, e_values[1:])))
+    ledger.count(not all(b > a for a, b in zip(e_values, e_values[1:])))
     # zero start field: the first perturbation creates a positive derivative
     f_zero = calculus.ScalarField(lambda x: np.zeros(np.asarray(x).shape[:-1]), declared_lip=0.0, label="zero")
     traj0 = maximizer.run(f_zero, start, maximizer.MaximizerConfig(max_steps=3, budget=64, seed=seed + 1), cover)
     rep0 = maximizer.verify_trajectory(traj0)
-    failures += len(rep0["violations"])
-    failures += int(not rep0["e_values"][-1] > 0.0)
+    ledger.count(len(rep0["violations"]))
+    ledger.count(not rep0["e_values"][-1] > 0.0)
     # no steps: the starting pair is returned untouched
     trajn = maximizer.run(f0, start, maximizer.MaximizerConfig(max_steps=0, seed=seed), cover)
-    failures += int(len(trajn.states) != 1)
-    failures += int(not np.array_equal(trajn.final_pair().x, start.x))
-    return SuiteResult(
-        "algorithm", cfg.max_steps, failures, worst, seed, time.perf_counter() - t0,
-        {"e_values": e_values, "violations": report["violations"], "sigma_last": sigma_last, "shift": shift},
-    )
+    ledger.count(len(trajn.states) != 1)
+    ledger.count(not np.array_equal(trajn.final_pair().x, start.x))
+    return cfg.max_steps, {"e_values": e_values, "violations": report["violations"], "sigma_last": sigma_last, "shift": shift}
 
 
+# Each suite states its checks to its ledger and returns (trials, details).
 SUITES: dict = {
     "group": suite_group,
     "lift": suite_lift,
@@ -1091,14 +1002,18 @@ SUITES: dict = {
 
 
 def run_suite(suite: str, cfg: RunConfig, seed: Optional[int] = None) -> SuiteResult:
-    """Run one registered suite with a deterministic per-suite seed."""
+    """Run one registered suite, timed, with a deterministic per-suite seed."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; registered: {', '.join(sorted(SUITES))}")
     base = cfg.seed if seed is None else seed
-    # distinct stream per suite so concurrent execution cannot perturb results
+    # a distinct stream per suite, so a suite's results do not depend on which others run
     tag = zlib.crc32(suite.encode("utf-8"))
     sub = int(np.random.SeedSequence([base, tag]).generate_state(1)[0])
-    return SUITES[suite](cfg, sub)
+    ledger = _Ledger()
+    t0 = time.perf_counter()
+    trials, details = SUITES[suite](cfg, sub, ledger)
+    wall_time_s = time.perf_counter() - t0
+    return SuiteResult(suite, trials, ledger.failures, ledger.worst, sub, wall_time_s, details)
 
 
 def emit_report(results: list, path: str, config: Optional[RunConfig] = None) -> dict:
@@ -1109,15 +1024,9 @@ def emit_report(results: list, path: str, config: Optional[RunConfig] = None) ->
     """
     if not results:
         raise ValueError("no suite results to report")
-    config_snapshot = None
-    if config is not None:
-        config_snapshot = config.to_json()
-        # execution details that cannot perturb results stay out of the bytes
-        config_snapshot.pop("jobs", None)
-        config_snapshot.pop("out_dir", None)
     report = {
         "schema_version": 1,
-        "config": config_snapshot,
+        "config": None if config is None else config.to_json(),
         "suites": [r.to_json(include_wall_time=False) for r in sorted(results, key=lambda r: r.suite)],
         "aggregate_pass": all(r.passed for r in results),
     }

@@ -282,6 +282,12 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple:
 # point, line) pairs it tests at once.
 _CELL_POINTS = 16
 _PAIR_BLOCK = 1 << 15
+# Each level's constant is solved against this share of its volume budget 2^-k.
+_VOLUME_SAFETY = 0.99
+# A refined pair scans its segment at _REFINE_GRID evenly spaced parameters,
+# then takes _REFINE_GOLDEN golden-section steps around the best of them.
+_REFINE_GRID = 33
+_REFINE_GOLDEN = 60
 
 
 def _unit_ball_volume_bound(n: int) -> float:
@@ -298,8 +304,7 @@ class Cover:
     total level-k tube volume is at most 2^-k by construction.
     """
 
-    def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, safety: float = 0.99,
-                 meta: Optional[dict] = None):
+    def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if not lines:
@@ -324,7 +329,7 @@ class Cover:
         self.lengths = (self.spans[:, 1] - self.spans[:, 0]) * np.linalg.norm(self._vecs[:, :-1], axis=1)
         self.radii_constants = []
         prev = math.inf
-        for k, c in enumerate(self._solve_constants(2.0 ** -np.arange(1, depth + 1) * safety), start=1):
+        for k, c in enumerate(self._solve_constants(2.0 ** -np.arange(1, depth + 1) * _VOLUME_SAFETY), start=1):
             c = min(float(c), prev)
             while self.volume_bound(c) > 2.0**-k:
                 c *= 0.999
@@ -464,7 +469,7 @@ class Cover:
                 pairs.append(np.stack([pi[keep], lj[keep]]))
         return tuple(np.concatenate(pairs, axis=1))
 
-    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, grid: int = 33, golden: int = 60) -> np.ndarray:
+    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
 
         All flagged (point, line) pairs advance through the grid scan and
@@ -480,17 +485,17 @@ class Cover:
             line_pts = bases + ts.reshape(-1, m)[:, :, None] * vecs
             return cc_upper_quick(group_mul(group_inv(line_pts), p))
 
-        us = np.linspace(0.0, 1.0, grid)
+        us = np.linspace(0.0, 1.0, _REFINE_GRID)
         vals = val((t0s + us[:, None] * (t1s - t0s)).ravel())
         j = np.argmin(vals, axis=0)
         best = vals[j, np.arange(m)]
         a = t0s + us[np.maximum(j - 1, 0)] * (t1s - t0s)
-        b = t0s + us[np.minimum(j + 1, grid - 1)] * (t1s - t0s)
+        b = t0s + us[np.minimum(j + 1, _REFINE_GRID - 1)] * (t1s - t0s)
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         c = b - gr * (b - a)
         d = a + gr * (b - a)
         fc, fd = val(np.concatenate([c, d]))
-        for _ in range(golden):
+        for _ in range(_REFINE_GOLDEN):
             left = fc < fd
             b = np.where(left, d, b)
             a = np.where(left, a, c)

@@ -28,12 +28,12 @@ from hcalc.calculus import (
     sample_unit_ball,
     vertical_coordinate_field,
 )
-from hcalc import suites
+from hcalc import metric, suites
 from hcalc.cli import main
-from hcalc.curves import line_path
-from hcalc.group import HLinearMap, dilate, group_mul, horizontal_point, random_directions
+from hcalc.curves import HorizontalPath, line_path
+from hcalc.group import HLinearMap, dilate, group_inv, group_mul, horizontal_point, random_directions
 from hcalc.maximizer import default_t_grid
-from hcalc.metric import Ball, cc_upper_quick
+from hcalc.metric import Ball, cc_upper_quick, cc_upper_value_batch
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -414,6 +414,26 @@ class TestFieldLibrary:
         # on a horizontal line through the target the bracket collapses
         tight = cc_distance_field(np.zeros(3), max_rel_width=1e-6)
         assert tight(horizontal_point(0.7 * E1)) == pytest.approx(0.7, abs=1e-9)
+
+    def test_cc_distance_field_builds_no_witness(self, monkeypatch):
+        built = []
+        init = HorizontalPath.__post_init__
+
+        def counting_init(path):
+            built.append(path)
+            init(path)
+
+        monkeypatch.setattr(HorizontalPath, "__post_init__", counting_init)
+        target = np.array([0.3, -0.2, 0.1])
+        f = cc_distance_field(target, max_rel_width=2.0)
+        x = np.random.default_rng(8).standard_normal((1000, 3))
+        values = f(x)
+        assert not built
+        assert all(f(x[i : i + 1])[0].hex() == v.hex() for i, v in enumerate(values))
+        # the witness-free bracket: certified ends around the value
+        z = group_mul(group_inv(np.broadcast_to(target, x.shape)), x)
+        assert np.all(values <= cc_upper_value_batch(z))
+        assert np.all(values >= metric.cc_lower_batch(np.broadcast_to(target, x.shape), x))
 
     def test_shifted_field(self):
         f = hlinear_field(HLinearMap(0.5, E1)).shifted(0.25 * E1)

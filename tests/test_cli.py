@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_curve_modify(runner):
     assert rec["zeta"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("u", ["[0, 2, 0]", "[1e160, 0, 1e160]", "[1e80, 0, 1e155]"])
+def test_curve_modify_rejects_a_detour_target_beyond_the_unit_ball(runner, u):
+    out = runner.invoke(main, [
+        "curve", "modify", "--x", "[0,0,0]", "--u", u,
+        "--direction", "[1,0]", "--r", "1e-6", "--delta", "1e-5", "--eta", "0.1",
+    ])
+    assert out.exit_code == 2
+    assert "certified distance bound" in out.output
+
+
 def test_uds_query(runner):
     out = runner.invoke(main, ["uds", "query", "--point", "[0,0,0]", "--level", "3", "--max-lines", "32"])
     assert out.exit_code == 0
@@ -103,39 +114,10 @@ def test_verify_deterministic_bytes(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_jobs_match_serial(runner, tmp_path):
-    a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
-    base = ["verify", "--suite", "group", "--suite", "lift", "--suite", "scalarlip",
-            "--trials", "400", "--seed", "5"]
-    assert runner.invoke(main, [*base, "--out", str(a)]).exit_code == 0
-    assert runner.invoke(main, [*base, "--jobs", "3", "--out", str(b)]).exit_code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("source, flag, expected", [
-    ("config", [], 2),
-    ("env", [], 2),
-    ("config", ["--jobs", "1"], 1),
-])
-def test_verify_jobs_reach_the_run(runner, tmp_path, monkeypatch, source, flag, expected):
-    seen = []
-    real_run_suite = suites.run_suite
-
-    def recording_run_suite(name, cfg, seed=None):
-        seen.append(cfg.jobs)
-        return real_run_suite(name, cfg, seed)
-
-    monkeypatch.setattr(suites, "run_suite", recording_run_suite)
-    args = ["verify", "--suite", "group", "--trials", "100", "--out", str(tmp_path / "rep.json")]
-    if source == "config":
-        cfg_path = tmp_path / "config.json"
-        RunConfig(jobs=2).save(str(cfg_path))
-        args += ["--config", str(cfg_path)]
-    else:
-        monkeypatch.setenv("HCALC_JOBS", "2")
-    out = runner.invoke(main, [*args, *flag])
-    assert out.exit_code == 0, out.output
-    assert seen == [expected]
+def test_verify_has_no_jobs_flag(runner, tmp_path):
+    out = runner.invoke(main, ["verify", "--suite", "group", "--jobs", "2", "--out", str(tmp_path / "rep.json")])
+    assert out.exit_code == 2
+    assert "--jobs" in out.output
 
 
 def test_report_reemission(runner, tmp_path):
@@ -165,10 +147,50 @@ def test_config_env_override(monkeypatch):
 
 
 def test_config_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        RunConfig.from_json({"schema_version": 1, "bogus": 3})
+    # jobs and out_dir were fields once; nothing reads them now
+    for name, value in (("bogus", 3), ("jobs", 2), ("out_dir", "out")):
+        with pytest.raises(ValueError, match="unknown config fields"):
+            RunConfig.from_json({"schema_version": 1, name: value})
     with pytest.raises(ValueError):
         RunConfig.from_json({"schema_version": 99})
+
+
+def test_ledger_counts_entries_and_folds_the_smallest_margin():
+    ledger = suites._Ledger()
+    assert (ledger.failures, ledger.worst) == (0, math.inf)
+    ledger.check(np.array([0.5, -1e-3, 2.0, -0.25]))  # arrays count each entry
+    assert (ledger.failures, ledger.worst) == (2, -0.25)
+    ledger.check(0.1)
+    assert (ledger.failures, ledger.worst) == (2, -0.25)
+    ledger.check(-0.5)
+    assert (ledger.failures, ledger.worst) == (3, -0.5)
+    # a NaN margin entry neither fails nor moves the worst margin
+    ledger.check(math.nan)
+    ledger.check(np.array([math.nan, -0.75]))
+    assert (ledger.failures, ledger.worst) == (4, -0.75)
+    ledger.margin(np.array([math.nan, math.nan]))
+    assert ledger.worst == -0.75
+    # count-only entries leave the worst margin alone
+    ledger.count(True)
+    ledger.count(3)
+    ledger.count(np.count_nonzero(np.array([1.0, 5.0]) > 2.0))
+    assert (ledger.failures, ledger.worst) == (9, -0.75)
+    # margin-only entries fail nothing
+    ledger.margin(-2.0)
+    assert (ledger.failures, ledger.worst) == (9, -2.0)
+
+
+def test_run_suite_times_the_suite_and_reads_its_ledger(monkeypatch):
+    def suite(cfg, seed, ledger):
+        ledger.check(np.array([1.0, -0.5]))
+        ledger.count(True)
+        return 7, {"seed_seen": seed}
+
+    monkeypatch.setitem(suites.SUITES, "synthetic", suite)
+    result = run_suite("synthetic", RunConfig(), seed=3)
+    assert (result.trials, result.failures, result.worst_margin) == (7, 2, -0.5)
+    assert result.details == {"seed_seen": result.seed}
+    assert result.wall_time_s >= 0.0
 
 
 def test_emit_report_aggregates_failures(tmp_path):

@@ -177,6 +177,9 @@ class TestModifyLine:
                 x=np.zeros(3), u=np.array([0.0, 1.0, 0.0]), direction=np.array([1.0, 0.0]),
                 r=1e-6, delta=1e-5, eta=0.1, cc_bound_of_u=1.5,
             )
+        for bound in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite certified distance bound"):
+                self.params(cc_bound_of_u=bound)
 
     def test_delta_cap(self):
         assert delta_cap(1632.0 * 0.25) == pytest.approx(0.25)
@@ -309,8 +312,8 @@ def _goodcurve_per_trial(cfg, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_goodcurve_matches_per_trial_loop(seed):
     cfg = suites.RunConfig(trials=2000, n_values=(1, 2, 3))
-    result = suites.suite_goodcurve(cfg, seed)
-    failures, worst = _goodcurve_per_trial(cfg, seed)
+    result = suites.run_suite("goodcurve", cfg, seed)
+    failures, worst = _goodcurve_per_trial(cfg, result.seed)
     # the suite's frozen single-point checks pass and set no margin
     assert result.failures == failures
     assert result.worst_margin.hex() == worst.hex()

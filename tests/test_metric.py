@@ -656,7 +656,25 @@ def test_cc_upper_quick_is_bitwise_the_reference(n):
             assert _same_bits(cc_upper_quick(z), _cc_upper_quick_reference(z))
             assert _same_bits(cc_upper_quick(z[0]), _cc_upper_quick_reference(z[0]))
             assert _same_bits(cc_upper_quick(z.reshape(2, -1, d)), _cc_upper_quick_reference(z.reshape(2, -1, d)))
-    # squares overflow here; both sides may warn, and give the same bits
+    # squares overflow here; both sides may warn, and give the same bits, except
+    # where D^4 and c^2 both overflow: the reference's two-leg route is then
+    # inf / inf = NaN, and the bound is the split route
     with np.errstate(all="ignore"):
         for z in (large, large_plane):
-            assert _same_bits(cc_upper_quick(z), _cc_upper_quick_reference(z))
+            expected = _cc_upper_quick_reference(z)
+            both = np.isnan(expected)
+            split_route = np.linalg.norm(project(z), axis=-1) + np.sqrt(math.pi * np.abs(vertical(z)))
+            expected[both] = split_route[both]
+            assert _same_bits(cc_upper_quick(z), expected)
+        assert np.any(np.isnan(_cc_upper_quick_reference(large)))
+
+
+def test_cc_upper_quick_where_both_squares_overflow():
+    z = np.array([[1e160, 0.0, 1e160], [1e80, 0.0, 1e155], [-1e100, 1e100, -1e200]])
+    with np.errstate(all="ignore"):
+        up = cc_upper_quick(z)
+    # |p|^2 overflows in the first row, so its bound is inf; the others are finite
+    assert up[0] == math.inf
+    assert up[1] == 1e80 + math.sqrt(math.pi * 1e155)
+    assert np.all(np.isfinite(up[1:]))
+    assert np.all(up[1:] >= cc_upper_value_batch(z[1:]))
