@@ -317,7 +317,6 @@ def lipschitz_estimate(
 class PansuReport:
     """Sup difference-quotient residuals of a candidate derivative, per radius."""
 
-    candidate: HLinearMap
     radii: np.ndarray
     residuals: np.ndarray
     tol: float = 1e-3
@@ -373,7 +372,7 @@ def pansu_residual(
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
     pts = group_mul(x, dilate(radii[:, None], ws))
     res = np.max(np.abs(f(pts) - f_x - radii[:, None] * lw), axis=1) / radii
-    return PansuReport(L, radii, res, tol=tol)
+    return PansuReport(radii, res, tol=tol)
 
 
 class MeanValueHypothesisError(ValueError):
@@ -478,8 +477,9 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
     """Find tau in (-s, s) away from zeta with a large phi derivative.
 
     Verifies every hypothesis first (raising a named error on failure),
-    then returns a grid point tau, not in ``exclude``, whose central
-    difference derivative satisfies
+    then returns a grid point tau whose grid index is not in ``exclude``
+    (indices off the grid are ignored) and whose central difference
+    derivative satisfies
 
         phi'(tau) >= psi'(0) + v |phi(zeta) - psi(zeta)| / s
 
@@ -496,14 +496,15 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
     h = inst.step
     phi_p = _central_diff(inst.phi, h)
     need = psi_p0 + inst.v * abs(gap) / inst.s
-    interior = (np.abs(inst.grid) < inst.s) & (np.arange(len(inst.grid)) != iz)
-    interior &= np.array([i not in exclude for i in range(len(inst.grid))])
+    m = len(inst.grid)
+    interior = (np.abs(inst.grid) < inst.s) & (np.arange(m) != iz)
+    excluded = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    interior[excluded[(excluded >= 0) & (excluded < m)]] = False
     cand = np.where(interior & (phi_p >= need))[0]
     if len(cand) == 0:
         raise MeanValueSearchError(float(inst.grid[int(np.argmax(np.where(interior, phi_p, -np.inf)))]),
                                    "no grid point reaches the derivative lower bound")
     order = cand[np.argsort(-phi_p[cand])]
-    m = len(inst.grid)
     psi_rel = inst.psi - inst.psi[i0]
     best = order[0]
     for idx in order:

@@ -35,7 +35,10 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), default="hcalc_report.json", show_default=True)
 def verify(suite_names, seed, trials, config_path, out_path):
     """Run verification suites and write the JSON report."""
-    cfg = suites.RunConfig.load(config_path) if config_path else suites.RunConfig().with_env_overrides()
+    try:
+        cfg = suites.RunConfig.load(config_path) if config_path else suites.RunConfig().with_env_overrides()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if seed is not None:
         cfg.seed = seed
     if trials is not None:

@@ -211,12 +211,6 @@ class HorizontalPath:
         new_c0 = group_mul(g, self.start())[-1]
         return HorizontalPath(self.knots, self.planar + project(g), new_c0)
 
-    def reparametrized(self, scale: float, shift: float) -> "HorizontalPath":
-        """Affine parameter change t -> scale * t + shift with scale > 0."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return HorizontalPath(scale * self.knots + shift, self.planar, self.c0)
-
     def to_json(self) -> dict:
         return {"knots": self.knots.tolist(), "planar": self.planar.tolist(), "c0": self.c0}
 

@@ -8,10 +8,10 @@ array of shape ``(m, 2n+1)`` and batches never need Python loops.
 
 Points are float arrays, or numpy object arrays of ``Fraction`` (see
 :func:`as_exact`).  ``group_mul``, ``group_inv``, ``dilate``,
-``vector_at``, ``split``, ``project``, ``vertical`` and
-``horizontal_point`` keep the kind they are given: float input runs in
-float64, and exact input runs the same code in exact rational arithmetic.
-Any other input is converted to float64.
+``vector_at``, ``project``, ``vertical`` and ``horizontal_point`` keep
+the kind they are given: float input runs in float64, and exact input
+runs the same code in exact rational arithmetic.  Any other input is
+converted to float64.
 
 The group law is
 
@@ -31,10 +31,8 @@ import numpy as np
 __all__ = [
     "UNIT_TOL",
     "as_exact",
-    "point",
     "group_dim",
     "hdim",
-    "split",
     "project",
     "vertical",
     "group_mul",
@@ -43,7 +41,6 @@ __all__ = [
     "vector_at",
     "horizontal_point",
     "omega",
-    "unit_direction",
     "koranyi_norm",
     "koranyi_dist",
     "HLinearMap",
@@ -67,15 +64,6 @@ def as_exact(x) -> np.ndarray:
     return np.array([Fraction(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
 
 
-def point(a, b, c) -> np.ndarray:
-    """Assemble a point from the pair of n-vectors ``a``, ``b`` and height ``c``."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"a and b must have equal length, got {a.shape} and {b.shape}")
-    return np.concatenate([a, b, [float(c)]])
-
-
 def group_dim(x: np.ndarray) -> int:
     """n for a point array of trailing length 2n+1."""
     m = np.asarray(x).shape[-1]
@@ -90,13 +78,6 @@ def hdim(h: np.ndarray) -> int:
     if m < 2 or m % 2 == 1:
         raise ValueError(f"horizontal vectors need even trailing length >= 2, got {m}")
     return m // 2
-
-
-def split(x: np.ndarray):
-    """Views (a, b, c) of a point array."""
-    x = _coerce(x)
-    n = group_dim(x)
-    return x[..., :n], x[..., n : 2 * n], x[..., 2 * n]
 
 
 def project(x: np.ndarray) -> np.ndarray:
@@ -175,15 +156,6 @@ def horizontal_point(h: np.ndarray) -> np.ndarray:
 def omega(h: np.ndarray) -> np.ndarray:
     """Norm of a horizontal vector (Euclidean norm of its frame coefficients)."""
     return np.linalg.norm(np.asarray(h, dtype=float), axis=-1)
-
-
-def unit_direction(h: np.ndarray) -> np.ndarray:
-    """Normalize frame coefficients to a unit horizontal direction."""
-    h = np.asarray(h, dtype=float)
-    w = omega(h)
-    if np.any(w == 0):
-        raise ValueError("cannot normalize the zero horizontal vector")
-    return h / w[..., None]
 
 
 def require_unit(h: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:

@@ -39,7 +39,7 @@ are within two units in the last place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ from .group import (
 __all__ = [
     "VECTOR_FIELD_LIP",
     "DistanceBounds",
-    "ConstantsEstimate",
     "Ball",
     "cc_lower",
     "cc_upper",
@@ -97,33 +96,6 @@ class DistanceBounds:
             if abs(length - self.upper) > 1e-10 * scale:
                 raise ValueError("witness length does not certify the upper bound")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
-@dataclass(frozen=True)
-class ConstantsEstimate:
-    """Fitted comparison constants, tagged with the region that produced them.
-
-    ``c_holder`` compares the distance with the Euclidean one on a compact
-    set, ``c_angle`` controls the divergence of curves with close directions.
-    """
-
-    c_holder: float = 1.0
-    c_angle: float = 1.0
-    region: str = ""
-    samples: int = 0
-
-    def __post_init__(self):
-        for name in ("c_holder", "c_angle"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -147,9 +119,6 @@ class Ball:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         radii = self.radius * rng.random(size) ** (1.0 / dim)
         return self.center + radii[:, None] * v
-
-    def describe(self) -> str:
-        return f"ball(r={self.radius:g}, n={self.n})"
 
 
 def _lower(z: np.ndarray) -> np.ndarray:
@@ -473,22 +442,25 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     p = project(z)
-    D = np.sqrt(np.add.reduce(p * p, axis=-1))
     c = np.abs(z[..., -1])
-    D4 = D * D * D * D
-    # D = 0 has no two-leg route, and where D^4 underflows the route is
-    # infinite: those entries keep inf instead of dividing by zero
-    legs = np.full(D.shape, np.inf)
-    np.divide(c * c, D4, out=legs, where=D4 > 0.0)
-    np.multiply(D, np.sqrt(1.0 + legs), out=legs, where=D > 0.0)
-    # the shorter of the two-leg route and the split route, kept in place;
-    # where D^4 and c^2 both overflow the two-leg route is inf / inf = NaN
-    # and fmin takes the split route
-    np.fmin(legs, D + np.sqrt(math.pi * c), out=legs)
+    # squares of large coordinates overflow to inf, which the routes below
+    # handle; they are not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.sqrt(np.add.reduce(p * p, axis=-1))
+        D4 = D * D * D * D
+        # D = 0 has no two-leg route, and where D^4 underflows the route is
+        # infinite: those entries keep inf instead of dividing by zero
+        legs = np.full(D.shape, np.inf)
+        np.divide(c * c, D4, out=legs, where=D4 > 0.0)
+        np.multiply(D, np.sqrt(1.0 + legs), out=legs, where=D > 0.0)
+        # the shorter of the two-leg route and the split route, kept in place;
+        # where D^4 and c^2 both overflow the two-leg route is inf / inf = NaN
+        # and fmin takes the split route
+        np.fmin(legs, D + np.sqrt(math.pi * c), out=legs)
     return np.where(c == 0.0, D, legs)
 
 
-def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:
+def holder_fit(region: Ball, samples: int, seed: int) -> float:
     """Smallest constant making both Euclidean comparison inequalities hold.
 
     Uses the conservative side of each bracket: |x-y|/C <= lower and
@@ -503,12 +475,11 @@ def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:
     keep = e > 0.0
     lo = cc_lower_batch(xs[keep], ys[keep])
     up = cc_upper_value_batch(group_mul(group_inv(xs[keep]), ys[keep]))
-    c_fit = max(
+    return max(
         1.0,
         float(np.max(e[keep][lo > 0.0] / lo[lo > 0.0])) if np.any(lo > 0.0) else 1.0,
         float(np.max(up / np.sqrt(e[keep]))),
     )
-    return ConstantsEstimate(c_holder=c_fit, region=region.describe(), samples=samples)
 
 
 # the divergence fit samples each curve pair at _ANGLE_GRID times evenly over
@@ -516,7 +487,7 @@ def holder_fit(region: Ball, samples: int, seed: int) -> ConstantsEstimate:
 _ANGLE_GRID = 33
 
 
-def angle_fit(speed_bound: float, trials: int, seed: int, n: int = 1) -> ConstantsEstimate:
+def angle_fit(speed_bound: float, trials: int, seed: int, n: int = 1) -> float:
     """Fit the divergence constant for curves leaving a common point.
 
     Generates pairs (g, h) with g(0) = h(0), speeds <= speed_bound and
@@ -553,7 +524,7 @@ def angle_fit(speed_bound: float, trials: int, seed: int, n: int = 1) -> Constan
     if rel:
         ups = cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), len(ts))
         c_fit = max(c_fit, float(np.max(ups / np.stack(scales))))
-    return ConstantsEstimate(c_angle=c_fit, region=f"speed<={speed_bound:g}, n={n}", samples=trials)
+    return c_fit
 
 
 @dataclass
@@ -562,11 +533,9 @@ class DistancePansuReport:
 
     inequality_margins: np.ndarray
     residuals: np.ndarray
-    scales: np.ndarray
-    passed: bool = field(default=False)
 
 
-def distance_pansu_check(u_dir: np.ndarray, z_samples: np.ndarray, tol: float = 1e-9) -> DistancePansuReport:
+def distance_pansu_check(u_dir: np.ndarray, z_samples: np.ndarray) -> DistancePansuReport:
     """Check d(u z) >= d(u) + <z, u> and that the expansion residual decays.
 
     ``u_dir`` must be a unit horizontal direction; the checked point is
@@ -587,7 +556,4 @@ def distance_pansu_check(u_dir: np.ndarray, z_samples: np.ndarray, tol: float = 
     dz_lo = cc_lower_batch(origin, z_samples)
     margins = lo - (1.0 + ip)
     worst = np.maximum(np.maximum(up - (1.0 + ip), (1.0 + ip) - lo), 0.0)
-    residuals = worst / np.maximum(dz_lo, 1e-300)
-    scales = cc_upper_value_batch(z_samples)
-    passed = bool(np.all(margins >= -tol))
-    return DistancePansuReport(margins, residuals, scales, passed)
+    return DistancePansuReport(margins, worst / np.maximum(dz_lo, 1e-300))

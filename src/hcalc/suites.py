@@ -42,7 +42,8 @@ class RunConfig:
     """Harness configuration; JSON round-trippable, env-overridable.
 
     Environment variables prefixed ``HCALC_`` override scalar fields, e.g.
-    ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.
+    ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An ``HCALC_`` variable that
+    names no field raises, as an unknown field of a config file does.
     """
 
     schema_version: int = 1
@@ -90,6 +91,10 @@ class RunConfig:
 
     def with_env_overrides(self) -> "RunConfig":
         data = self.to_json()
+        known = {"HCALC_" + name.upper() for name in data}
+        unknown = sorted(k for k in os.environ if k.startswith("HCALC_") and k not in known)
+        if unknown:
+            raise ValueError(f"unknown config fields: {unknown}")
         for name, value in list(data.items()):
             env = os.environ.get("HCALC_" + name.upper())
             if env is None:
@@ -297,19 +302,16 @@ def suite_lipschitzhorizontal(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
             lip = curves.lipschitz_constant(path)
             ts = np.sort(rng.uniform(path.t_min, path.t_max, 12))
             pts = path.eval(ts)
-            for i in range(len(ts) - 1):
-                gap = ts[i + 1] - ts[i]
-                if gap <= 1e-12:
-                    continue
-                lo = metric.cc_lower(pts[i], pts[i + 1])
-                ledger.check(lip * gap * (1.0 + 1e-9) + 1e-12 - lo)
+            gaps = np.diff(ts)
+            apart = gaps > 1e-12
+            lo = metric.cc_lower_batch(pts[:-1][apart], pts[1:][apart])
+            ledger.check(lip * gaps[apart] * (1.0 + 1e-9) + 1e-12 - lo)
             # the max-speed segment attains the constant
             speeds = path.segment_speeds()
             j = int(np.argmax(speeds))
             ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
             tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
-            b = metric.cc_bounds(path.eval(ta), path.eval(tb))
-            attain = b.lower / (tb - ta)
+            attain = metric.cc_lower(path.eval(ta), path.eval(tb)) / (tb - ta)
             ledger.check(attain - lip * (1.0 - 1e-9))
             # left translation preserves length and speed
             g = 2.0 * rng.standard_normal(2 * n + 1)
@@ -478,8 +480,7 @@ def suite_holder(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]
     trials = cfg.count(10_000)
     n = cfg.n_values[0]
     ball = metric.Ball(np.zeros(2 * n + 1), 2.0)
-    est = metric.holder_fit(ball, trials, seed)
-    c_h = est.c_holder
+    c_h = metric.holder_fit(ball, trials, seed)
     ledger.count(not math.isfinite(c_h) or c_h < 1.0)
     # verify both inequalities on a fresh draw with the fitted constant
     rng = np.random.default_rng(seed + 1)
@@ -517,15 +518,15 @@ def suite_differentiabilityofdistance(cfg: RunConfig, seed: int, ledger: _Ledger
     u_dir = np.zeros(2 * n)
     u_dir[0] = 1.0
     zs = calculus.sample_unit_ball(rng, n, trials) * 0.5
-    report = metric.distance_pansu_check(u_dir, zs, tol=tol)
+    report = metric.distance_pansu_check(u_dir, zs)
     ledger.check(report.inequality_margins + tol)
     # residual decays through the scales
     scales = (1e-1, 1e-2, 1e-3, 1e-4)
     sups = []
     ws = calculus.sample_unit_ball(rng, n, 100)
+    w_upper = np.maximum(metric.cc_upper_quick(ws), 1e-9)
     for s in scales:
-        zso = np.stack([group.dilate(s / max(float(metric.cc_upper_quick(w)), 1e-9), w) for w in ws])
-        rep = metric.distance_pansu_check(u_dir, zso, tol=tol)
+        rep = metric.distance_pansu_check(u_dir, group.dilate(s / w_upper, ws))
         sups.append(float(np.max(rep.residuals)))
     mono = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
     ledger.count(not mono)
@@ -533,7 +534,7 @@ def suite_differentiabilityofdistance(cfg: RunConfig, seed: int, ledger: _Ledger
     # along the line itself the inequality is tight
     t_small = 0.01
     z_line = t_small * group.horizontal_point(u_dir)
-    rep_line = metric.distance_pansu_check(u_dir, z_line[None, :], tol=tol)
+    rep_line = metric.distance_pansu_check(u_dir, z_line[None, :])
     ledger.count(abs(float(rep_line.inequality_margins[0])) > 1e-9)
     return trials, {"residual_sups": dict(zip((str(s) for s in scales), sups))}
 
@@ -608,9 +609,9 @@ def suite_newcurveg(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
             s = params.s
             scale = 1.0 + float(np.max(np.abs(path.planar)))
             # (1) straight tails
-            for tt in (-1.5 * s, 1.5 * s, -s, s):
-                err = float(np.max(np.abs(path.eval(tt) - group.group_mul(x, group.horizontal_point(tt * e)))))
-                ledger.check(1e-9 * scale - err)
+            tt = np.array([-1.5 * s, 1.5 * s, -s, s])
+            err = np.max(np.abs(path.eval(tt) - group.group_mul(x, group.horizontal_point(tt[:, None] * e))), axis=1)
+            ledger.check(1e-9 * scale - err)
             # (2) the detour target
             target = group.group_mul(x, group.dilate(r, u))
             err = float(np.max(np.abs(path.eval(zeta) - target)))
@@ -677,8 +678,7 @@ def suite_closedirection(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[in
     trials = cfg.count(1000)
     fits = []
     for rep_i in range(3):
-        est = metric.angle_fit(2.0, trials // 3, seed + rep_i, n=cfg.n_values[0])
-        fits.append(est.c_angle)
+        fits.append(metric.angle_fit(2.0, trials // 3, seed + rep_i, n=cfg.n_values[0]))
     c_a = max(fits)
     spread = (max(fits) - min(fits)) / max(fits)
     ledger.check(0.10 - spread)
@@ -731,8 +731,8 @@ def suite_scalarlip(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
         # unit speed along the defining direction, never above one
         quot = np.abs(L(x) - L(y)) / np.maximum(metric.cc_upper_quick(group.group_mul(group.group_inv(x), y)), 1e-12)
         ledger.check(1.0 + 1e-9 - float(np.max(quot)))
-        b = metric.cc_bounds(np.zeros(2 * n + 1), group.horizontal_point(e))
-        attain = (L(group.horizontal_point(e)) - L(np.zeros(2 * n + 1))) / b.upper
+        upper = metric.cc_upper_value_batch(group.horizontal_point(e))[0]
+        attain = (L(group.horizontal_point(e)) - L(np.zeros(2 * n + 1))) / upper
         ledger.count(abs(attain - 1.0) > 1e-9)
         # directional derivatives equal the frame inner product
         f_l = calculus.hlinear_field(L)

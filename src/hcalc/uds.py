@@ -372,10 +372,6 @@ class Cover:
             lo[live[~over]] = mid[~over]
         return lo
 
-    def radius(self, level: int, index: int) -> float:
-        self._check_level(level)
-        return float(np.ldexp(self.radii_constants[level - 1], -(index + 1)))
-
     def radii(self, level: int) -> np.ndarray:
         self._check_level(level)
         return np.ldexp(self.radii_constants[level - 1], -(np.arange(len(self.lines)) + 1))

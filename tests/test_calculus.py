@@ -165,11 +165,10 @@ class TestPansuResidual:
         assert rep.residuals.tobytes() == np.array(loop).tobytes()
 
     def test_report_validation(self):
-        L = HLinearMap(1.0, E1)
         with pytest.raises(ValueError):
-            PansuReport(L, np.array([1e-2, 1e-1]), np.array([0.0, 0.0]))
+            PansuReport(np.array([1e-2, 1e-1]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            PansuReport(L, np.array([1e-1, 1e-2]), np.array([-1.0, 0.0]))
+            PansuReport(np.array([1e-1, 1e-2]), np.array([-1.0, 0.0]))
 
     def test_sampled_points_are_certified(self):
         rng = np.random.default_rng(3)
@@ -210,6 +209,14 @@ class TestMeanValue:
         exclude = set(range(len(inst.grid))) - allowed
         tau = mean_value_search(inst, exclude=exclude)
         assert inst.index_of(tau) in allowed
+
+    def test_exclusions_off_the_grid_are_ignored(self):
+        inst = _triangle_instance()
+        tau = mean_value_search(inst)
+        m = len(inst.grid)
+        # tau's index less m would wrap onto tau itself if negatives counted
+        off_grid = {-1, -5, m, m + 10, inst.index_of(tau) - m}
+        assert mean_value_search(inst, exclude=off_grid) == tau
 
     def test_equal_functions_violate_hypotheses(self):
         inst = _triangle_instance()

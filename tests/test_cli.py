@@ -146,6 +146,17 @@ def test_config_env_override(monkeypatch):
     assert cfg.trials == 42
 
 
+def test_config_env_rejects_unknown_variables(runner, monkeypatch, tmp_path):
+    # HCALC_SEEDS (for HCALC_SEED) used to be ignored: verify ran at the default seed
+    monkeypatch.setenv("HCALC_SEEDS", "7")
+    with pytest.raises(ValueError, match=r"unknown config fields: \['HCALC_SEEDS'\]"):
+        RunConfig().with_env_overrides()
+    out = runner.invoke(main, ["verify", "--suite", "lift", "--out", str(tmp_path / "rep.json")])
+    assert out.exit_code == 2
+    assert "HCALC_SEEDS" in out.output
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_config_rejects_unknown_fields():
     # jobs and out_dir were fields once; nothing reads them now
     for name, value in (("bogus", 3), ("jobs", 2), ("out_dir", "out")):

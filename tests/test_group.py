@@ -17,7 +17,6 @@ from hcalc.group import (
     koranyi_norm,
     omega,
     project,
-    unit_direction,
     vector_at,
 )
 
@@ -139,12 +138,8 @@ def test_koranyi_left_invariance():
         )
 
 
-def test_unit_direction_and_omega():
-    h = np.array([3.0, 4.0])
-    assert omega(h) == pytest.approx(5.0)
-    assert np.allclose(unit_direction(h), [0.6, 0.8])
-    with pytest.raises(ValueError):
-        unit_direction(np.zeros(2))
+def test_omega_is_the_frame_norm():
+    assert omega(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 # -- exact (Fraction) data runs the same group law -----------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,6 @@ from hcalc.metric import (
     _shortest_route,
     _solve_bulge_scalar,
     Ball,
-    ConstantsEstimate,
     DistanceBounds,
     angle_fit,
     cc_bounds,
@@ -134,18 +134,9 @@ def test_distance_bounds_validation():
         DistanceBounds(0.5, 2.0, witness=path)  # witness length 1 != 2
 
 
-def test_constants_estimate_validation():
-    with pytest.raises(ValueError):
-        ConstantsEstimate(c_holder=0.5)
-    est = ConstantsEstimate(c_holder=3.0, region="test", samples=10)
-    assert (est.c_holder, est.c_angle) == (3.0, 1.0)
-
-
 def test_holder_fit():
     ball = Ball(np.zeros(3), 2.0)
-    est = holder_fit(ball, 500, seed=0)
-    assert est.c_holder >= 1.0
-    assert est.samples == 500
+    assert holder_fit(ball, 500, seed=0) >= 1.0
     with pytest.raises(ValueError):
         holder_fit(ball, 50, seed=0)
     with pytest.raises(ValueError):
@@ -153,8 +144,7 @@ def test_holder_fit():
 
 
 def test_angle_fit_is_at_least_one():
-    est = angle_fit(2.0, 50, seed=0)
-    assert est.c_angle >= 1.0
+    assert angle_fit(2.0, 50, seed=0) >= 1.0
 
 
 # ratios from 1e-14 to 1e10: the bulge runs from the series branch
@@ -236,9 +226,7 @@ def _angle_fit_per_trial(trials, seed, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_batched_angle_fit_matches_per_trial_loop(n):
     for seed in (0, 7):
-        est = angle_fit(2.0, 40, seed, n=n)
-        assert est.c_angle == _angle_fit_per_trial(40, seed, n)
-        assert est.samples == 40
+        assert angle_fit(2.0, 40, seed, n=n) == _angle_fit_per_trial(40, seed, n)
 
 
 def test_distance_pansu_check_cases():
@@ -253,7 +241,6 @@ def test_distance_pansu_check_cases():
     # vertical displacement keeps a nonnegative margin
     rep3 = distance_pansu_check(u, np.array([[0.0, 0.0, 1e-4]]))
     assert rep3.inequality_margins[0] >= -1e-12
-    assert rep3.passed
     with pytest.raises(ValueError):
         distance_pansu_check(u, np.zeros((0, 3)))
     with pytest.raises(ValueError):
@@ -399,7 +386,7 @@ def _pansu_per_sample(u_dir, zs):
         assert up <= cc_upper(origin, uz)[0]
         assert dz_up <= cc_upper(origin, z)[0]
         worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
-        out.append((lo - (1.0 + ip), worst / max(dz_lo, 1e-300), dz_up))
+        out.append((lo - (1.0 + ip), worst / max(dz_lo, 1e-300)))
     return np.array(out)
 
 
@@ -419,7 +406,6 @@ def test_distance_pansu_check_matches_per_sample_cc_upper(n):
     ref = _pansu_per_sample(u_dir, zs)
     assert rep.inequality_margins.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes()
     assert rep.residuals.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes()
-    assert rep.scales.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
 
 
 
@@ -678,3 +664,12 @@ def test_cc_upper_quick_where_both_squares_overflow():
     assert up[1] == 1e80 + math.sqrt(math.pi * 1e155)
     assert np.all(np.isfinite(up[1:]))
     assert np.all(up[1:] >= cc_upper_value_batch(z[1:]))
+
+
+def test_cc_upper_quick_overflowing_squares_emit_no_warning():
+    # hcalc curve modify --u '[1e80, 0, 1e155]' printed three RuntimeWarnings:
+    # D^4 and c^2 overflow, and their quotient is inf / inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = cc_upper_quick(np.array([1e80, 0.0, 1e155]))
+    assert up == 1e80 + math.sqrt(math.pi * 1e155)
