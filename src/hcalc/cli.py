@@ -61,6 +61,23 @@ def verify(suite_names, seed, trials, config_path, out_path):
     sys.exit(0 if report["aggregate_pass"] else 1)
 
 
+def _bracket(x, y) -> dict:
+    """The response record of cc_bounds for two points read from JSON; ValueError on bad input."""
+    points = []
+    for value in (x, y):
+        try:
+            point = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            point = None
+        if point is None or point.ndim != 1:
+            raise ValueError(f"a point must be a flat array of numbers, got {json.dumps(value)}")
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"point coordinates must be finite, got {json.dumps(value)}")
+        points.append(point)
+    b = metric.cc_bounds(*points)
+    return {"lower": b.lower, "upper": b.upper}
+
+
 @main.command()
 @click.option("--x", "x_text", default=None, help="Point as a JSON array [a..., b..., c].")
 @click.option("--y", "y_text", default=None, help="Point as a JSON array.")
@@ -68,17 +85,26 @@ def verify(suite_names, seed, trials, config_path, out_path):
               help='JSON-lines file, each line {"x": [...], "y": [...]}.')
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Response JSON-lines path.")
 def dist(x_text, y_text, batch_path, out_path):
-    """Distance bracket for one pair or a batch file."""
+    """Distance bracket for one pair or a batch file.
+
+    A malformed point, points of different lengths, a non-finite
+    coordinate, a batch line without "x" and "y", and a pair with no
+    witness in floats at x are usage errors (exit 2); a batch names the line.
+    """
     if batch_path is not None:
         lines_out = []
         with open(batch_path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                b = metric.cc_bounds(np.asarray(rec["x"], float), np.asarray(rec["y"], float))
-                lines_out.append(json.dumps({"lower": b.lower, "upper": b.upper}))
+                try:
+                    rec = json.loads(line)
+                    if not (isinstance(rec, dict) and "x" in rec and "y" in rec):
+                        raise ValueError('need an object {"x": [...], "y": [...]}')
+                    lines_out.append(json.dumps(_bracket(rec["x"], rec["y"])))
+                except ValueError as exc:
+                    raise click.UsageError(f"{batch_path} line {number}: {exc}") from exc
         payload = "\n".join(lines_out) + "\n"
         if out_path:
             with open(out_path, "w") as fh:
@@ -88,9 +114,12 @@ def dist(x_text, y_text, batch_path, out_path):
             click.echo(payload, nl=False)
         return
     if x_text is None or y_text is None:
-        raise click.ClickException("need --x and --y, or --batch")
-    b = metric.cc_bounds(_parse_vector(x_text), _parse_vector(y_text))
-    click.echo(json.dumps({"lower": b.lower, "upper": b.upper}))
+        raise click.UsageError("need --x and --y, or --batch")
+    try:
+        rec = _bracket(json.loads(x_text), json.loads(y_text))
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    click.echo(json.dumps(rec))
 
 
 @main.group()

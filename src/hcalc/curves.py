@@ -62,6 +62,22 @@ def delta_cap(eta: float) -> float:
     return min(eta / MODIFY_DELTA_DIVISOR, 0.5)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1)``, bit for bit, also for object arrays.
+
+    Over a short last axis numpy runs one inner loop per row.  From 128
+    rows on, adding the columns in order is faster, and below 8 columns it
+    gives numpy's bits: numpy adds fewer than 8 terms in order onto a zero.
+    """
+    k = a.shape[-1]
+    if k >= 8 or a.size < 128 * k:
+        return np.add.reduce(a, axis=-1)
+    total = 0 + a[..., 0]
+    for j in range(1, k):
+        total = total + a[..., j]
+    return total
+
+
 def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
     """Heights at the knots of the horizontal lift of a polyline starting at height c0.
 
@@ -71,10 +87,14 @@ def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
     2(<da, b_j> - <db, a_j>).
     """
     n = planar.shape[-1] // 2
-    da = np.diff(planar[..., :n], axis=-2)
-    db = np.diff(planar[..., n:], axis=-2)
-    dc = 2 * (np.sum(da * planar[..., :-1, n:], axis=-1) - np.sum(db * planar[..., :-1, :n], axis=-1))
-    return c0 + np.concatenate([np.zeros_like(dc[..., :1]), np.cumsum(dc, axis=-1)], axis=-1)
+    d = planar[..., 1:, :] - planar[..., :-1, :]  # np.diff's differences
+    head = planar[..., :-1, :]
+    # da * b_j beside db * a_j, each summed over its n columns
+    prod = d * np.concatenate([head[..., n:], head[..., :n]], axis=-1)
+    sums = _row_sums(prod.reshape(prod.shape[:-1] + (2, n)))
+    heights = np.zeros_like(planar[..., 0])
+    np.cumsum(2 * (sums[..., 0] - sums[..., 1]), axis=-1, out=heights[..., 1:])
+    return c0 + heights
 
 
 # Piecewise-linear evaluation.  ``vertices`` holds one row per knot along
@@ -108,9 +128,30 @@ def _difference_quotient(knots: np.ndarray, vertices: np.ndarray, t) -> np.ndarr
     return (hi - lo) / (knots[j + 1] - knots[j])
 
 
+_TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _root_sum_squares(sq: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|p| over the last axis of a batch, given ``sq``, the sum of its squares there.
+
+    sqrt(sq), except on rows whose squares over- or underflow, which take
+    hypot: from tiny / eps up, what the squares lose to underflow is below
+    eps^2 of the sum, so every other row keeps sqrt's bits.
+    """
+    D = np.sqrt(sq)
+    fine = (sq >= _TINY_SQUARES) & (sq < np.inf)
+    if not fine.all():
+        odd = ~fine
+        D[odd] = np.hypot.reduce(p[odd], axis=-1)
+    return D
+
+
 def _chords(planar: np.ndarray) -> np.ndarray:
-    """Euclidean length of each projected segment."""
-    return np.linalg.norm(np.diff(planar, axis=-2), axis=-1)
+    """Euclidean length of each projected segment, by the rule of :func:`_root_sum_squares`."""
+    d = planar[..., 1:, :] - planar[..., :-1, :]
+    # the squares and their sum are np.linalg.norm's
+    with np.errstate(over="ignore", under="ignore"):
+        return _root_sum_squares(_row_sums(d * d), d)
 
 
 def _segment_speeds(knots: np.ndarray, planar: np.ndarray) -> np.ndarray:
@@ -119,7 +160,7 @@ def _segment_speeds(knots: np.ndarray, planar: np.ndarray) -> np.ndarray:
 
 def _length(planar: np.ndarray) -> float:
     """Horizontal length of the lift of one projected polyline."""
-    return float(np.sum(_chords(planar)))
+    return float(np.add.reduce(_chords(planar)))
 
 
 @dataclass(frozen=True)
@@ -144,9 +185,10 @@ class HorizontalPath:
             raise ValueError("planar must have one row per knot")
         if knots.shape[0] < 2:
             raise ValueError("a path needs at least two knots")
-        if np.any(np.diff(knots) <= 0):
+        # a NaN knot passes this test and fails the next one
+        if ((knots[..., 1:] - knots[..., :-1]) <= 0).any():
             raise ValueError("knots must be strictly increasing")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(planar))):
+        if not (np.isfinite(knots).all() and np.isfinite(planar).all()):
             raise ValueError("path data must be finite")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "planar", planar)
@@ -292,10 +334,13 @@ def _gamma_rows(y: np.ndarray) -> np.ndarray:
     n = group_dim(y)
     a, b, c = y[..., :n], y[..., n : 2 * n], y[..., -1:]
     L2 = np.vecdot(a, a, keepdims=True) + np.vecdot(b, b, keepdims=True)
-    if np.any(L2 == 0):
+    if (L2 == 0).any():
         raise ValueError("gamma_y is undefined for points with zero projection")
     mid = np.concatenate([a - b * c / L2, b + a * c / L2], axis=-1) / 2
-    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b], axis=-1)], axis=-2)
+    rows = np.zeros(mid.shape[:-1] + (3, 2 * n), dtype=mid.dtype)
+    rows[..., 1, :] = mid
+    rows[..., 2, :] = y[..., :-1]
+    return rows
 
 
 def gamma_y(y, rational: bool = False) -> HorizontalPath:

@@ -22,6 +22,14 @@ measures a path, and builds one :class:`HorizontalPath` for the winner.
 The bulge is found by bisection in plain floats, :func:`_solve_bulge_scalar`,
 which stops at the bisection's fixed point.
 
+Norms follow one rule, :func:`hcalc.curves._root_sum_squares`: the square
+root of the sum of squares, except on rows whose squares over- or
+underflow, which take hypot.  Ordinary rows keep the bits of the square
+root, and a pair 1e-162 or 2e300 apart still gets its length.  The lower
+bound, |p(z)| and every chord and length of a witness go through it.  A
+bracket whose lower end exceeds the witness length (relatively, by more
+than 1e-12) is refused: that is a witness collapsed in rounding.
+
 Witness-free upper values, :func:`cc_upper_value_batch` and everything built
 on it, are the certified closed form.  Length minimizers project to circular
 arcs (Gaveau 1977), so for D = |p(z)| > 0 and height c
@@ -38,13 +46,22 @@ are within two units in the last place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .curves import _GAMMA_KNOTS, HorizontalPath, _chords, _gamma_rows, _interpolate, _length, horizontal_length
+from .curves import (
+    _GAMMA_KNOTS,
+    HorizontalPath,
+    _chords,
+    _gamma_rows,
+    _length,
+    _root_sum_squares,
+    horizontal_length,
+)
 from .group import (
     group_dim,
     group_inv,
@@ -84,11 +101,12 @@ class DistanceBounds:
     witness: Optional[HorizontalPath] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError("bounds must be finite")
         if self.lower < 0 or self.upper < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.lower > self.upper * (1 + 1e-12) + 1e-15:
+        # relative only: a witness that collapsed in rounding has length 0
+        if self.lower > self.upper * (1 + 1e-12):
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
         if self.witness is not None:
             length = horizontal_length(self.witness)
@@ -178,24 +196,49 @@ def _arc_chain_2d(D: float, theta: float, m: int) -> np.ndarray:
     """
     if theta <= 0.0:
         return np.array([[0.0, 0.0], [D, 0.0]])
-    alphas = np.linspace(-theta, theta, m + 1)
+    # np.linspace(-theta, theta, m + 1), bit for bit
+    alphas = np.arange(m + 1.0) * (2.0 * theta / m) - theta
+    alphas[-1] = theta
     s = math.sin(theta)
-    xs = 0.5 * D * (1.0 + np.sin(alphas) / s)
-    ys = (D / s) * np.sin(0.5 * (alphas + theta)) * np.sin(0.5 * (theta - alphas))
-    pts = np.stack([xs, ys], axis=1)
-    pts[0] = [0.0, 0.0]
-    pts[-1] = [D, 0.0]
+    pts = np.empty((m + 1, 2))
+    pts[:, 0] = 0.5 * D * (1.0 + np.sin(alphas) / s)
+    pts[:, 1] = (D / s) * np.sin(0.5 * (alphas + theta)) * np.sin(0.5 * (theta - alphas))
+    pts[0] = 0.0
+    pts[-1] = D, 0.0
     return pts
 
 
-def _circle_chain_2d(area: float, m: int) -> np.ndarray:
-    """Closed m-gon through the origin enclosing ``area`` counterclockwise."""
-    rho = math.sqrt(abs(area) / (0.5 * m * math.sin(2.0 * math.pi / m)))
-    sgn = 1.0 if area >= 0 else -1.0
-    angles = math.pi + sgn * np.arange(m + 1) * (2.0 * math.pi / m)
-    pts = np.array([rho, 0.0]) + rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts[0] = [0.0, 0.0]
-    pts[-1] = [0.0, 0.0]
+_CIRCLE_M = 1024
+
+
+@functools.cache
+def _circle_trig(sgn: float):
+    """cos and sin of the circle's angles pi + sgn k 2 pi / m, k = 0..m, read-only.
+
+    Every circle of an orientation scales the same pair, so it is computed once.
+    """
+    angles = math.pi + sgn * np.arange(_CIRCLE_M + 1) * (2.0 * math.pi / _CIRCLE_M)
+    tables = np.cos(angles), np.sin(angles)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _circle_chain_2d(c: float) -> np.ndarray:
+    """Closed _CIRCLE_M-gon through the origin whose lift climbs by c: it encloses -c / 4 counterclockwise."""
+    area = -c / 4.0
+    k = 0.5 * _CIRCLE_M * math.sin(2.0 * math.pi / _CIRCLE_M)
+    rho = math.sqrt(abs(area) / k)
+    if rho < 2.0**-500:
+        # c / 4 or the quotient may have rounded as a subnormal; scaling c by
+        # 2^200 is exact, and for a quotient that stayed normal gives its bits
+        rho = math.sqrt(abs(c) * 2.0**200 / 4.0 / k) * 2.0**-100
+    cos, sin = _circle_trig(1.0 if area >= 0 else -1.0)
+    pts = np.empty((_CIRCLE_M + 1, 2))
+    pts[:, 0] = rho + rho * cos
+    pts[:, 1] = 0.0 + rho * sin
+    pts[0] = 0.0
+    pts[-1] = 0.0
     return pts
 
 
@@ -204,76 +247,54 @@ def _ccw_area(chain: np.ndarray) -> float:
     return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
 
 
-def _embed_chain(chain: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Embed a 2d chain into the symplectic plane spanned by w/|w| and J(w/|w|)."""
-    D = np.linalg.norm(w)
+def _embed_chain(chain: np.ndarray, w: np.ndarray, D: float) -> np.ndarray:
+    """Embed a 2d chain into the symplectic plane spanned by w/D and J(w/D), D = |w|."""
+    n = len(w) // 2
     if D == 0.0:
-        e1 = np.zeros(2 * n)
-        e1[0] = 1.0
-        w_hat = e1
+        w_hat = np.zeros(2 * n)
+        w_hat[0] = 1.0
     else:
         w_hat = w / D
     j_w = np.concatenate([-w_hat[n:], w_hat[:n]])
     return chain[:, :1] * w_hat + chain[:, 1:] * j_w
 
 
-def _arc_witness(z: np.ndarray, n: int):
+# the bulge of the 64-gon pre-solve stays below 0.3199, so m = 16, for every
+# ratio up to the 64-gon's area coefficient there
+_RATIO_M16 = _chain_area_coeff_scalar(0.3199, 64)
+
+
+def _arc_witness(w: np.ndarray, D: float, c: float):
     """Knots and projected rows, relative to the start, of the witness whose
-    projection is an inscribed circular arc closing on z."""
-    w = project(z)
-    D = float(np.linalg.norm(w))
-    c = float(vertical(z))
+    projection is an inscribed circular arc closing on z = (w, c) != 0, D = |w|."""
     target_ccw = -c / 4.0
     if D == 0.0:
-        chain = _circle_chain_2d(target_ccw, 1024) if c != 0.0 else np.zeros((2, 2))
+        chain = _circle_chain_2d(c)
     elif c == 0.0:
         chain = np.array([[0.0, 0.0], [D, 0.0]])
-    elif (ratio := abs(target_ccw) / (D * D)) > 1e10:
+    # below D = 1.5e-162, D * D is 0: go straight and close with the circle
+    elif (ratio := abs(target_ccw) / (D * D) if D * D > 0.0 else math.inf) > 1e10:
         # bulge saturates in float; go straight to the projection, then close
         # the height with a full circle (out-and-back chord encloses nothing)
-        circle = _circle_chain_2d(target_ccw, 1024) + np.array([D, 0.0])
+        circle = _circle_chain_2d(c) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
     else:
-        theta0 = _solve_bulge_scalar(ratio, 64)
-        m = min(max(math.ceil(theta0 / 0.02), 16), 1024)
+        m = 16 if ratio <= _RATIO_M16 else min(max(math.ceil(_solve_bulge_scalar(ratio, 64) / 0.02), 16), 1024)
         chain = _arc_chain_2d(D, _solve_bulge_scalar(ratio, m), m)
         if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
             chain[:, 1] *= -1.0
-    rel = _embed_chain(chain, w, n)
+    rel = _embed_chain(chain, w, D)
     steps = _chords(rel)
-    total = float(np.sum(steps))
-    if total == 0.0:
-        knots = np.array([0.0, 1.0])
-    else:
-        knots = np.concatenate([[0.0], np.cumsum(steps)])
-        knots[-1] = total
+    knots = np.empty(len(rel))
+    knots[0] = 0.0
+    np.cumsum(steps, out=knots[1:])
+    knots[-1] = np.add.reduce(steps)
     return knots, rel
 
 
-def _shortest_route(x: np.ndarray, y: np.ndarray):
-    """``(length, (knots, rel))`` of the shorter of the arc and two-leg routes from x to y.
-
-    ``rel`` holds the projected rows relative to p(x); the route is None
-    when x == y.  Lengths are measured on the rows translated to p(x), as
-    the witness's are: translation moves their last bits.
-    """
-    z = group_mul(group_inv(x), y)
-    D = float(np.linalg.norm(project(z)))
-    c = float(vertical(z))
-    if D == 0.0 and c == 0.0:
-        return 0.0, None
-    px = project(x)
-    candidates = [_arc_witness(z, group_dim(x))]
-    if D > 0.0:
-        candidates.append((_GAMMA_KNOTS, _gamma_rows(z)))
-    best = None
-    for knots, rel in candidates:
-        length = _length(rel + px)
-        if not math.isfinite(length):
-            raise ValueError("path data must be finite")
-        if best is None or length < best[0]:
-            best = (length, (knots, rel))
-    return best
+# Below this D, underflow in the two-leg midpoint's a c / D^2 can move it by
+# more than a unit in the last place, so only the arc is a route there.
+_TWO_LEG_MIN_D = 2.0**-340
 
 
 def cc_upper(x: np.ndarray, y: np.ndarray):
@@ -282,21 +303,42 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
     Takes the shorter of the two-leg route and the exactly-closing circular
     arc (the full circle when the projections coincide) and returns
     ``(length, witness)`` where ``length`` is the measured length of the
-    returned path.  One path is built per witness, directly at x, with the
-    start height :meth:`HorizontalPath.left_translate` would give the
-    route built at 0.  :func:`_shortest_route` gives the same length
-    without building a path.
+    returned path.  Each route is measured on its rows translated to x,
+    as the witness's are (translation moves their last bits), and one path
+    is built, directly at x, with the start height
+    :meth:`HorizontalPath.left_translate` would give the route built at 0.
+    Where a route's length or the witness's lift is not finite in floats,
+    no witness exists at x and ValueError is raised.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    length, route = _shortest_route(x, y)
-    if route is None:
-        trivial = HorizontalPath(np.array([0.0, 1.0]), np.stack([project(x)] * 2), float(vertical(x)))
-        return 0.0, trivial
-    knots, rel = route
-    # the start of HorizontalPath(knots, rel, 0.0), signed zeros included; its height is 0
-    start = np.append(_interpolate(knots, rel, knots[0]), 0.0)
-    return length, HorizontalPath(knots, rel + project(x), group_mul(x, start)[-1])
+    # what overflows or turns NaN here is caught by the finiteness checks
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        z = group_mul(group_inv(x), y)
+        w, c = z[:-1], float(z[-1])
+        D = float(_norm(w[None])[0])
+        px = x[:-1]
+        if D == 0.0 and c == 0.0:
+            return 0.0, HorizontalPath(np.array([0.0, 1.0]), np.stack([px] * 2), float(x[-1]))
+        candidates = [_arc_witness(w, D, c)]
+        if D >= _TWO_LEG_MIN_D:
+            candidates.append((_GAMMA_KNOTS, _gamma_rows(z)))
+        best = None
+        for knots, rel in candidates:
+            planar = rel + px
+            length = _length(planar)
+            if not math.isfinite(length):
+                raise ValueError("path data must be finite")
+            if best is None or length < best[0]:
+                best = (length, knots, planar)
+        length, knots, planar = best
+        # a route starts at 0, so its start translated by x has height x_c + 0.0:
+        # the cross terms of the group law are products with (signed) zeros
+        witness = HorizontalPath(knots, planar, float(x[-1]) + 0.0)
+    # a running sum that overflowed stays inf or NaN, so the last height tells
+    if not math.isfinite(witness.heights[-1]):
+        raise ValueError("path data must be finite")
+    return length, witness
 
 
 def cc_bounds(x: np.ndarray, y: np.ndarray) -> DistanceBounds:
@@ -412,13 +454,7 @@ def _gaveau_upper(D: np.ndarray, c: np.ndarray, rel_err: float) -> np.ndarray:
 def _norm(p: np.ndarray) -> np.ndarray:
     """|p| over the last axis; rows whose squares over- or underflow use hypot."""
     with np.errstate(over="ignore", under="ignore"):
-        sq = np.vecdot(p, p)
-    D = np.sqrt(sq)
-    # from tiny / eps up, what squares lose to underflow is below eps^2 of the sum
-    odd = ~((sq >= np.finfo(float).tiny / _EPS) & (sq < np.inf))
-    if np.any(odd):
-        D[odd] = np.hypot.reduce(p[odd], axis=-1)
-    return D
+        return _root_sum_squares(np.vecdot(p, p), p)
 
 
 def cc_upper_value_batch(z: np.ndarray) -> np.ndarray:

@@ -40,6 +40,40 @@ def test_dist_requires_arguments(runner):
     assert out.exit_code != 0
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ("[0,0]", "[1,0]", "odd trailing length"),
+    ("[0,0,0]", "[1,0,0,0,0]", "dimension mismatch"),
+    ("[NaN,0,0]", "[1,0,0]", "finite"),
+    ("[[0,0,0]]", "[0,0,1]", "flat array"),
+    ("[1,1,0]", "[1,1,1e-40]", "exceeds upper bound"),  # the witness collapses at x
+])
+def test_dist_reports_bad_input_as_a_usage_error(runner, x, y, message):
+    out = runner.invoke(main, ["dist", "--x", x, "--y", y])
+    assert out.exit_code == 2
+    assert message in out.output
+    assert "Traceback" not in out.output
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"x": [0,0,0]}', "need an object"),
+    ('{"x": [0,0], "y": [1,0]}', "odd trailing length"),
+    ('{"x": [0,0,0], "y": [0,NaN,1]}', "finite"),
+    ("[0,0,0]", "need an object"),
+])
+def test_dist_batch_names_the_bad_line(runner, tmp_path, bad, message):
+    src = tmp_path / "batch.jsonl"
+    src.write_text('{"x": [0,0,0], "y": [3,4,0]}\n\n' + bad + "\n")
+    out = runner.invoke(main, ["dist", "--batch", str(src)])
+    assert out.exit_code == 2
+    assert "line 3" in out.output and message in out.output
+
+
+def test_dist_far_pair_has_a_bracket(runner):
+    out = runner.invoke(main, ["dist", "--x", "[1e300,0,0]", "--y", "[-1e300,0,0]"])
+    assert out.exit_code == 0, out.output
+    assert json.loads(out.output) == {"lower": 2e300, "upper": 2e300}
+
+
 def test_curve_gamma(runner):
     out = runner.invoke(main, ["curve", "gamma-y", "--y", "[1,0,1]"])
     assert out.exit_code == 0

@@ -11,6 +11,7 @@ from hcalc.curves import (
     _gamma_rows,
     _interpolate,
     _lift_vertices,
+    _row_sums,
     _segment_speeds,
     HorizontalPath,
     ModifyLineParams,
@@ -333,3 +334,19 @@ def test_vecdot_and_row_norms_match_one_vector_at_a_time(length):
     paths = wide[:, :length].reshape(1000, 3, length)
     norms = np.linalg.norm(paths, axis=-1)
     assert norms.tobytes() == np.stack([np.linalg.norm(p, axis=1) for p in paths]).tobytes()
+
+
+# _row_sums adds the columns of a long batch in order, which gives
+# np.add.reduce's bits only while numpy adds rows of fewer than 8 terms in
+# order onto a zero: this pins that, signed zeros included.
+@pytest.mark.parametrize("k", range(1, 10))
+def test_row_sums_are_add_reduce_bit_for_bit(k):
+    rng = np.random.default_rng(90 + k)
+    for shape in [(k,), (1, k), (127, k), (128, k), (1025, k), (3, 700, k), (600, 2, k)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        a[rng.random(shape) < 0.2] = -0.0
+        a[rng.random(shape) < 0.05] = 0.0
+        assert _row_sums(a).tobytes() == np.add.reduce(a, axis=-1).tobytes()
+    exact = np.array([[Fraction(j + 1, 3 + i) for j in range(k)] for i in range(200)], dtype=object)
+    assert _row_sums(exact).tolist() == np.add.reduce(exact, axis=-1).tolist()
+    assert all(isinstance(v, Fraction) for v in _row_sums(exact))

@@ -12,8 +12,8 @@ from hcalc.curves import HorizontalPath, gamma_y, horizontal_length
 from hcalc.calculus import sample_unit_ball
 from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, vertical
 from hcalc.metric import (
+    _RATIO_M16,
     _arc_witness,
-    _shortest_route,
     _solve_bulge_scalar,
     Ball,
     DistanceBounds,
@@ -335,11 +335,12 @@ def _shape_pairs(rng, n, shape, count):
 def _cc_upper_translating(x, y):
     # reference: build each candidate at 0, left-translate both, keep the shorter
     z = group_mul(group_inv(x), y)
-    if np.linalg.norm(project(z)) == 0.0 and vertical(z) == 0.0:
+    D = float(np.linalg.norm(project(z)))
+    if D == 0.0 and vertical(z) == 0.0:
         return cc_upper(x, y)
-    knots, rel = _arc_witness(z, (len(x) - 1) // 2)
+    knots, rel = _arc_witness(project(z), D, float(vertical(z)))
     candidates = [HorizontalPath(knots, rel, 0.0).left_translate(x)]
-    if np.linalg.norm(project(z)) > 0.0:
+    if D > 0.0:
         candidates.append(gamma_y(z).left_translate(x))
     best = min(candidates, key=horizontal_length)
     return horizontal_length(best), best
@@ -362,13 +363,81 @@ def test_witness_built_once_matches_translated_candidates(n):
 
 
 def test_non_finite_routes_raise():
-    # |p| = 1e160 overflows D^2 in the arc construction; the value-only route
-    # must refuse it as the witness does, not return a NaN length
-    y = np.array([1e160, 0.0, 1e-300])
-    with np.errstate(all="ignore"):
-        for route in (cc_upper, _shortest_route):
-            with pytest.raises(ValueError, match="finite"):
-                route(ORIGIN, y)
+    # where no witness is finite in floats, the route refuses the pair and
+    # returns no NaN or inf length; the overflows along the way are not warned
+    for y in ([1.5e308, 1.5e308, 0.0], [1e200, 0.0, 1e-10]):  # |p| overflows; the arc's lift overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (cc_upper, cc_bounds):
+                with pytest.raises(ValueError, match="finite"):
+                    route(ORIGIN, np.array(y))
+
+
+def _closed_form_distance(D, c):
+    # d(0, z) for |p(z)| = D and height c, in 60-digit arithmetic
+    with mp.workdps(60):
+        D, c = mp.mpf(D), abs(mp.mpf(c))
+        if c == 0:
+            return D
+        if D == 0:
+            return mp.sqrt(mp.pi * c)
+        r = c / D**2
+        lo, hi = mp.mpf(0), mp.pi
+        for _ in range(250):  # (theta - sin theta cos theta) / sin^2 theta = r by bisection
+            mid = (lo + hi) / 2
+            if (mid - mp.sin(mid) * mp.cos(mid)) / mp.sin(mid) ** 2 < r:
+                lo = mid
+            else:
+                hi = mid
+        return D * lo / mp.sin(lo)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0, 0, 0], [1e-162, 0, 0]),  # D^2 underflows to 0: the trivial route gave upper 0
+    ([0, 0, 0], [1e-160, 0, 0]),  # D^2 subnormal: upper 9.99994e-161
+    ([0, 0, 0], [1.5e-162, 1.5e-162, 0]),
+    ([0, 0, 0], [0, 0, 1e-318]),  # chords underflow: repeated knots
+    ([0, 0, 0], [0, 0, 1e-320]),  # the chords' sum underflows: one knot pair for 1025 rows
+    ([0, 0, 0], [0, 0, 5e-324]),  # c / 4 underflows
+    ([0, 0, 0], [1e-160, 0, 1e-300]),  # the two-leg midpoint's a c underflows
+    ([0, 0, 0], [1e-163, 0, 1e-300]),  # D * D underflows to 0 under a nonzero height
+    ([1e300, 0, 0], [-1e300, 0, 0]),  # chords overflow
+    ([0, 0, 0], [1e160, 0, 1e-300]),
+])
+def test_witness_bracket_contains_the_distance_at_extreme_scales(x, y):
+    x, y = np.array(x, float), np.array(y, float)
+    z = y - x  # exact here: x has no height and no cross term with y
+    d = _closed_form_distance(math.hypot(*z[:-1]), z[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = cc_bounds(x, y)
+    assert b.lower <= d * (1 + 1e-15)
+    assert b.upper >= d * (1 - 1e-15)
+    assert np.array_equal(b.witness.start()[:-1], x[:-1])
+    assert np.array_equal(b.witness.planar[-1], y[:-1])
+
+
+def test_collapsed_witness_is_rejected():
+    # the 1024-gon of area 2.5e-41 vanishes when translated to p(x) = (1, 1):
+    # its witness has length 0 and ends at (1, 1, 0), not at y
+    with pytest.raises(ValueError, match="exceeds upper bound"):
+        cc_bounds(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1e-40]))
+    with pytest.raises(ValueError, match="exceeds upper bound"):
+        DistanceBounds(1e-20, 0.0)
+    DistanceBounds(1.0 + 1e-13, 1.0)  # within the relative slack
+
+
+def test_sixteen_gon_ratio_skips_the_64_gon_pre_solve():
+    # at or below _RATIO_M16 the 64-gon bulge gives m = 16, as the shortcut assumes
+    ratios = np.concatenate([
+        np.logspace(-12, math.log10(_RATIO_M16), 400),
+        _RATIO_M16 * (1.0 + np.linspace(-1e-6, 0.0, 50)),
+        [_RATIO_M16],
+    ])
+    for ratio in ratios:
+        assert min(max(math.ceil(_solve_bulge_scalar(float(ratio), 64) / 0.02), 16), 1024) == 16
+    # the threshold is the 64-gon's coefficient at bulge 0.3199, 1e-4 short of m = 17
+    assert _solve_bulge_scalar(_RATIO_M16, 64) == pytest.approx(0.3199, abs=1e-12)
 
 
 def _pansu_per_sample(u_dir, zs):
