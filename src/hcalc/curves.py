@@ -19,6 +19,7 @@ while keeping its speed within 1 + eta*delta (``modify_line``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -196,7 +197,13 @@ class HorizontalPath:
         n = planar.shape[1] // 2
         if planar.shape[1] != 2 * n or n < 1:
             raise ValueError("planar rows must have even length >= 2")
-        object.__setattr__(self, "_vertices", _lift_vertices(planar, self.c0))
+        # what overflows in the lift is caught by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vertices = _lift_vertices(planar, self.c0)
+        # a running sum that overflowed stays inf or NaN, so the last height tells
+        if not math.isfinite(vertices[-1, -1]):
+            raise ValueError("path data must be finite")
+        object.__setattr__(self, "_vertices", vertices)
 
     @property
     def n(self) -> int:

@@ -36,12 +36,15 @@ arcs (Gaveau 1977), so for D = |p(z)| > 0 and height c
 
     d(z) = D theta / sin(theta),  where  (theta - sin theta cos theta) / sin^2 theta = |c| / D^2,
 
-and d(z) = sqrt(pi |c|) when D = 0.  :func:`_gaveau_upper` finds theta by a
-few Newton steps, accepts an end only where the sign of the bracketing
-function exceeds a bound on its evaluation error, and rounds the mapped
-value outward, so the value is never below d and exceeds it by at most
-about 1e-14 relative for n <= 3.  The bounds assume ``np.sin`` and ``np.cos``
-are within two units in the last place.
+and d(z) = sqrt(pi |c|) when D = 0.  :func:`_gaveau_upper` accepts an end of
+the root only where the sign of the bracketing function exceeds a bound on
+its evaluation error, and rounds the mapped value outward, so the value is
+never below d and exceeds it by at most about 1e-14 relative for n <= 3.
+The bounds assume ``np.sin`` and ``np.cos`` are within two units in the last
+place.  :func:`_gaveau_end` starts Newton from a fitted polynomial within
+3.1e-5 of the root, takes two steps aimed just past the certificate's
+threshold, and checks once: three evaluations per row.  An end that fails
+the check is widened by 4 eps, then by doubling amounts.
 """
 
 from __future__ import annotations
@@ -307,8 +310,9 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
     as the witness's are (translation moves their last bits), and one path
     is built, directly at x, with the start height
     :meth:`HorizontalPath.left_translate` would give the route built at 0.
-    Where a route's length or the witness's lift is not finite in floats,
-    no witness exists at x and ValueError is raised.
+    A route whose length is not finite in floats drops out; where no route
+    is left, or the winner's lift is not finite, no witness exists at x and
+    ValueError is raised.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -327,17 +331,16 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
         for knots, rel in candidates:
             planar = rel + px
             length = _length(planar)
-            if not math.isfinite(length):
-                raise ValueError("path data must be finite")
-            if best is None or length < best[0]:
+            # a route whose length is not finite drops out of the comparison
+            if math.isfinite(length) and (best is None or length < best[0]):
                 best = (length, knots, planar)
+        if best is None:
+            raise ValueError("path data must be finite")
         length, knots, planar = best
         # a route starts at 0, so its start translated by x has height x_c + 0.0:
-        # the cross terms of the group law are products with (signed) zeros
+        # the cross terms of the group law are products with (signed) zeros;
+        # the path refuses a lift that is not finite
         witness = HorizontalPath(knots, planar, float(x[-1]) + 0.0)
-    # a running sum that overflowed stays inf or NaN, so the last height tells
-    if not math.isfinite(witness.heights[-1]):
-        raise ValueError("path data must be finite")
     return length, witness
 
 
@@ -357,8 +360,21 @@ _R_FLAT = 2.0**-30
 # r at or above this: D <= 2^-50 sqrt(|c|), and d >= sqrt(pi |c|) - D, so
 # D + sqrt(pi |c|) exceeds d by a factor below 1 + 2^-49
 _R_STEEP = 2.0**100
-_NEWTON_STEPS = 6
+_NEWTON_STEPS = 2
 _WIDENINGS = 64
+# Newton aims at F = _AIM err, past the certificate's threshold F = err by
+# err / 2, several times the actual rounding of F, so the first check passes
+_AIM = 1.5
+_ROOM = 2.0**-40
+# Fitted starts, highest power first: near-minimax relative fits of degree 6
+# (Lawson's reweighted least squares) to 40-digit mpmath roots on 600
+# Chebyshev nodes, made once.  theta* / r as a polynomial in r^2 on
+# (0, pi/2], within 3.1e-5 relative, and phi* / (2 pi / (1 + sqrt(1 + 4 pi r)))
+# as a polynomial in 1 / sqrt(r) on [pi/2, inf), within 2.2e-6 relative
+_SHALLOW_START = (0.001276831035091879, -0.012488771570860691, 0.052571765765575026, -0.13152163753814175,
+                  0.24414585249287302, -0.4479010784667969, 1.4999538100569525)
+_STEEP_START = (0.520472228587783, -1.1241988859529637, 0.6801070995620567, -0.4823749460302364,
+                0.5690591191266884, 0.2818180391882896, 1.0000021346148513)
 
 
 def _area_excess(theta: np.ndarray):
@@ -383,8 +399,9 @@ def _gaveau_terms(t: np.ndarray, r: np.ndarray, steep: bool, r_err: float):
     F = (theta - sin theta cos theta) - r sin^2 theta increases with theta
     and vanishes at the root, so F > err, with err a bound on the evaluation
     error of F, certifies that theta is at or above the root.  ``step`` is
-    the Newton step of (theta - sin theta cos theta) / sin^2 theta - r, a
-    convex increasing function of theta, in the direction of t.  ``r_err``
+    the Newton step, in the direction of t, of
+    (theta - sin theta cos theta - _AIM err) / sin^2 theta - r, a convex
+    increasing function of theta up to the slow variation of err.  ``r_err``
     bounds the relative error of r.
     """
     s, co = np.sin(t), np.cos(t)
@@ -396,8 +413,17 @@ def _gaveau_terms(t: np.ndarray, r: np.ndarray, steep: bool, r_err: float):
         area, area_err = _area_excess(t)
     rs2 = r * s * s
     F = area - rs2
-    step = F * s / (2.0 * (s * s * s - co * area))
-    return F, area_err + (r_err + 8.0 * _EPS) * rs2, step if steep else -step
+    err = area_err + (r_err + 8.0 * _EPS) * rs2
+    step = (F - _AIM * err) * s / (2.0 * (s * s * s - co * area))
+    return F, err, step if steep else -step
+
+
+def _gaveau_start(r: np.ndarray, steep: bool):
+    """``(t, lo, hi)``: the fitted start of Newton and the bracket that clips its iterates (see :func:`_gaveau_end`)."""
+    if steep:
+        base = 2.0 * math.pi / (1.0 + np.sqrt(1.0 + 4.0 * math.pi * r))
+        return base * np.polyval(_STEEP_START, 1.0 / np.sqrt(r)), base * (1.0 - _ROOM), 0.5 * math.pi
+    return r * np.polyval(_SHALLOW_START, r * r), r, np.minimum(1.5 * r, 0.5 * math.pi) * (1.0 + _ROOM)
 
 
 def _gaveau_end(r: np.ndarray, steep: bool, r_err: float) -> np.ndarray:
@@ -405,16 +431,19 @@ def _gaveau_end(r: np.ndarray, steep: bool, r_err: float) -> np.ndarray:
 
     theta >= theta* on the shallow branch (r <= pi/2), phi <= phi* = pi - theta*
     on the steep one; either way the mapped length is an upper bound.
-    Newton starts on that side of a bracket of the root: theta* lies in
-    [r, min(1.5 r, pi/2)] and phi* in [2 pi / (1 + sqrt(1 + 4 pi r)), pi/2].
-    Where the certificate fails the end is widened geometrically.
+    Newton starts from the fitted approximation of the root (``_SHALLOW_START``,
+    ``_STEEP_START``), and every iterate is clipped to a bracket of it:
+    theta* lies in [r, min(1.5 r, pi/2)] and phi* in
+    [2 pi / (1 + sqrt(1 + 4 pi r)), pi/2].  The bracket's end on the certified
+    side is moved out by ``_ROOM``, since the root meets it as r -> 0 and
+    r -> inf and the aimed end lies some tens of eps beyond the root.  From
+    within 3.1e-5 of the root, ``_NEWTON_STEPS`` = 2 steps aimed at
+    F = ``_AIM`` err reach the certified side, so a row costs three
+    evaluations of :func:`_gaveau_terms`.  Where the certificate still fails
+    the end is widened by 4 eps, then by doubling amounts.
     """
-    if steep:
-        lo, hi = 2.0 * math.pi / (1.0 + np.sqrt(1.0 + 4.0 * math.pi * r)), 0.5 * math.pi
-        t = lo
-    else:
-        lo, hi = r, np.minimum(1.5 * r, 0.5 * math.pi)
-        t = hi
+    t, lo, hi = _gaveau_start(r, steep)
+    t = np.clip(t, lo, hi)
     for _ in range(_NEWTON_STEPS):
         t = np.clip(t + _gaveau_terms(t, r, steep, r_err)[2], lo, hi)
     todo = np.arange(len(t))

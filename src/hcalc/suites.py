@@ -493,17 +493,15 @@ def suite_holder(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]
     m2 = (c_h * 1.01) * np.sqrt(eu[keep]) - up
     ledger.check(m1)
     ledger.check(m2)
-    # vertical pairs pin the 1/2 exponent
-    ratios = []
-    for eps in np.logspace(-6, -1, 11):
-        z = np.zeros(2 * n + 1)
-        z[-1] = eps
-        lo = metric.cc_lower(np.zeros(2 * n + 1), z)
-        up, _ = metric.cc_upper(np.zeros(2 * n + 1), z)
-        ratios.append((lo / math.sqrt(eps), up / math.sqrt(eps)))
-        ledger.count(not (1.0 - 1e-9 <= ratios[-1][0] and ratios[-1][1] <= math.sqrt(math.pi) + 1e-4))
-        ledger.margin(math.sqrt(math.pi) + 1e-4 - ratios[-1][1])
-    return trials, {"c_holder": c_h, "vertical_ratio_range": [min(r[0] for r in ratios), max(r[1] for r in ratios)]}
+    # vertical pairs pin the 1/2 exponent; d((0, 0), (0, eps)) = sqrt(pi eps)
+    heights = np.logspace(-6, -1, 11)
+    z = np.zeros((len(heights), 2 * n + 1))
+    z[:, -1] = heights
+    lo = metric.cc_lower_batch(np.zeros_like(z), z) / np.sqrt(heights)
+    up = metric.cc_upper_value_batch(z) / np.sqrt(heights)
+    ledger.count(np.count_nonzero(~((1.0 - 1e-9 <= lo) & (up <= math.sqrt(math.pi) + 1e-4))))
+    ledger.margin(math.sqrt(math.pi) + 1e-4 - up)
+    return trials, {"c_holder": c_h, "vertical_ratio_range": [float(np.min(lo)), float(np.max(up))]}
 
 
 # ---------------------------------------------------------------------------

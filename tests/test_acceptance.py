@@ -83,6 +83,14 @@ def test_criterion_05_holder_comparison(battery):
     )
 
 
+def test_holder_vertical_ratio_is_the_closed_form(battery):
+    # d((0, 0), (0, eps)) = sqrt(pi eps), and the certified closed form is
+    # within 1e-14 of it; a 1024-gon's length is 1.6e-6 above
+    lo, hi = battery["holder"].details["vertical_ratio_range"]
+    assert lo == 1.0
+    assert math.sqrt(math.pi) <= hi <= math.sqrt(math.pi) * (1.0 + 1e-14)
+
+
 def test_criterion_06_distance_expansion(battery):
     r = battery["differentiabilityofdistance"]
     sups = [r.details["residual_sups"][k] for k in ("0.1", "0.01", "0.001", "0.0001")]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,16 @@ def test_circle_lift_approaches_minus_four_pi():
 def test_lift_rejects_base_projection_mismatch():
     with pytest.raises(ValueError):
         lift_planar(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.0, 0.0]))
+
+
+def test_path_rejects_a_lift_that_is_not_finite():
+    # the lift's one increment -2e200 * 1e200 * 2 overflows: the heights were [0, -inf];
+    # an infinite start height is refused too, and neither is warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for planar, c0 in (([[1e200, 1e200], [-1e200, 1e200]], 0.0), ([[0.0, 0.0], [1.0, 0.0]], math.inf)):
+            with pytest.raises(ValueError, match="path data must be finite"):
+                HorizontalPath([0.0, 1.0], planar, c0)
 
 
 def test_zero_motion_keeps_base():

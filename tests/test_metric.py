@@ -373,6 +373,18 @@ def test_non_finite_routes_raise():
                     route(ORIGIN, np.array(y))
 
 
+def test_a_route_that_is_not_finite_drops_out():
+    # the two-leg midpoint's a c / D^2 overflows while the circle route is
+    # finite: the pair raised "path data must be finite"
+    y = np.array([1e-100, 0.0, 1e209])
+    d = _gaveau_distance(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = cc_bounds(ORIGIN, y)
+    assert b.lower <= d <= b.upper <= d * (1 + 1e-5)
+    assert np.array_equal(b.witness.planar[-1], y[:-1])
+
+
 def _closed_form_distance(D, c):
     # d(0, z) for |p(z)| = D and height c, in 60-digit arithmetic
     with mp.workdps(60):
