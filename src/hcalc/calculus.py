@@ -11,7 +11,7 @@ lines with Richardson extrapolation and report an error bar from the
 successive quotient levels; on a ladder of four or more levels, a quotient
 sequence that grows twice in a row is flagged as diverging instead of
 being extrapolated.  One column-wise ladder serves a single point, a
-batch of points and a curve.
+batch of points, a curve and a batch of curves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .group import (
     vector_at,
 )
 from .metric import Ball, cc_lower_batch, cc_upper_quick, cc_upper_value_batch
-from .curves import HorizontalPath
+from .curves import HorizontalPath, PathBatch
 
 __all__ = [
     "ScalarField",
@@ -47,6 +47,7 @@ __all__ = [
     "directional_derivative",
     "directional_derivative_batch",
     "curve_directional_consistency",
+    "curve_directional_consistency_batch",
     "lipschitz_estimate",
     "PansuReport",
     "pansu_residual",
@@ -94,11 +95,16 @@ def hlinear_field(L: HLinearMap, label: str = "") -> ScalarField:
 
 
 def koranyi_gauge_field(center: Optional[np.ndarray] = None) -> ScalarField:
-    """Gauge distance from a center point.  No certified CC-Lipschitz bound."""
+    """Gauge distance from a center point.  No certified CC-Lipschitz bound.
+
+    ``center`` of shape (m, 2n+1) gives each of m columns its own center:
+    the field then reads batches laid out as a column-wise ladder lays out
+    its points, row i belonging to column i mod m.
+    """
     if center is None:
         return ScalarField(koranyi_norm, label="koranyi")
     c = np.asarray(center, dtype=float)
-    return ScalarField(lambda x: koranyi_norm(group_mul(group_inv(c), x)), label="koranyi@c")
+    return ScalarField(lambda x: koranyi_norm(group_mul(group_inv(c), x.reshape((-1,) + c.shape))).ravel(), label="koranyi@c")
 
 
 def vertical_coordinate_field() -> ScalarField:
@@ -177,9 +183,17 @@ def _ladder(f: ScalarField, plus: np.ndarray, minus: np.ndarray, steps: np.ndarr
     levels, growth of the quotient differences clearly above the noise floor
     at the tail is flagged as divergence and widens the error bar.
     """
+    _check_steps(steps)
+    return _extrapolate(f(plus), f(minus), steps)
+
+
+def _check_steps(steps: np.ndarray) -> None:
     if len(steps) < 3 or np.any(np.diff(steps) >= 0) or np.any(steps <= 0):
         raise ValueError("steps must be >= 3 values decreasing to 0")
-    vp, vm = f(plus), f(minus)
+
+
+def _extrapolate(vp: np.ndarray, vm: np.ndarray, steps: np.ndarray):
+    """:func:`_ladder` from the field values at the points, shape (levels, m)."""
     q = (vp - vm) / (2.0 * steps[:, None])
     diffs = np.abs(np.diff(q, axis=0))
     rich = (4.0 * q[1:] - q[:-1]) / 3.0
@@ -245,31 +259,60 @@ def curve_directional_consistency(
 
     The curves must pass through the same point with the same derivative
     there; the derivative of f along either must then agree, and the report
-    asserts agreement within the combined error bars.
+    asserts agreement within the combined error bars.  The one-column case
+    of :func:`curve_directional_consistency_batch`, bit for bit.
+    """
+    rep = curve_directional_consistency_batch(f, PathBatch.of(g), PathBatch.of(h), np.array([at], dtype=float), steps)
+    return {key: bool(v[0]) if key == "consistent" else float(v[0]) for key, v in rep.items()}
+
+
+def curve_directional_consistency_batch(
+    f: ScalarField,
+    g: PathBatch,
+    h: PathBatch,
+    at: np.ndarray,
+    steps: Optional[np.ndarray] = None,
+) -> dict:
+    """Column-wise :func:`curve_directional_consistency`: column j compares path j of g and h at at[j].
+
+    Each check raises when any column fails it.  A column whose domain
+    cuts the step schedule short keeps the steps that fit, as one curve
+    does; the field sees every column at each step some column keeps.
+    Returns the report's entries as arrays over the columns.
     """
     steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
-    pg, ph = g.eval(at), h.eval(at)
-    scale = max(1.0, float(np.max(np.abs(pg))))
-    if not np.allclose(pg, ph, rtol=0.0, atol=1e-9 * scale):
+    pg, ph = g.eval(at[:, None])[:, 0], h.eval(at[:, None])[:, 0]
+    scale = np.fmax(1.0, np.max(np.abs(pg), axis=-1))  # Python max's reading of a NaN
+    if not (np.abs(pg - ph) <= 1e-9 * scale[:, None]).all():
         raise ValueError("curves do not meet at the common parameter")
-    dg, _ = g.derivative(at)
-    dh, _ = h.derivative(at)
-    if not np.allclose(dg, dh, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(dg))))):
+    dg = g.derivative(at[:, None])[:, 0]
+    dh = h.derivative(at[:, None])[:, 0]
+    if not (np.abs(dg - dh) <= 1e-9 * np.fmax(1.0, np.max(np.abs(dg), axis=-1))[:, None]).all():
         raise ValueError("curve derivatives differ at the common parameter")
     # stay inside both domains
-    max_step = min(at - g.t_min, g.t_max - at, at - h.t_min, h.t_max - at)
-    steps = steps[steps <= max_step]
-    if len(steps) < 3:
+    max_step = np.minimum.reduce([at - g.t_min, g.t_max - at, at - h.t_min, h.t_max - at])
+    fits = steps <= max_step[:, None]
+    if (np.count_nonzero(fits, axis=1) < 3).any():
         raise ValueError("parameter too close to a domain endpoint")
-    eg, eh = (_first(*_ladder(f, p.eval(at + steps)[:, None], p.eval(at - steps)[:, None], steps)) for p in (g, h))
-    gap = abs(eg.value - eh.value)
-    budget = eg.error + eh.error
+    kinds = np.unique(fits, axis=0)
+    for kept in kinds:
+        _check_steps(steps[kept])
+    used = fits.any(axis=0)
+    plus, minus = at[:, None] + steps[used], at[:, None] - steps[used]
+    values = [(f(p.eval(plus).swapaxes(0, 1)), f(p.eval(minus).swapaxes(0, 1))) for p in (g, h)]
+    value, error = np.empty((2, len(at))), np.empty((2, len(at)))
+    for kept in kinds:
+        cols, levels = np.flatnonzero((fits == kept).all(axis=1)), kept[used]
+        for k, (vp, vm) in enumerate(values):
+            value[k, cols], error[k, cols] = _extrapolate(vp[levels][:, cols], vm[levels][:, cols], steps[kept])[:2]
+    gap = np.abs(value[0] - value[1])
+    budget = error[0] + error[1]
     return {
-        "deriv_along_g": eg.value,
-        "deriv_along_h": eh.value,
+        "deriv_along_g": value[0],
+        "deriv_along_h": value[1],
         "gap": gap,
         "error_budget": budget,
-        "consistent": bool(gap <= budget * 4.0 + 1e-12),
+        "consistent": gap <= budget * 4.0 + 1e-12,
     }
 
 

@@ -15,18 +15,23 @@ everywhere downstream: the two-leg curve joining 0 to an arbitrary point
 with controlled speed and direction (``gamma_y``), and the modification of
 a horizontal line so that it detours through a prescribed nearby point
 while keeping its speed within 1 + eta*delta (``modify_line``).
+
+Both constructions also run on a batch of inputs at once, with leading
+axes on every array.  A :class:`PathBatch` holds such a batch: each path
+has its own knots, passes the checks of :class:`HorizontalPath` and gets
+the bits of its own :class:`HorizontalPath` wherever it is evaluated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .group import (
+    _row_sums,
     as_exact,
     dilate,
     group_dim,
@@ -39,6 +44,7 @@ from .group import (
 
 __all__ = [
     "HorizontalPath",
+    "PathBatch",
     "lift_heights",
     "lift_planar",
     "horizontal_length",
@@ -56,27 +62,11 @@ __all__ = [
 MODIFY_DELTA_DIVISOR = 1632.0
 
 
-def delta_cap(eta: float) -> float:
-    """Largest admissible detour parameter for a given speed slack eta."""
-    if eta <= 0:
+def delta_cap(eta):
+    """Largest admissible detour parameter for a given speed slack eta; broadcasts over arrays of eta."""
+    if np.any(np.less_equal(eta, 0)):
         raise ValueError("eta must be positive")
-    return min(eta / MODIFY_DELTA_DIVISOR, 0.5)
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=-1)``, bit for bit, also for object arrays.
-
-    Over a short last axis numpy runs one inner loop per row.  From 128
-    rows on, adding the columns in order is faster, and below 8 columns it
-    gives numpy's bits: numpy adds fewer than 8 terms in order onto a zero.
-    """
-    k = a.shape[-1]
-    if k >= 8 or a.size < 128 * k:
-        return np.add.reduce(a, axis=-1)
-    total = 0 + a[..., 0]
-    for j in range(1, k):
-        total = total + a[..., j]
-    return total
+    return np.minimum(eta / MODIFY_DELTA_DIVISOR, 0.5)
 
 
 def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
@@ -99,9 +89,12 @@ def lift_heights(planar: np.ndarray, c0) -> np.ndarray:
 
 
 # Piecewise-linear evaluation.  ``vertices`` holds one row per knot along
-# axis -2 (projection, then height); leading axes are a batch of paths that
-# share the knots.  HorizontalPath and the batched checks of the suites both
-# evaluate through these, so a batch gets the bits of one path at a time.
+# axis -2 (projection, then height); leading axes are a batch of paths.
+# Knots of shape (K,) are shared by the whole batch.  Knots of shape
+# (..., K) give each path its own, and t then holds one row of parameters
+# per path, shape (..., T).  HorizontalPath and the batched checks of the
+# suites both evaluate through these, so a batch gets the bits of one path
+# at a time.
 
 
 def _lift_vertices(planar: np.ndarray, c0) -> np.ndarray:
@@ -109,24 +102,58 @@ def _lift_vertices(planar: np.ndarray, c0) -> np.ndarray:
     return np.concatenate([planar, lift_heights(planar, c0)[..., None]], axis=-1)
 
 
+def _checked_vertices(knots: np.ndarray, planar: np.ndarray, c0) -> np.ndarray:
+    """:func:`_lift_vertices` after the checks of every path's data.
+
+    Leading axes are a batch of paths and ``c0`` holds one start height per
+    path; a batch raises the message of the first check any path fails.
+    """
+    # a NaN knot passes this test and fails the next one
+    if ((knots[..., 1:] - knots[..., :-1]) <= 0).any():
+        raise ValueError("knots must be strictly increasing")
+    if not (np.isfinite(knots).all() and np.isfinite(planar).all()):
+        raise ValueError("path data must be finite")
+    n = planar.shape[-1] // 2
+    if planar.shape[-1] != 2 * n or n < 1:
+        raise ValueError("planar rows must have even length >= 2")
+    # what overflows in the lift is caught by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vertices = _lift_vertices(planar, np.expand_dims(c0, -1))
+    # a running sum that overflowed stays inf or NaN, so the last height tells
+    if not np.isfinite(vertices[..., -1, -1]).all():
+        raise ValueError("path data must be finite")
+    return vertices
+
+
 def _segment(knots: np.ndarray, t):
     """Index of the segment holding t: the one starting at t on a knot, the last one at the end."""
-    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    if knots.ndim == 1:
+        j = np.searchsorted(knots, t, side="right")
+    else:  # searchsorted's count, path by path
+        j = np.count_nonzero(knots[..., None, :] <= t[..., None], axis=-1)
+    return np.clip(j - 1, 0, knots.shape[-1] - 2)
+
+
+def _segment_ends(knots: np.ndarray, vertices: np.ndarray, t):
+    """Knots and vertices at both ends of the segment holding t."""
+    j = _segment(knots, t)
+    if knots.ndim == 1:
+        return knots[j], knots[j + 1], np.take(vertices, j, axis=-2), np.take(vertices, j + 1, axis=-2)
+    pick = np.take_along_axis
+    return pick(knots, j, -1), pick(knots, j + 1, -1), pick(vertices, j[..., None], -2), pick(vertices, j[..., None] + 1, -2)
 
 
 def _interpolate(knots: np.ndarray, vertices: np.ndarray, t) -> np.ndarray:
     """Point at parameter t, for t in [knots[0], knots[-1]]."""
-    j = _segment(knots, t)
-    u = (t - knots[j]) / (knots[j + 1] - knots[j])
-    lo, hi = np.take(vertices, j, axis=-2), np.take(vertices, j + 1, axis=-2)
+    k0, k1, lo, hi = _segment_ends(knots, vertices, t)
+    u = (t - k0) / (k1 - k0)
     return lo + np.expand_dims(u, -1) * (hi - lo)
 
 
 def _difference_quotient(knots: np.ndarray, vertices: np.ndarray, t) -> np.ndarray:
     """Derivative on the segment holding t (see :func:`_segment`)."""
-    j = _segment(knots, t)
-    lo, hi = np.take(vertices, j, axis=-2), np.take(vertices, j + 1, axis=-2)
-    return (hi - lo) / (knots[j + 1] - knots[j])
+    k0, k1, lo, hi = _segment_ends(knots, vertices, t)
+    return (hi - lo) / np.expand_dims(k1 - k0, -1)
 
 
 _TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
@@ -186,24 +213,10 @@ class HorizontalPath:
             raise ValueError("planar must have one row per knot")
         if knots.shape[0] < 2:
             raise ValueError("a path needs at least two knots")
-        # a NaN knot passes this test and fails the next one
-        if ((knots[..., 1:] - knots[..., :-1]) <= 0).any():
-            raise ValueError("knots must be strictly increasing")
-        if not (np.isfinite(knots).all() and np.isfinite(planar).all()):
-            raise ValueError("path data must be finite")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "planar", planar)
         object.__setattr__(self, "c0", float(self.c0))
-        n = planar.shape[1] // 2
-        if planar.shape[1] != 2 * n or n < 1:
-            raise ValueError("planar rows must have even length >= 2")
-        # what overflows in the lift is caught by the check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            vertices = _lift_vertices(planar, self.c0)
-        # a running sum that overflowed stays inf or NaN, so the last height tells
-        if not math.isfinite(vertices[-1, -1]):
-            raise ValueError("path data must be finite")
-        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_vertices", _checked_vertices(knots, planar, self.c0))
 
     @property
     def n(self) -> int:
@@ -268,6 +281,51 @@ class HorizontalPath:
         return cls(np.asarray(data["knots"]), np.asarray(data["planar"]), data["c0"])
 
 
+class PathBatch(NamedTuple):
+    """Paths with equally many knots as arrays, one path per leading index.
+
+    ``knots`` has shape (..., K) and ``vertices`` holds the knot rows
+    (projection, height), shape (..., K, 2n+1).  Parameters come one row
+    per path, shape (..., T).  Each path gets the bits of its own
+    :class:`HorizontalPath`.
+    """
+
+    knots: np.ndarray
+    vertices: np.ndarray
+
+    @classmethod
+    def lift(cls, knots, planar, c0) -> "PathBatch":
+        """The lifted paths, after the checks of :class:`HorizontalPath`."""
+        return cls(knots, _checked_vertices(knots, planar, c0))
+
+    @classmethod
+    def of(cls, path: HorizontalPath) -> "PathBatch":
+        """The one-path batch of ``path``."""
+        return cls(path.knots[None], path._vertices[None])
+
+    @property
+    def planar(self) -> np.ndarray:
+        return self.vertices[..., :-1]
+
+    @property
+    def t_min(self) -> np.ndarray:
+        return self.knots[..., 0]
+
+    @property
+    def t_max(self) -> np.ndarray:
+        return self.knots[..., -1]
+
+    def eval(self, t) -> np.ndarray:
+        """Points at parameters t (clamped to each path's domain), shape (..., T, 2n+1)."""
+        return _interpolate(self.knots, self.vertices, np.clip(t, self.knots[..., :1], self.knots[..., -1:]))
+
+    def derivative(self, t) -> np.ndarray:
+        """Derivative vectors at t, right-hand on a knot, as :meth:`HorizontalPath.derivative`."""
+        if not ((self.knots[..., :1] <= t) & (t <= self.knots[..., -1:])).all():
+            raise ValueError("parameter outside the path domain")
+        return _difference_quotient(self.knots, self.vertices, t)
+
+
 def lift_planar(planar: np.ndarray, base: np.ndarray, knots=None) -> HorizontalPath:
     """Lift a planar polyline to the horizontal curve starting at ``base``.
 
@@ -307,14 +365,18 @@ def lipschitz_constant(path: HorizontalPath) -> float:
 
 def line_path(x: np.ndarray, direction: np.ndarray, t0: float, t1: float) -> HorizontalPath:
     """The horizontal line t -> x + t * E(x) restricted to [t0, t1]."""
-    x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
     if t1 <= t0:
         raise ValueError("need t0 < t1")
+    return HorizontalPath(*_line_knots(np.asarray(x, dtype=float), np.asarray(direction, dtype=float), t0, t1))
+
+
+def _line_knots(x, direction, t0, t1):
+    """Knots (..., 2), planar rows (..., 2, 2n) and start height (...) of lines; broadcasts."""
+    t0, t1 = np.expand_dims(t0, -1), np.expand_dims(t1, -1)
     p = project(x)
-    planar = np.stack([p + t0 * direction, p + t1 * direction])
-    c0 = group_mul(x, t0 * horizontal_point(direction))[-1]
-    return HorizontalPath(np.array([t0, t1]), planar, c0)
+    planar = np.stack([p + t0 * direction, p + t1 * direction], axis=-2)
+    c0 = group_mul(x, t0 * horizontal_point(direction))[..., -1]
+    return np.concatenate([t0, t1], axis=-1), planar, c0
 
 
 # The knot data of gamma_y and modify_line is rational whenever the inputs
@@ -390,14 +452,7 @@ class ModifyLineParams:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
-        require_unit(self.direction)
-        if not (0.0 < self.r < self.delta):
-            raise ValueError("need 0 < r < delta")
-        if not (self.delta < delta_cap(self.eta)):
-            raise ValueError(f"delta must be below {delta_cap(self.eta):.3g} = delta_cap(eta)")
-        # a NaN bound fails no comparison, so finiteness is checked first
-        if not np.isfinite(self.cc_bound_of_u) or self.cc_bound_of_u > 1.0 + 1e-12:
-            raise ValueError(f"u must come with a finite certified distance bound <= 1, got {self.cc_bound_of_u}")
+        _require_modifiable(self.direction, self.r, self.delta, self.eta, self.cc_bound_of_u)
 
     @property
     def s(self) -> float:
@@ -406,6 +461,34 @@ class ModifyLineParams:
     @property
     def zeta(self) -> float:
         return float(self.r * np.dot(project(self.u), self.direction))
+
+
+def _require_modifiable(direction, r, delta, eta=None, cc_bound_of_u=None) -> None:
+    """The checks of the modification's inputs, over a batch of rows.
+
+    A unit direction and 0 < r < delta; with ``eta``, also delta below
+    delta_cap(eta) and a finite certified bound on d(u, 0) of at most 1.
+    A batch raises the message of the first check any row fails, quoting
+    the first such row's values.
+    """
+    require_unit(direction)
+    if not np.all(np.less(0.0, r) & np.less(r, delta)):
+        raise ValueError("need 0 < r < delta")
+    if eta is None:
+        return
+    cap = delta_cap(eta)
+    bad = ~(delta < cap)
+    if bad.any():
+        raise ValueError(f"delta must be below {_first_bad(bad, cap):.3g} = delta_cap(eta)")
+    # a NaN bound fails no comparison, so finiteness is checked first
+    bad = ~np.isfinite(cc_bound_of_u) | (cc_bound_of_u > 1.0 + 1e-12)
+    if bad.any():
+        raise ValueError(f"u must come with a finite certified distance bound <= 1, got {_first_bad(bad, cc_bound_of_u)}")
+
+
+def _first_bad(bad, values):
+    """The entry of ``values`` at the first row that ``bad`` marks."""
+    return np.broadcast_to(values, np.shape(bad)).ravel()[np.argmax(np.ravel(bad))]
 
 
 def modify_line(params: ModifyLineParams, span: Optional[float] = None, rational: bool = False):
@@ -438,32 +521,43 @@ def modify_line(params: ModifyLineParams, span: Optional[float] = None, rational
 
 
 def _modified_line_knots(x, u, E, r, s, zeta, span):
-    """Knot parameters, planar rows and start height of the modified line, float or exact."""
+    """Knot parameters (..., 7), planar rows (..., 7, 2n) and start height (...) of modified lines.
+
+    Float or exact.  Leading axes are a batch of lines, with one r, s, zeta
+    and span each; one line is the batch with no leading axes.
+    """
     e0 = horizontal_point(E)
-    target = group_mul(s * e0, dilate(r, u))
-    back = group_mul(dilate(r, group_inv(u)), s * e0)
+    s_e0 = np.expand_dims(s, -1) * e0
+    span_E = np.expand_dims(span, -1) * E
+    target = group_mul(s_e0, dilate(r, u))
+    back = group_mul(dilate(r, group_inv(u)), s_e0)
     for chord in (project(target), project(back)):
-        if chord @ chord == 0:
+        if np.any(np.vecdot(chord, chord) == 0):
             raise ValueError("degenerate modification: detour chord has zero projection")
     rows1 = _gamma_rows(target)  # relative to x * (-s E(0))
     rows2 = _gamma_rows(back)  # relative to x * delta_r(u)
-    base_left = project(group_mul(x, -s * e0))
-    base_mid = project(group_mul(x, dilate(r, u)))
+    base_left = project(group_mul(x, -s_e0))[..., None, :]
+    base_mid = project(group_mul(x, dilate(r, u)))[..., None, :]
     px = project(x)
-    rows = np.stack(
-        [
-            px - span * E,
-            base_left + rows1[0],
-            base_left + rows1[1],
-            base_left + rows1[2],
-            base_mid + rows2[1],
-            base_mid + rows2[2],
-            px + span * E,
-        ]
+    rows = np.concatenate(
+        [(px - span_E)[..., None, :], base_left + rows1, base_mid + rows2[..., 1:, :], (px + span_E)[..., None, :]],
+        axis=-2,
     )
-    knots = np.array([-span, -s, (zeta - s) / 2, zeta, (zeta + s) / 2, s, span])
-    c0 = group_mul(x, -span * e0)[-1]
+    knots = np.stack(np.broadcast_arrays(-span, -s, (zeta - s) / 2, zeta, (zeta + s) / 2, s, span), axis=-1)
+    c0 = group_mul(x, -np.expand_dims(span, -1) * e0)[..., -1][()]
     return knots, rows, c0
+
+
+def _modified_line_batch(x, u, direction, r, delta, zeta, span=None, eta=None, cc_bound_of_u=None) -> PathBatch:
+    """Modified lines as one batch, each row with the bits of its own path.
+
+    Rows pass the checks of :class:`ModifyLineParams` when ``eta`` is given
+    and those of :func:`modify_line_probe` when it is not; ``zeta`` is each
+    row's r <p(u), E>, and ``span`` defaults to 2s.
+    """
+    _require_modifiable(direction, r, delta, eta, cc_bound_of_u)
+    s = r / delta
+    return PathBatch.lift(*_modified_line_knots(x, u, direction, r, s, zeta, 2.0 * s if span is None else span))
 
 
 def modify_line_probe(x, u, direction, r, delta, span=None):
@@ -476,9 +570,8 @@ def modify_line_probe(x, u, direction, r, delta, span=None):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    direction = require_unit(np.asarray(direction, dtype=float))
-    if not (0.0 < r < delta):
-        raise ValueError("need 0 < r < delta")
+    direction = np.asarray(direction, dtype=float)
+    _require_modifiable(direction, r, delta)
     s = r / delta
     zeta = float(r * np.dot(project(u), direction))
     if span is None:

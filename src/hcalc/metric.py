@@ -66,6 +66,7 @@ from .curves import (
     horizontal_length,
 )
 from .group import (
+    _row_sums,
     group_dim,
     group_inv,
     group_mul,
@@ -265,18 +266,25 @@ def _embed_chain(chain: np.ndarray, w: np.ndarray, D: float) -> np.ndarray:
 # the bulge of the 64-gon pre-solve stays below 0.3199, so m = 16, for every
 # ratio up to the 64-gon's area coefficient there
 _RATIO_M16 = _chain_area_coeff_scalar(0.3199, 64)
+# the smallest bulge _solve_bulge_scalar returns; an arc needs a bulge about
+# 6 times its ratio, and the straight chord misses the height by 4 ratio D^2,
+# far below the rounding of the heights, about eps D^2
+_BULGE_FLOOR = math.pi * 2.0**-91
 
 
 def _arc_witness(w: np.ndarray, D: float, c: float):
     """Knots and projected rows, relative to the start, of the witness whose
     projection is an inscribed circular arc closing on z = (w, c) != 0, D = |w|."""
     target_ccw = -c / 4.0
+    # below D = 1.5e-162, D * D is 0: go straight and close with the circle
+    ratio = abs(target_ccw) / (D * D) if D * D > 0.0 else math.inf
     if D == 0.0:
         chain = _circle_chain_2d(c)
-    elif c == 0.0:
+    elif c == 0.0 or ratio < _BULGE_FLOOR:
+        # a floor bulge would enclose far more than the height needs, and
+        # from D = 1e154 on its lift overflows
         chain = np.array([[0.0, 0.0], [D, 0.0]])
-    # below D = 1.5e-162, D * D is 0: go straight and close with the circle
-    elif (ratio := abs(target_ccw) / (D * D) if D * D > 0.0 else math.inf) > 1e10:
+    elif ratio > 1e10:
         # bulge saturates in float; go straight to the projection, then close
         # the height with a full circle (out-and-back chord encloses nothing)
         circle = _circle_chain_2d(c) + np.array([D, 0.0])
@@ -511,7 +519,7 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     # squares of large coordinates overflow to inf, which the routes below
     # handle; they are not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        D = np.sqrt(np.add.reduce(p * p, axis=-1))
+        D = np.sqrt(_row_sums(p * p))
         D4 = D * D * D * D
         # D = 0 has no two-leg route, and where D^4 underflows the route is
         # infinite: those entries keep inf instead of dividing by zero

@@ -15,6 +15,11 @@ into the worst margin.  A check whose failure test is anything else
 records its two halves apart, :meth:`_Ledger.count` for the failures and
 :meth:`_Ledger.margin` for the margin.  A NaN margin entry neither fails
 nor moves the worst margin.
+
+``goodcurve``, ``newcurveg`` and ``welldefined`` build their curves as
+batches.  They draw trial by trial, so the random stream is the one of a
+loop that builds one curve per trial, and then check each dimension's
+trials as one batch.  Each trial keeps the bits of its own curve.
 """
 
 from __future__ import annotations
@@ -338,36 +343,46 @@ def suite_welldefined(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, 
     trials = cfg.count(120)
     coarse_gap_max = 0.0
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
-            x = rng.standard_normal(2 * n + 1)
-            e = rng.standard_normal(2 * n)
-            e /= np.linalg.norm(e)
-            eta = 10.0 ** rng.uniform(-1, 0)
-            delta = 0.5 * curves.delta_cap(eta) * 10.0 ** rng.uniform(-2, 0)
-            r = delta * float(rng.uniform(0.05, 0.5))
-            u = 0.3 * rng.standard_normal(2 * n + 1)
-            du = float(metric.cc_upper_quick(u))
-            if du > 1.0:
-                u = group.dilate(1.0 / (2.0 * du), u)
-                du = float(metric.cc_upper_quick(u))
-            params = curves.ModifyLineParams(x=x, u=u, direction=e, r=r, delta=delta, eta=eta, cc_bound_of_u=du)
-            span = max(2.0 * params.s, params.s + 0.5)
-            detour, _ = curves.modify_line(params, span=span)
-            line = curves.line_path(x, e, -span, span)
-            # just outside the detour: coarse quotient levels straddle the
-            # junction knot, fine levels see only the shared straight germ
-            at = -(params.s + float(rng.uniform(0.002, 0.01)))
-            fld = calculus.koranyi_gauge_field(x + np.concatenate([np.ones(2 * n), [0.5]]))
-            rep = calculus.curve_directional_consistency(fld, line, detour, at=at)
-            ledger.count(not rep["consistent"])
-            ledger.margin(rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
-            coarse = abs(float(fld(line.eval(at + 0.015))) - float(fld(detour.eval(at + 0.015))))
-            coarse_gap_max = max(coarse_gap_max, coarse)
-            # same germ, affinely shifted domain
-            shifted = curves.HorizontalPath(line.knots + 0.0, line.planar, line.c0)
-            rep2 = calculus.curve_directional_consistency(fld, line, shifted, at=at)
-            ledger.count(not rep2["consistent"] or rep2["gap"] > 1e-12)
-    return trials, {"max_coarse_disagreement": coarse_gap_max}
+        m = trials // len(cfg.n_values)
+        if not m:
+            continue
+        x, u, e = np.empty((m, 2 * n + 1)), np.empty((m, 2 * n + 1)), np.empty((m, 2 * n))
+        eta, shrink, frac, lead = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+        for i in range(m):  # one trial at a time, so the stream is the per-trial one
+            x[i] = rng.standard_normal(2 * n + 1)
+            e[i] = rng.standard_normal(2 * n)
+            e[i] /= np.linalg.norm(e[i])
+            eta[i] = 10.0 ** rng.uniform(-1, 0)  # Python's pow, which rounds apart from numpy's
+            shrink[i] = 10.0 ** rng.uniform(-2, 0)
+            frac[i] = rng.uniform(0.05, 0.5)
+            u[i] = 0.3 * rng.standard_normal(2 * n + 1)
+            lead[i] = rng.uniform(0.002, 0.01)
+        delta = 0.5 * curves.delta_cap(eta) * shrink
+        r = delta * frac
+        du = metric.cc_upper_quick(u)
+        big = du > 1.0
+        u[big] = group.dilate(1.0 / (2.0 * du[big]), u[big])
+        du[big] = metric.cc_upper_quick(u[big])
+        s = r / delta
+        span = np.maximum(2.0 * s, s + 0.5)
+        zeta = r * np.vecdot(u[:, :-1], e)
+        detour = curves._modified_line_batch(x, u, e, r, delta, zeta, span, eta, du)
+        knots, planar, c0 = curves._line_knots(x, e, -span, span)
+        line = curves.PathBatch.lift(knots, planar, c0)
+        # just outside the detour: coarse quotient levels straddle the
+        # junction knot, fine levels see only the shared straight germ
+        at = -(s + lead)
+        fld = calculus.koranyi_gauge_field(x + np.concatenate([np.ones(2 * n), [0.5]]))  # a center per trial
+        rep = calculus.curve_directional_consistency_batch(fld, line, detour, at)
+        ledger.count(np.count_nonzero(~rep["consistent"]))
+        ledger.margin(rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
+        coarse = np.abs(fld(line.eval((at + 0.015)[:, None])[:, 0]) - fld(detour.eval((at + 0.015)[:, None])[:, 0]))
+        coarse_gap_max = np.fmax.reduce(coarse, initial=coarse_gap_max)  # Python max's reading of a NaN
+        # same germ, affinely shifted domain
+        shifted = curves.PathBatch.lift(knots + 0.0, planar, c0)
+        rep2 = calculus.curve_directional_consistency_batch(fld, line, shifted, at)
+        ledger.count(np.count_nonzero(~rep2["consistent"] | (rep2["gap"] > 1e-12)))
+    return trials, {"max_coarse_disagreement": float(coarse_gap_max)}
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +598,39 @@ def suite_maximality(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, d
 # line modification
 
 
+def _modified_line_posts(ledger: _Ledger, c_m, x, u, e, eta, delta, r, du):
+    """Check the posts of the line modification on one batch of trials; returns c_m updated."""
+    zeta = r * np.vecdot(u[:, :-1], e)
+    path = curves._modified_line_batch(x, u, e, r, delta, zeta, eta=eta, cc_bound_of_u=du)
+    s = r / delta
+    scale = 1.0 + np.max(np.abs(path.planar), axis=(-2, -1))
+    # (1) straight tails
+    tt = np.stack([-1.5 * s, 1.5 * s, -s, s], axis=-1)
+    line = group.group_mul(x[:, None], group.horizontal_point(tt[..., None] * e[:, None]))
+    err = np.max(np.abs(path.eval(tt) - line), axis=-1)
+    ledger.check(1e-9 * scale[:, None] - err)
+    # (2) the detour target
+    target = group.group_mul(x, group.dilate(r, u))
+    err = np.max(np.abs(path.eval(zeta[:, None])[:, 0] - target), axis=-1)
+    ledger.check(1e-9 * scale - err)
+    # (3) speed bound
+    lip = np.max(curves._segment_speeds(path.knots, path.planar), axis=-1)
+    ledger.check(1.0 + eta * delta - lip)
+    # (4) projected derivative deviation, recording the constant
+    vels = np.diff(path.planar, axis=-2) / np.diff(path.knots)[..., None]
+    dev = np.max(np.linalg.norm(vels - e[:, None], axis=-1), axis=-1)
+    ledger.count(np.count_nonzero(dev > 184.0 * delta))
+    return np.fmax.reduce(dev / delta, initial=c_m)  # Python max's reading of a NaN
+
+
 def suite_newcurveg(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     """All posts of the line modification plus the cover membership clause."""
     trials = cfg.count(1000)
     c_m_per_seed = []
     for rep_i in range(3):
         rng = np.random.default_rng(seed + rep_i)
-        c_m = 1.0
-        for _ in range(trials // 3):
+        drawn = {n: [] for n in cfg.n_values}
+        for _ in range(trials // 3):  # one trial at a time, so the stream is the per-trial one
             n = int(rng.choice(cfg.n_values))
             x = rng.standard_normal(2 * n + 1)
             u = 0.3 * rng.standard_normal(2 * n + 1)
@@ -599,30 +639,15 @@ def suite_newcurveg(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
                 continue
             e = rng.standard_normal(2 * n)
             e /= np.linalg.norm(e)
-            eta = 10.0 ** rng.uniform(-2, 0)
-            delta = curves.delta_cap(eta) * 10.0 ** rng.uniform(-4, -0.05)
-            r = delta * float(rng.uniform(0.01, 0.99))
-            params = curves.ModifyLineParams(x=x, u=u, direction=e, r=r, delta=delta, eta=eta, cc_bound_of_u=du)
-            path, zeta = curves.modify_line(params)
-            s = params.s
-            scale = 1.0 + float(np.max(np.abs(path.planar)))
-            # (1) straight tails
-            tt = np.array([-1.5 * s, 1.5 * s, -s, s])
-            err = np.max(np.abs(path.eval(tt) - group.group_mul(x, group.horizontal_point(tt[:, None] * e))), axis=1)
-            ledger.check(1e-9 * scale - err)
-            # (2) the detour target
-            target = group.group_mul(x, group.dilate(r, u))
-            err = float(np.max(np.abs(path.eval(zeta) - target)))
-            ledger.check(1e-9 * scale - err)
-            # (3) speed bound
-            lip = curves.lipschitz_constant(path)
-            ledger.check(1.0 + eta * delta - lip)
-            # (4) projected derivative deviation, recording the constant
-            vels = np.diff(path.planar, axis=0) / np.diff(path.knots)[:, None]
-            dev = float(np.max(np.linalg.norm(vels - e, axis=1)))
-            ledger.count(dev > 184.0 * delta)
-            c_m = max(c_m, dev / delta)
-        c_m_per_seed.append(c_m)
+            eta = 10.0 ** rng.uniform(-2, 0)  # Python's pow, which rounds apart from numpy's
+            drawn[n].append((x, u, e, eta, 10.0 ** rng.uniform(-4, -0.05), rng.uniform(0.01, 0.99), du))
+        c_m = 1.0
+        for rows in drawn.values():
+            if rows:
+                x, u, e, eta, shrink, frac, du = (np.array(v) for v in zip(*rows))
+                delta = curves.delta_cap(eta) * shrink
+                c_m = _modified_line_posts(ledger, c_m, x, u, e, eta, delta, delta * frac, du)
+        c_m_per_seed.append(float(c_m))
     spread = (max(c_m_per_seed) - min(c_m_per_seed)) / max(c_m_per_seed)
     ledger.check(0.10 - spread)
     # rational data: the modified line lives on enumerated lines at all levels
@@ -647,18 +672,16 @@ def suite_newcurveg(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     largest_factor = 0.0
     rng = np.random.default_rng(seed + 7)
     for factor in (1.0, 4.0, 16.0, 64.0, 256.0):
-        held = True
-        for _ in range(40):
-            delta = cap * factor * 0.99
-            r = delta * float(rng.uniform(0.05, 0.9))
-            u = 0.2 * rng.standard_normal(3)
-            e = rng.standard_normal(2)
-            e /= np.linalg.norm(e)
-            probe, _ = curves.modify_line_probe(rng.standard_normal(3), u, e, r, delta)
-            if curves.lipschitz_constant(probe) > 1.0 + eta_probe * delta:
-                held = False
-                break
-        if not held:
+        delta = cap * factor * 0.99
+        x, u, e, r = np.empty((40, 3)), np.empty((40, 3)), np.empty((40, 2)), np.empty(40)
+        for i in range(40):  # draws past a failing trial are never read
+            r[i] = delta * float(rng.uniform(0.05, 0.9))
+            u[i] = 0.2 * rng.standard_normal(3)
+            e[i] = rng.standard_normal(2)
+            e[i] /= np.linalg.norm(e[i])
+            x[i] = rng.standard_normal(3)
+        probe = curves._modified_line_batch(x, u, e, r, delta, r * np.vecdot(u[:, :-1], e))
+        if (np.max(curves._segment_speeds(probe.knots, probe.planar), axis=-1) > 1.0 + eta_probe * delta).any():
             break
         largest_factor = factor
     return trials, {

@@ -37,7 +37,7 @@ import numpy as np
 
 from .curves import HorizontalPath, lift_heights
 from .metric import cc_upper_quick
-from .group import group_inv, group_mul
+from .group import _row_sums, group_inv, group_mul
 
 __all__ = [
     "RationalLine",
@@ -387,10 +387,10 @@ class Cover:
         distance lower bound up to rounding."""
         h = self._vecs[li, :-1]
         p = pts[pi, :-1] - self._bases[li, :-1]
-        t = np.sum(p * h, axis=1) / np.sum(h * h, axis=1)
+        t = _row_sums(p * h) / _row_sums(h * h)
         t = np.clip(t, self.spans[li, 0], self.spans[li, 1])
-        near = self._bases[li, :-1] + t[:, None] * h
-        return np.linalg.norm(pts[pi, :-1] - near, axis=1)
+        d = pts[pi, :-1] - (self._bases[li, :-1] + t[:, None] * h)
+        return np.sqrt(_row_sums(d * d))  # np.linalg.norm's sum of squares
 
     def _cell_order(self, planar: np.ndarray) -> np.ndarray:
         """Permutation of the points in Z-order of a cell grid.

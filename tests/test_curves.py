@@ -12,7 +12,6 @@ from hcalc.curves import (
     _gamma_rows,
     _interpolate,
     _lift_vertices,
-    _row_sums,
     _segment_speeds,
     HorizontalPath,
     ModifyLineParams,
@@ -25,7 +24,7 @@ from hcalc.curves import (
     lipschitz_constant,
     modify_line,
 )
-from hcalc.group import as_exact, dilate, group_dim, group_mul, horizontal_point, project, vector_at
+from hcalc.group import _row_sums, as_exact, dilate, group_dim, group_mul, horizontal_point, project, vector_at
 
 
 def test_flat_segment_lifts_flat():

@@ -234,6 +234,29 @@ def test_group_mul_is_bitwise_the_reference(n):
         assert all(type(v) is Fraction for v in got.ravel())
 
 
+# group_mul sums its cross terms column by column from 128 rows on: the
+# products must keep the bits of np.add.reduce's row-by-row sums there too.
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8])
+def test_group_mul_keeps_its_bits_on_both_sides_of_the_row_gate(n):
+    rng = np.random.default_rng(70 + n)
+    d = 2 * n + 1
+
+    def reduce_reference(x, y):
+        out = x + y
+        out[..., -1] -= 2 * (np.add.reduce(x[..., :n] * y[..., n : 2 * n], axis=-1)
+                             - np.add.reduce(x[..., n : 2 * n] * y[..., :n], axis=-1))
+        return out
+
+    for rows in (1, 127, 128, 129, 600):
+        x, y = _wide_floats(rng, (rows, d)), _wide_floats(rng, (rows, d))
+        assert group_mul(x, y).tobytes() == reduce_reference(x, y).tobytes()
+        assert group_mul(x[0], y).tobytes() == reduce_reference(x[0], y).tobytes()
+        ex, ey = as_exact(dyadic(rng, (rows, d), 30)), as_exact(dyadic(rng, (rows, d), 30))
+        got = group_mul(ex, ey)
+        assert got.ravel().tolist() == reduce_reference(ex, ey).ravel().tolist()
+        assert all(type(v) is Fraction for v in got.ravel())
+
+
 def test_group_mul_rejects_mismatched_and_even_lengths():
     for x, y in ((np.zeros(3), np.zeros(5)), (np.zeros((2, 5)), np.zeros((2, 3))),
                  (np.zeros(4), np.zeros(4)), (np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros(1), np.zeros(1))):

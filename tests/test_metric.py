@@ -365,12 +365,28 @@ def test_witness_built_once_matches_translated_candidates(n):
 def test_non_finite_routes_raise():
     # where no witness is finite in floats, the route refuses the pair and
     # returns no NaN or inf length; the overflows along the way are not warned
-    for y in ([1.5e308, 1.5e308, 0.0], [1e200, 0.0, 1e-10]):  # |p| overflows; the arc's lift overflows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for route in (cc_upper, cc_bounds):
-                with pytest.raises(ValueError, match="finite"):
-                    route(ORIGIN, np.array(y))
+    y = np.array([1.5e308, 1.5e308, 0.0])  # |p| overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (cc_upper, cc_bounds):
+            with pytest.raises(ValueError, match="finite"):
+                route(ORIGIN, y)
+
+
+@pytest.mark.parametrize("y", [[1e200, 0.0, 1e-10], [3e160, -4e160, 2e100], [1.0, 2.0, 1e-30]])
+def test_a_ratio_below_the_bulge_floor_goes_straight(y):
+    # |c| / 4D^2 below the bisection's floor bulge pi 2^-91: the floor arc
+    # enclosed far more than the height needs, and from D = 1e154 on its lift
+    # overflowed and the pair raised "path data must be finite"
+    y = np.array(y)
+    d = _gaveau_distance(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = cc_bounds(ORIGIN, y)
+    assert b.lower <= d * (1 + 1e-15)
+    assert d * (1 - 1e-15) <= b.upper <= d * (1 + 1e-15)
+    assert np.array_equal(b.witness.planar[-1], y[:-1])
+    assert abs(b.witness.end()[-1] - y[-1]) <= 1e-15 * d * d
 
 
 def test_a_route_that_is_not_finite_drops_out():
@@ -383,25 +399,6 @@ def test_a_route_that_is_not_finite_drops_out():
         b = cc_bounds(ORIGIN, y)
     assert b.lower <= d <= b.upper <= d * (1 + 1e-5)
     assert np.array_equal(b.witness.planar[-1], y[:-1])
-
-
-def _closed_form_distance(D, c):
-    # d(0, z) for |p(z)| = D and height c, in 60-digit arithmetic
-    with mp.workdps(60):
-        D, c = mp.mpf(D), abs(mp.mpf(c))
-        if c == 0:
-            return D
-        if D == 0:
-            return mp.sqrt(mp.pi * c)
-        r = c / D**2
-        lo, hi = mp.mpf(0), mp.pi
-        for _ in range(250):  # (theta - sin theta cos theta) / sin^2 theta = r by bisection
-            mid = (lo + hi) / 2
-            if (mid - mp.sin(mid) * mp.cos(mid)) / mp.sin(mid) ** 2 < r:
-                lo = mid
-            else:
-                hi = mid
-        return D * lo / mp.sin(lo)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -419,7 +416,7 @@ def _closed_form_distance(D, c):
 def test_witness_bracket_contains_the_distance_at_extreme_scales(x, y):
     x, y = np.array(x, float), np.array(y, float)
     z = y - x  # exact here: x has no height and no cross term with y
-    d = _closed_form_distance(math.hypot(*z[:-1]), z[-1])
+    d = _gaveau_distance(z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b = cc_bounds(x, y)

@@ -1,0 +1,248 @@
+"""The batched ``newcurveg`` and ``welldefined`` suites against their per-trial loops.
+
+``_ref_newcurveg`` and ``_ref_welldefined`` keep the loops that build one
+path per trial.  The batched suites must report the same failures, the
+same worst margin to the bit and the same details.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hcalc import calculus, curves, group, metric, suites, uds
+from hcalc.suites import RunConfig, run_suite
+
+
+def _ref_welldefined(cfg, seed, ledger):
+    rng = np.random.default_rng(seed)
+    trials = cfg.count(120)
+    coarse_gap_max = 0.0
+    for n in cfg.n_values:
+        for _ in range(trials // len(cfg.n_values)):
+            x = rng.standard_normal(2 * n + 1)
+            e = rng.standard_normal(2 * n)
+            e /= np.linalg.norm(e)
+            eta = 10.0 ** rng.uniform(-1, 0)
+            delta = 0.5 * curves.delta_cap(eta) * 10.0 ** rng.uniform(-2, 0)
+            r = delta * float(rng.uniform(0.05, 0.5))
+            u = 0.3 * rng.standard_normal(2 * n + 1)
+            du = float(metric.cc_upper_quick(u))
+            if du > 1.0:
+                u = group.dilate(1.0 / (2.0 * du), u)
+                du = float(metric.cc_upper_quick(u))
+            params = curves.ModifyLineParams(x=x, u=u, direction=e, r=r, delta=delta, eta=eta, cc_bound_of_u=du)
+            span = max(2.0 * params.s, params.s + 0.5)
+            detour, _ = curves.modify_line(params, span=span)
+            line = curves.line_path(x, e, -span, span)
+            at = -(params.s + float(rng.uniform(0.002, 0.01)))
+            fld = calculus.koranyi_gauge_field(x + np.concatenate([np.ones(2 * n), [0.5]]))
+            rep = calculus.curve_directional_consistency(fld, line, detour, at=at)
+            ledger.count(not rep["consistent"])
+            ledger.margin(rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
+            coarse = abs(float(fld(line.eval(at + 0.015))) - float(fld(detour.eval(at + 0.015))))
+            coarse_gap_max = max(coarse_gap_max, coarse)
+            shifted = curves.HorizontalPath(line.knots + 0.0, line.planar, line.c0)
+            rep2 = calculus.curve_directional_consistency(fld, line, shifted, at=at)
+            ledger.count(not rep2["consistent"] or rep2["gap"] > 1e-12)
+    return trials, {"max_coarse_disagreement": coarse_gap_max}
+
+
+def _ref_newcurveg(cfg, seed, ledger):
+    trials = cfg.count(1000)
+    c_m_per_seed = []
+    for rep_i in range(3):
+        rng = np.random.default_rng(seed + rep_i)
+        c_m = 1.0
+        for _ in range(trials // 3):
+            n = int(rng.choice(cfg.n_values))
+            x = rng.standard_normal(2 * n + 1)
+            u = 0.3 * rng.standard_normal(2 * n + 1)
+            du = float(metric.cc_upper_quick(u))
+            if du > 1.0:
+                continue
+            e = rng.standard_normal(2 * n)
+            e /= np.linalg.norm(e)
+            eta = 10.0 ** rng.uniform(-2, 0)
+            delta = curves.delta_cap(eta) * 10.0 ** rng.uniform(-4, -0.05)
+            r = delta * float(rng.uniform(0.01, 0.99))
+            params = curves.ModifyLineParams(x=x, u=u, direction=e, r=r, delta=delta, eta=eta, cc_bound_of_u=du)
+            path, zeta = curves.modify_line(params)
+            s = params.s
+            scale = 1.0 + float(np.max(np.abs(path.planar)))
+            tt = np.array([-1.5 * s, 1.5 * s, -s, s])
+            err = np.max(np.abs(path.eval(tt) - group.group_mul(x, group.horizontal_point(tt[:, None] * e))), axis=1)
+            ledger.check(1e-9 * scale - err)
+            target = group.group_mul(x, group.dilate(r, u))
+            err = float(np.max(np.abs(path.eval(zeta) - target)))
+            ledger.check(1e-9 * scale - err)
+            lip = curves.lipschitz_constant(path)
+            ledger.check(1.0 + eta * delta - lip)
+            vels = np.diff(path.planar, axis=0) / np.diff(path.knots)[:, None]
+            dev = float(np.max(np.linalg.norm(vels - e, axis=1)))
+            ledger.count(dev > 184.0 * delta)
+            c_m = max(c_m, dev / delta)
+        c_m_per_seed.append(c_m)
+    spread = (max(c_m_per_seed) - min(c_m_per_seed)) / max(c_m_per_seed)
+    ledger.check(0.10 - spread)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        params = curves.ModifyLineParams(
+            x=np.array([1.0, *([0.0] * 1), 0.5]),
+            u=np.array([0.25, 0.5, 0.125]),
+            direction=np.array([1.0, 0.0]),
+            r=2.0 ** -int(rng.integers(13, 16)),
+            delta=2.0 ** -11,
+            eta=1.0,
+        )
+        path, _ = curves.modify_line(params, rational=True)
+        cover = uds.Cover.build(n=1, height=2, depth=12, max_lines=48, extra_lines=uds.lines_of_path(path))
+        ledger.count(not cover.curve_in_cover(path, cover.depth))
+    eta_probe = 0.5
+    cap = curves.delta_cap(eta_probe)
+    largest_factor = 0.0
+    rng = np.random.default_rng(seed + 7)
+    for factor in (1.0, 4.0, 16.0, 64.0, 256.0):
+        held = True
+        for _ in range(40):
+            delta = cap * factor * 0.99
+            r = delta * float(rng.uniform(0.05, 0.9))
+            u = 0.2 * rng.standard_normal(3)
+            e = rng.standard_normal(2)
+            e /= np.linalg.norm(e)
+            probe, _ = curves.modify_line_probe(rng.standard_normal(3), u, e, r, delta)
+            if curves.lipschitz_constant(probe) > 1.0 + eta_probe * delta:
+                held = False
+                break
+        if not held:
+            break
+        largest_factor = factor
+    return trials, {
+        "c_modify_per_seed": c_m_per_seed,
+        "c_modify": max(c_m_per_seed),
+        "speed_post_holds_to_cap_factor": largest_factor,
+    }
+
+
+REFERENCES = {"newcurveg": _ref_newcurveg, "welldefined": _ref_welldefined}
+
+
+def _summary(result):
+    return result.trials, result.failures, float(result.worst_margin).hex(), result.details
+
+
+def _assert_same(monkeypatch, name, cfg, seed):
+    got = run_suite(name, cfg, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setitem(suites.SUITES, name, REFERENCES[name])
+        want = run_suite(name, cfg, seed=seed)
+    assert _summary(got) == _summary(want)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("seed", range(16))
+def test_batched_suite_is_the_per_trial_loop(monkeypatch, name, seed):
+    _assert_same(monkeypatch, name, RunConfig(), seed)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("cfg", [RunConfig(trials=t) for t in (1, 2, 3, 4)] + [RunConfig(n_values=(1, 2, 3))],
+                         ids=["trials1", "trials2", "trials3", "trials4", "n123"])
+def test_batched_suite_is_the_per_trial_loop_at_other_configs(monkeypatch, name, cfg):
+    for seed in (0, 5):
+        _assert_same(monkeypatch, name, cfg, seed)
+
+
+def _random_modifications(rng, m, n):
+    x = rng.standard_normal((m, 2 * n + 1))
+    u = 0.3 * rng.standard_normal((m, 2 * n + 1))
+    e = rng.standard_normal((m, 2 * n))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    eta = 10.0 ** rng.uniform(-2, 0, m)
+    delta = curves.delta_cap(eta) * 10.0 ** rng.uniform(-4, -0.05, m)
+    r = delta * rng.uniform(0.01, 0.99, m)
+    return x, u, e, eta, delta, r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_knots_are_the_one_row_calls(n):
+    rng = np.random.default_rng(60 + n)
+    x, u, e, eta, delta, r = _random_modifications(rng, 300, n)
+    s = r / delta
+    zeta = r * np.vecdot(u[:, :-1], e)
+    span = s * rng.uniform(1.5, 3.0, len(s))
+    knots, rows, c0 = curves._modified_line_knots(x, u, e, r, s, zeta, span)
+    assert knots.shape == (300, 7) and rows.shape == (300, 7, 2 * n) and c0.shape == (300,)
+    for i in range(len(x)):
+        k1, r1, c1 = curves._modified_line_knots(x[i], u[i], e[i], float(r[i]), float(s[i]), float(zeta[i]), float(span[i]))
+        assert k1.tobytes() == knots[i].tobytes()
+        assert r1.tobytes() == rows[i].tobytes()
+        assert np.float64(c1).tobytes() == c0[i].tobytes()
+    # the suites' batch against the public one-path construction
+    batch = curves._modified_line_batch(x, u, e, r, delta, zeta, eta=eta, cc_bound_of_u=np.full(300, 0.5))
+    for i in range(0, 300, 7):
+        params = curves.ModifyLineParams(x=x[i], u=u[i], direction=e[i], r=r[i], delta=delta[i], eta=eta[i], cc_bound_of_u=0.5)
+        path, z = curves.modify_line(params)
+        assert z == zeta[i]
+        assert path.knots.tobytes() == batch.knots[i].tobytes()
+        assert path._vertices.tobytes() == batch.vertices[i].tobytes()
+        t = rng.uniform(path.t_min, path.t_max, 5)
+        assert path.eval(t).tobytes() == batch.eval(np.broadcast_to(t, (300, 5)))[i].tobytes()
+
+
+def _one_bad_row(**bad):
+    """Three admissible modifications with row 1 replaced by ``bad``; returns batch and row-1 inputs."""
+    rng = np.random.default_rng(3)
+    x, u, e, eta, delta, r = _random_modifications(rng, 3, 1)
+    du = np.full(3, 0.5)
+    rows = {"x": x, "u": u, "direction": e, "r": r, "delta": delta, "eta": eta, "cc_bound_of_u": du}
+    for key, value in bad.items():
+        rows[key][1] = value
+    return rows, {key: v[1] for key, v in rows.items()}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"direction": [0.6, 0.6]}, "not unit-normalized"),
+    ({"r": 1.0}, "need 0 < r < delta"),
+    ({"eta": 0.1, "delta": 0.1 / curves.MODIFY_DELTA_DIVISOR, "r": 1e-5}, "delta must be below 6.13e-05"),
+    ({"cc_bound_of_u": math.nan}, "got nan"),
+    # p(u) = -E / delta, so the left chord s E + r p(u) is zero
+    ({"x": [0.0, 0.0, 0.0], "u": [-4096.0, 0.0, 0.0], "direction": [1.0, 0.0], "r": 2.0**-13, "delta": 2.0**-12, "eta": 1.0},
+     "zero projection"),
+], ids=["non-unit", "r-at-delta", "delta-at-cap", "nan-bound", "zero-chord"])
+def test_a_bad_row_raises_its_per_trial_message(bad, message):
+    rows, one = _one_bad_row(**bad)
+    with pytest.raises(ValueError) as per_trial:
+        curves.modify_line(curves.ModifyLineParams(**one))
+    zeta = rows["r"] * np.vecdot(rows["u"][:, :-1], rows["direction"])
+    with pytest.raises(ValueError) as batched:
+        curves._modified_line_batch(rows["x"], rows["u"], rows["direction"], rows["r"], rows["delta"], zeta,
+                                    eta=rows["eta"], cc_bound_of_u=rows["cc_bound_of_u"])
+    assert message in str(per_trial.value)
+    assert str(batched.value) == str(per_trial.value)
+
+
+def test_batched_consistency_is_the_one_column_calls():
+    # column 2 sits near its domain's end and keeps only the fine steps
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3))
+    e = rng.standard_normal((4, 2))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    span = np.array([1.0, 0.7, 0.5, 2.0])
+    at = np.array([0.1, -0.3, 0.5 - 2.0**-9, 0.0])
+    lines = [curves.line_path(x[i], e[i], -span[i], span[i]) for i in range(4)]
+    shifted = [curves.HorizontalPath(p.knots + 0.0, p.planar, p.c0) for p in lines]
+    centres = x + 0.75
+    batch = calculus.curve_directional_consistency_batch(
+        calculus.koranyi_gauge_field(centres),
+        curves.PathBatch.lift(*curves._line_knots(x, e, -span, span)),
+        curves.PathBatch(np.stack([p.knots for p in shifted]), np.stack([p._vertices for p in shifted])),
+        at,
+    )
+    for i in range(4):
+        one = calculus.curve_directional_consistency(calculus.koranyi_gauge_field(centres[i]), lines[i], shifted[i], at=at[i])
+        assert one.keys() == batch.keys()
+        for key, value in one.items():
+            assert np.asarray(value, dtype=batch[key].dtype).tobytes() == batch[key][i].tobytes()
+    with pytest.raises(ValueError, match="too close to a domain endpoint"):
+        calculus.curve_directional_consistency(calculus.koranyi_gauge_field(centres[0]), lines[0], shifted[0], at=1.0 - 2.0**-19)
