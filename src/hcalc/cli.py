@@ -8,6 +8,7 @@ when every executed suite passed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
@@ -20,6 +21,15 @@ from . import calculus, curves, group, maximizer, metric, suites, uds
 
 def _parse_vector(text: str) -> np.ndarray:
     return np.asarray(json.loads(text), dtype=float)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ``ValueError`` of bad input as a usage error (exit 2), not a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -184,7 +194,8 @@ def uds_group():
 @click.option("--out", "out_path", type=click.Path(), default="cover_manifest.json", show_default=True)
 def uds_build(n, height, depth, max_lines, clip, out_path):
     """Build a cover and write its manifest."""
-    cover = uds.Cover.build(n=n, height=height, depth=depth, clip_half_width=clip, max_lines=max_lines)
+    with _usage_errors():
+        cover = uds.Cover.build(n=n, height=height, depth=depth, clip_half_width=clip, max_lines=max_lines)
     cover.save_manifest(out_path)
     click.echo(f"{len(cover.lines)} lines, depth {depth}; manifest at {out_path}")
 
@@ -200,8 +211,9 @@ def uds_build(n, height, depth, max_lines, clip, out_path):
 @click.option("--seed", type=int, default=0, show_default=True)
 def uds_measure(n, height, depth, max_lines, level, samples, region_half_width, seed):
     """Monte-Carlo volume of a tube union level."""
-    cover = uds.Cover.build(n=n, height=height, depth=depth, max_lines=max_lines)
-    est, (lo, hi) = cover.cover_measure_mc(level, uds.Box.cube(region_half_width, n), samples, seed)
+    with _usage_errors():
+        cover = uds.Cover.build(n=n, height=height, depth=depth, max_lines=max_lines)
+        est, (lo, hi) = cover.cover_measure_mc(level, uds.Box.cube(region_half_width, n), samples, seed)
     click.echo(json.dumps({
         "level": level, "estimate": est, "ci95": [lo, hi], "analytic_bound": 2.0**-level,
     }, sort_keys=True))
@@ -216,11 +228,9 @@ def uds_measure(n, height, depth, max_lines, level, samples, region_half_width, 
 @click.option("--max-lines", type=int, default=96, show_default=True)
 def uds_query(point_text, level, n, height, depth, max_lines):
     """Cover membership of a point at a level."""
-    cover = uds.Cover.build(n=n, height=height, depth=depth, max_lines=max_lines)
-    try:
+    with _usage_errors():
+        cover = uds.Cover.build(n=n, height=height, depth=depth, max_lines=max_lines)
         member = cover.contains(_parse_vector(point_text), level)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     click.echo(json.dumps({"member": bool(member), "level": level}))
 
 

@@ -46,7 +46,7 @@ from .group import (
     require_unit,
 )
 from .metric import VECTOR_FIELD_LIP, cc_upper_quick
-from .uds import Cover, rationalize_direction
+from .uds import Cover, _rational_unit
 
 __all__ = [
     "Pair",
@@ -230,8 +230,8 @@ def _candidate_directions(incumbent: np.ndarray, sigma: float, rng: np.random.Ge
             continue
         pert /= norm
         try:
-            exact = rationalize_direction(pert, tol=min(1e-3, sigma / 8 + 1e-9))
-            dirs.append(np.array([float(v) for v in exact]))
+            nums, den = _rational_unit(pert, tol=min(1e-3, sigma / 8 + 1e-9))
+            dirs.append(np.array([v / den for v in nums]))
         except ValueError:
             dirs.append(pert)
     extra = max(0, count - len(dirs))

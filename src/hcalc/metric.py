@@ -10,17 +10,19 @@ both exact.  Upper bounds come in two kinds.
 Brackets with a witness, :func:`cc_upper` and :func:`cc_bounds`, stay
 polylines: the upper bound is the measured length of an explicit witness
 curve, either the two-leg construction of :func:`hcalc.curves.gamma_y`, or a
-planar circular arc joining the projections whose lifted height closes
-exactly on the target (projections of length minimizers are circular arcs,
-so this family contains near-optimal competitors).  Arcs are realized as
-inscribed polylines whose bulge is solved so that the polygonal enclosed
-area, and hence the lifted height, is exact; the returned upper bound is
+planar circular arc joining the projections whose lifted height closes on
+the target (projections of length minimizers are circular arcs, so this
+family contains near-optimal competitors).  Arcs are realized as inscribed
+polylines whose bulge is solved so that the polygonal enclosed area, and
+hence the lifted height, matches the target: the end misses it by no more
+than the rounding of the lift's running sum.  The returned upper bound is
 the actual polyline length and therefore always certified by the witness.
 Candidates stay plain knot and row arrays until one wins: :func:`cc_upper`
 measures each on its rows translated to x, the way :func:`horizontal_length`
 measures a path, and builds one :class:`HorizontalPath` for the winner.
 The bulge is found by bisection in plain floats, :func:`_solve_bulge_scalar`,
-which stops at the bisection's fixed point.
+which stops at the bisection's fixed point; the chain's area coefficient
+takes a series where its two sines would cancel.
 
 Norms follow one rule, :func:`hcalc.curves._root_sum_squares`: the square
 root of the sum of squares, except on rows whose squares over- or
@@ -158,30 +160,64 @@ def cc_lower_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _lower(group_mul(group_inv(x), y))
 
 
+@functools.cache
+def _chain_series(m: int) -> tuple:
+    """Coefficients of m sin(u/m) - sin u = sum over k >= 1 of (-1)^(k+1) (1 - m^-2k) u^(2k+1) / (2k+1)!,
+    k = 9 down to 1, for Horner's rule in u^2."""
+    return tuple((-1) ** (k + 1) * (1.0 - float(m) ** (-2 * k)) / math.factorial(2 * k + 1) for k in range(9, 0, -1))
+
+
 def _chain_area_coeff_scalar(theta: float, m: int) -> float:
-    # enclosed area of the inscribed m-chain over a unit chord, bulge theta
-    if theta < 1e-6:
-        return theta * (1.0 - 1.0 / (m * m)) / 6.0
+    """Enclosed area of the inscribed m-chain over a unit chord, bulge theta:
+    (m sin(u/m) - sin u) / (8 sin^2 theta) with u = 2 theta.
+
+    For u <= 1 the difference is the series of :func:`_chain_series` through
+    u^19, whose next term is below 1e-19 of the sum; subtracting the sines
+    there would cancel, by a relative 6 eps / u^2.  Below u = 1e-8 the
+    terms past u^3 and the curvature of sin theta move the coefficient by
+    less than 1e-16 relative, so it is (1 - m^-2) theta / 6.  For m >= 16
+    the series alternates with decreasing terms, so the coefficient is at
+    least ((1 - m^-2) / 6 - 1 / 120) u^3 / (8 theta^2) > 0.156 theta.
+    """
+    u = 2.0 * theta
+    if u < 1e-8:
+        return _chain_series(m)[-1] * theta
     s = math.sin(theta)
-    return (m * math.sin(2.0 * theta / m) - math.sin(2.0 * theta)) / (8.0 * s * s)
+    if u > 1.0:
+        return (m * math.sin(u / m) - math.sin(u)) / (8.0 * s * s)
+    u2 = u * u
+    acc = 0.0
+    for c in _chain_series(m):
+        acc = acc * u2 + c
+    return u * u2 * acc / (8.0 * s * s)
 
 
 _BULGE_STEPS = 90
 
 
-def _solve_bulge_scalar(area_over_d2: float, m: int) -> float:
+def _solve_bulge_scalar(area_over_d2: float, m: int, settled=None) -> float:
     """Solve the inscribed chain's area coefficient = area_over_d2 on (0, pi) by bisection.
 
     Each step is a function of ``(lo, hi)`` alone, so once a step leaves
     them unchanged every later step does too, and stopping there returns
     exactly the value after ``_BULGE_STEPS`` steps.  The interval closes on
     adjacent doubles after about 53 steps for ratios near 1 and 85 steps at
-    1e-10; below about 1e-11 all ``_BULGE_STEPS`` steps run.
+    1e-10; below about 1e-11 all ``_BULGE_STEPS`` steps run.  A caller that
+    needs only ``settled(theta)`` of the result, a nondecreasing function,
+    passes it: the bisection then stops as soon as both ends of the interval
+    give the same value, which every later midpoint shares, and returns it.
+    A midpoint at or below 0.5 whose lower bound 0.156 theta on the
+    coefficient (m >= 16) reaches the ratio is above the root without an
+    evaluation; the steps are the same as with one.
     """
     lo, hi = 0.0, math.pi - 1e-12
+    ends = None if settled is None else [settled(lo), settled(hi)]
     for _ in range(_BULGE_STEPS):
+        if ends is not None and ends[0] == ends[1]:
+            return ends[0]
         mid = 0.5 * (lo + hi)
-        if _chain_area_coeff_scalar(mid, m) < area_over_d2:
+        below = (mid > 0.5 or 0.156 * mid < area_over_d2) and _chain_area_coeff_scalar(mid, m) < area_over_d2
+        if below:
             if mid == lo:
                 break
             lo = mid
@@ -189,7 +225,15 @@ def _solve_bulge_scalar(area_over_d2: float, m: int) -> float:
             if mid == hi:
                 break
             hi = mid
-    return 0.5 * (lo + hi)
+        if ends is not None:
+            ends[0 if below else 1] = settled(mid)
+    theta = 0.5 * (lo + hi)
+    return theta if settled is None else settled(theta)
+
+
+def _chain_size(theta_64: float) -> int:
+    """Segments m of the arc chain from the 64-gon's bulge: one per 0.02 of bulge, within [16, 1024]."""
+    return min(max(math.ceil(theta_64 / 0.02), 16), 1024)
 
 
 def _arc_chain_2d(D: float, theta: float, m: int) -> np.ndarray:
@@ -290,7 +334,7 @@ def _arc_witness(w: np.ndarray, D: float, c: float):
         circle = _circle_chain_2d(c) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
     else:
-        m = 16 if ratio <= _RATIO_M16 else min(max(math.ceil(_solve_bulge_scalar(ratio, 64) / 0.02), 16), 1024)
+        m = 16 if ratio <= _RATIO_M16 else _solve_bulge_scalar(ratio, 64, _chain_size)
         chain = _arc_chain_2d(D, _solve_bulge_scalar(ratio, m), m)
         if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
             chain[:, 1] *= -1.0

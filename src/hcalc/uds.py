@@ -18,10 +18,14 @@ groups of at most 16, each inside a ball, and only the pairs of a group
 whose ball comes within reach of a segment are tested point by point, a
 bounded number of pairs at a time (see :meth:`Cover.upper_distances`).
 
-Bases and directions are exact fractions; geometry queries convert to
-floats, except that points given as fractions are tested for incidence
-exactly, so points lying on an enumerated line are members at every level
-regardless of how small the radii get.
+Bases and directions are exact, held as Python integers: a rational point
+whose entries share a denominator q is an integer point under the dilation
+that scales the projection by q and the height by q^2, and lines are
+enumerated, keyed and tested for incidence in those integers.  ``Fraction``
+is only a boundary format, for input and for the exact views of a line.
+Geometry queries convert to floats, except that points given as fractions
+are tested for incidence exactly, so points lying on an enumerated line are
+members at every level regardless of how small the radii get.
 """
 
 from __future__ import annotations
@@ -65,90 +69,163 @@ def _canonical_direction(h: Sequence[int]) -> tuple:
     raise ValueError("direction must be nonzero")
 
 
-@dataclass(frozen=True)
+def _common(ratios: Iterable[tuple]) -> tuple:
+    """``(numerators, d)``: the fractions a / b of the pairs ``ratios`` over their least common denominator d."""
+    ratios = list(ratios)
+    den = math.lcm(*(b for _, b in ratios))
+    return tuple(a * (den // b) for a, b in ratios), den
+
+
+def _exact_point(values: Sequence) -> tuple:
+    """``(proj, den, height, hden)``: a rational point (ints, fractions or floats)
+    in integers, its projection over one least common denominator."""
+    proj, den = _common(Fraction(v).as_integer_ratio() for v in values[:-1])
+    return (proj, den, *Fraction(values[-1]).as_integer_ratio())
+
+
+def _omega(h: tuple, p: tuple) -> int:
+    """<h_a, p_b> - <h_b, p_a>; a line of direction h through p / d has vector height 2 omega / d."""
+    n = len(h) // 2
+    return sum(h[i] * p[n + i] - h[n + i] * p[i] for i in range(n))
+
+
 class RationalLine:
     """Horizontal line through an exact rational base with rational direction.
 
     ``direction`` is stored as a primitive integer vector (content 1, first
     nonzero entry positive); the line is t -> base + t * E(base) where E is
-    the horizontal field with these frame coefficients.  The base is stored
-    with its projection orthogonal to the direction, which makes the pair a
-    canonical key for the line as a point set.  The exact direction vector
-    is kept from construction: it is constant along the line, so moving the
-    base to its canonical point leaves it unchanged.
+    the horizontal field with these frame coefficients.  The base is the
+    point whose projection is orthogonal to the direction, held as integers
+    over one reduced denominator for the projection and one for the height;
+    ``key`` collects them, a key for the line as a point set.  ``base``,
+    :meth:`vector` and :meth:`point_at` are exact fractions, and the float
+    views divide the integers, which rounds correctly.
     """
 
-    base: tuple
-    direction: tuple
+    __slots__ = ("direction", "key", "_proj", "_den", "_height", "_hden", "_twist", "_base")
 
-    def __post_init__(self):
-        direction = _canonical_direction(self.direction)
-        base = tuple(Fraction(v) for v in self.base)
+    def __init__(self, base: Sequence, direction: Sequence[int]):
+        direction = _canonical_direction(direction)
+        if len(direction) % 2:
+            raise ValueError(f"direction must have even length 2n, got length {len(direction)}")
         if len(base) != len(direction) + 1:
             raise ValueError("base must have length 2n+1 for a 2n direction")
-        n = len(direction) // 2
-        vec = self._vector(base, direction, n)
-        h2 = sum(v * v for v in direction)
-        t_star = -sum(base[i] * direction[i] for i in range(2 * n)) / h2
-        base = tuple(base[i] + t_star * vec[i] for i in range(2 * n + 1))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "_vec", vec)
+        proj, den, height, hden = _exact_point(base)
+        h2, s = sum(v * v for v in direction), sum(p * v for p, v in zip(proj, direction))
+        # the canonical base is base + t* vector, t* = -<p, h> / |h|^2, and the
+        # vector's height is 2 omega(h, p) / den
+        canon = tuple(p * h2 - s * v for p, v in zip(proj, direction))
+        shift = 2 * hden * s * _omega(direction, proj)
+        self._set(direction, canon, den * h2, height * den * den * h2 - shift, hden * den * den * h2)
 
-    @staticmethod
-    def _vector(base: tuple, direction: tuple, n: int) -> tuple:
-        a, b = base[:n], base[n : 2 * n]
-        v_c = 2 * (
-            sum(Fraction(direction[i]) * b[i] for i in range(n))
-            - sum(Fraction(direction[n + i]) * a[i] for i in range(n))
-        )
-        return tuple(Fraction(d) for d in direction) + (v_c,)
+    @classmethod
+    def _canonical(cls, direction: tuple, proj: tuple, den: int, height: int, hden: int) -> "RationalLine":
+        """The line of a primitive ``direction`` through its canonical base (proj / den, height / hden)."""
+        line = object.__new__(cls)
+        line._set(direction, proj, den, height, hden)
+        return line
+
+    def _set(self, direction: tuple, proj: tuple, den: int, height: int, hden: int) -> None:
+        g, gh = math.gcd(den, *proj), math.gcd(height, hden)
+        self.direction, self._proj, self._den = direction, tuple(p // g for p in proj), den // g
+        self._height, self._hden = height // gh, hden // gh
+        self._twist = 2 * _omega(direction, self._proj)
+        self.key = (direction, self._proj, self._den, self._height, self._hden)
+        self._base = None
 
     @property
     def n(self) -> int:
         return len(self.direction) // 2
 
+    @property
+    def base(self) -> tuple:
+        if self._base is None:
+            self._base = tuple(Fraction(p, self._den) for p in self._proj) + (Fraction(self._height, self._hden),)
+        return self._base
+
     def vector(self) -> tuple:
         """Exact direction vector of the line in R^{2n+1} (constant along it)."""
-        return self._vec
+        return tuple(Fraction(v) for v in self.direction) + (Fraction(self._twist, self._den),)
 
     def base_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.base])
+        return np.array([p / self._den for p in self._proj] + [self._height / self._hden])
 
     def vector_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.vector()])
+        return np.array([float(v) for v in self.direction] + [self._twist / self._den])
 
     def point_at(self, t: Fraction) -> tuple:
-        vec = self.vector()
-        return tuple(self.base[i] + t * vec[i] for i in range(len(self.base)))
+        return tuple(b + t * v for b, v in zip(self.base, self.vector()))
 
     def incidence_parameter(self, point: Sequence) -> Optional[Fraction]:
         """Exact parameter t with base + t*vector == point, or None."""
-        pt = tuple(Fraction(v) for v in point)
-        if len(pt) != len(self.base):
+        return self._incidence(*_exact_point(point)) if len(point) == len(self.direction) + 1 else None
+
+    def _incidence(self, proj: tuple, den: int, height: int, hden: int) -> Optional[Fraction]:
+        """:meth:`incidence_parameter` of (proj / den, height / hden), by cross-multiplication:
+        with q the line's denominator, z = q proj - den base_proj must be
+        parallel to h, and t = z_k / (den q h_k) at the first nonzero h_k."""
+        q, h = self._den, self.direction
+        z = [q * p - den * b for p, b in zip(proj, self._proj)]
+        k = next(i for i, v in enumerate(h) if v)
+        if any(zi * h[k] != z[k] * hi for zi, hi in zip(z, h)):
             return None
-        vec = self.vector()
-        t = None
-        for i in range(len(vec)):
-            if vec[i] != 0:
-                t = (pt[i] - self.base[i]) / vec[i]
-                break
-        if t is None:
+        # height / hden == _height / _hden + t twist / q, times hden _hden den q^2 h_k
+        scale = den * q * q * h[k]
+        if height * self._hden * scale != hden * (self._height * scale + z[k] * self._twist * self._hden):
             return None
-        return t if all(self.base[i] + t * vec[i] == pt[i] for i in range(len(vec))) else None
+        return Fraction(z[k], den * q * h[k])
+
+
+def _stereographic(proj: tuple, den: int) -> tuple:
+    """``(numerators, s)``: the stereographic unit image of proj / den over one denominator s."""
+    p2, d2 = sum(v * v for v in proj), den * den
+    return tuple(2 * v * den for v in proj) + (p2 - d2,), p2 + d2
 
 
 def stereographic_unit(q: Sequence) -> tuple:
     """Exact rational unit vector in R^m from a rational point in R^{m-1}."""
-    q = tuple(Fraction(v) for v in q)
-    s = sum(v * v for v in q)
-    return tuple(2 * v / (s + 1) for v in q) + ((s - 1) / (s + 1),)
+    nums, s = _stereographic(*_common(Fraction(v).as_integer_ratio() for v in q))
+    return tuple(Fraction(v, s) for v in nums)
 
 
 def unit_preimage(e: np.ndarray) -> np.ndarray:
     """Float stereographic preimage of a unit vector with e[-1] != 1."""
     e = np.asarray(e, dtype=float)
     return e[:-1] / (1.0 - e[-1])
+
+
+def _limit_denominator(x: float, max_den: int) -> tuple:
+    """``Fraction(x).limit_denominator(max_den)`` as (numerator, denominator), by the same continued fraction."""
+    num, den = float(x).as_integer_ratio()
+    if den <= max_den:
+        return num, den
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+    while q0 + (n // d) * q1 <= max_den:
+        a = n // d
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    k = (max_den - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # the nearer of the two bounds, p1 / q1 on a tie
+    return (p1, q1) if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1 else (p2, q2)
+
+
+def _rational_unit(direction: np.ndarray, tol: float) -> tuple:
+    """:func:`rationalize_direction` as ``(numerators, d)`` over one denominator d."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    e = np.asarray(direction, dtype=float)
+    exact = [_limit_denominator(v, 10**9) for v in e]
+    nums, den = _common(exact)
+    if sum(v * v for v in nums) == den * den and all(abs(a / b - w) <= 1e-15 for (a, b), w in zip(exact, e)):
+        return nums, den
+    flip = e[-1] > 0  # keep the chart away from its pole
+    target = -e if flip else e
+    q = unit_preimage(target)
+    for denom in (10, 100, 10**4, 10**6, 10**9, 10**12):
+        nums, s = _stereographic(*_common(_limit_denominator(v, denom) for v in q))
+        if np.linalg.norm(np.array([v / s for v in nums]) - target) <= tol:
+            return (tuple(-v for v in nums) if flip else nums), s
+    raise ValueError("could not rationalize the direction to the requested tolerance")
 
 
 def rationalize_direction(direction: np.ndarray, tol: float) -> tuple:
@@ -158,35 +235,8 @@ def rationalize_direction(direction: np.ndarray, tol: float) -> tuple:
     budget until the image is close enough.  Directions that are already
     exactly rational-unit are returned unchanged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    e = np.asarray(direction, dtype=float)
-    exact = tuple(Fraction(float(v)).limit_denominator(10**9) for v in e)
-    if sum(v * v for v in exact) == 1 and all(abs(float(v) - w) <= 1e-15 for v, w in zip(exact, e)):
-        return exact
-    flip = e[-1] > 0  # keep the chart away from its pole
-    target = -e if flip else e
-    q = unit_preimage(target)
-    for denom in (10, 100, 10**4, 10**6, 10**9, 10**12):
-        qr = tuple(Fraction(float(v)).limit_denominator(denom) for v in q)
-        cand = stereographic_unit(qr)
-        img = np.array([float(v) for v in cand])
-        if np.linalg.norm(img - target) <= tol:
-            return tuple(-v for v in cand) if flip else cand
-    raise ValueError("could not rationalize the direction to the requested tolerance")
-
-
-def _fractions_up_to(height: int) -> list:
-    vals = {Fraction(0)}
-    for q in range(1, height + 1):
-        for p in range(1, height + 1):
-            vals.add(Fraction(p, q))
-            vals.add(Fraction(-p, q))
-    return sorted(vals)
-
-
-def _complexity(v: Fraction) -> int:
-    return max(abs(v.numerator), v.denominator)
+    nums, den = _rational_unit(direction, tol)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def enumerate_lines(height: int, n: int = 1) -> Iterator[RationalLine]:
@@ -197,32 +247,44 @@ def enumerate_lines(height: int, n: int = 1) -> Iterator[RationalLine]:
     direction entries bounded by l (and not representable at level l-1)
     appears.  Within a level the order is by canonical direction, then by
     canonical base.  Every line of a direction comes from that direction
-    alone, so the generator builds, sorts and yields one direction's batch
-    at a time and holds no more than that batch (plus the keys already
-    seen).  Consume lazily; the count grows combinatorially with the level.
+    alone, so the generator sorts and yields one direction's batch at a
+    time and holds no more than that batch (plus the keys already seen).
+    Consume lazily; the count grows combinatorially with the level.  With
+    base entries scaled by L = lcm(1..height), the canonical bases of a
+    direction h are integers in units of 1/(L |h|^2) on the projection and
+    1/(L^2 |h|^2) in height: sorted, they are in base order, and equal ones
+    are the same line.  A line object is built only when it is yielded.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    seen = set()
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    scale = math.lcm(*range(1, height + 1))
+    seen = {}
     for level in range(1, height + 1):
-        fracs = _fractions_up_to(level)
-        dirs = set()
-        for h in product(range(-level, level + 1), repeat=2 * n):
-            if any(h):
-                dirs.add(_canonical_direction(h))
-        for d in sorted(dirs):
+        # (L v, complexity of v) for v = p/q with |p|, q <= level, in increasing order
+        span = range(-level, level + 1)
+        vals = sorted({p * scale // q: max(abs(p), q) // math.gcd(p, q) for q in range(1, level + 1) for p in span}.items())
+        for d in sorted({_canonical_direction(h) for h in product(span, repeat=2 * n) if any(h)}):
+            h2 = sum(v * v for v in d)
+            heights = [c * scale * h2 for c, _ in vals]
+            top_heights = [c * scale * h2 for c, cx in vals if cx == level]
             at_level = max(abs(v) for v in d) == level
+            done = seen.setdefault(d, set())
             batch = []
-            for base in product(fracs, repeat=2 * n + 1):
-                if not at_level and max(_complexity(v) for v in base) != level:
-                    continue
-                line = RationalLine(base, d)
-                key = (line.direction, line.base)
-                if key not in seen:
-                    seen.add(key)
-                    batch.append(line)
-            batch.sort(key=lambda l: l.base)
-            yield from batch
+            for point in product(vals, repeat=2 * n):
+                proj = tuple(v for v, _ in point)
+                s = sum(p * v for p, v in zip(proj, d))
+                canon = tuple(p * h2 - s * v for p, v in zip(proj, d))
+                shift = 2 * s * _omega(d, proj)
+                # below the level, only bases with an entry of complexity l are new
+                for c in heights if at_level or max(cx for _, cx in point) == level else top_heights:
+                    key = (canon, c - shift)
+                    if key not in done:
+                        done.add(key)
+                        batch.append(key)
+            for canon, c in sorted(batch):
+                yield RationalLine._canonical(d, canon, scale * h2, c, scale * scale * h2)
 
 
 @dataclass(frozen=True)
@@ -563,12 +625,18 @@ class Cover:
         self._check_level(level)
         x = np.asarray(x)
         pt = self._query_points(x.astype(float)[None, :])
-        if x.dtype == object:
-            for i, line in enumerate(self.lines):
-                t = line.incidence_parameter(x)
-                if t is not None and self.spans[i, 0] - 1e-12 <= float(t) <= self.spans[i, 1] + 1e-12:
-                    return True
+        if x.dtype == object and self._on_a_line(_exact_point(x)):
+            return True
         return bool(self.contains_batch(pt, level)[0])
+
+    def _on_a_line(self, point: tuple) -> bool:
+        """An exact point, as :func:`_exact_point` gives it, lies on the clipped
+        segment of some line (with 1e-12 slack on the parameter)."""
+        for line, (t0, t1) in zip(self.lines, self.spans):
+            t = line._incidence(*point)
+            if t is not None and t0 - 1e-12 <= float(t) <= t1 + 1e-12:
+                return True
+        return False
 
     def contains_batch(self, pts: np.ndarray, level: int) -> np.ndarray:
         """Per point: an upper distance to some line is within its level radius.
@@ -619,14 +687,21 @@ class Cover:
         self._check_level(level)
         if path.rational is not None:
             _, rows, c0 = path.rational
-            rows = np.array(rows, dtype=object)
-            vertices = np.column_stack([rows, lift_heights(rows, c0)])
+            # the vertices in integers: projections over den, heights over hden
+            proj, den = _common(Fraction(v).as_integer_ratio() for row in rows for v in row)
+            hts, hden = _common(Fraction(v).as_integer_ratio() for v in lift_heights(np.array(rows, dtype=object), c0))
+            dim = len(rows[0])
+            vertices = [proj[i * dim : (i + 1) * dim] + (c,) for i, c in enumerate(hts)]
             per_seg = max(2, samples // (len(rows) - 1))
+            den, hden = den * per_seg, hden * per_seg
+            off = []  # the samples on no line, tested in floats
             for a, b in zip(vertices, vertices[1:]):
-                for step in range(per_seg + 1):
-                    if not self.contains(a + Fraction(step, per_seg) * (b - a), level):
-                        return False
-            return True
+                for k in range(per_seg + 1):
+                    # a + (k / per_seg) (b - a)
+                    v = [(per_seg - k) * x + k * y for x, y in zip(a, b)]
+                    if not self._on_a_line((v[:-1], den, v[-1], hden)):
+                        off.append([x / den for x in v[:-1]] + [v[-1] / hden])
+            return not off or bool(np.all(self.contains_batch(np.array(off), level)))
         ts = np.unique(np.concatenate([path.knots, np.linspace(path.t_min, path.t_max, samples)]))
         return bool(np.all(self.contains_batch(path.eval(ts), level)))
 
@@ -670,14 +745,13 @@ class Cover:
         """
         lines = list(extra_lines)
         n_extra = len(lines)
-        seen = {(l.direction, l.base) for l in lines}
+        seen = {l.key for l in lines}
         target = max(max_lines, len(lines))
         for line in enumerate_lines(height, n):
             if len(lines) >= target:
                 break
-            key = (line.direction, line.base)
-            if key not in seen:
-                seen.add(key)
+            if line.key not in seen:
+                seen.add(line.key)
                 lines.append(line)
         meta = {"height": height, "max_lines": max_lines, "extra_lines": n_extra}
         return cls(lines, depth, Box.cube(clip_half_width, n), meta=meta)
@@ -691,13 +765,8 @@ def lines_of_path(path: HorizontalPath) -> list:
     heights = lift_heights(np.array(rows, dtype=object), c0)
     out = []
     for j in range(len(rows) - 1):
-        diff = [b - a for a, b in zip(rows[j], rows[j + 1])]
-        if all(v == 0 for v in diff):
-            continue
-        denom_lcm = 1
-        for v in diff:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        ints = [int(v * denom_lcm) for v in diff]
-        base = tuple(rows[j]) + (heights[j],)
-        out.append(RationalLine(base, tuple(ints)))
+        ends, _ = _common(Fraction(v).as_integer_ratio() for v in rows[j] + rows[j + 1])
+        diff = [b - a for a, b in zip(ends, ends[len(rows[j]) :])]
+        if any(diff):
+            out.append(RationalLine(tuple(rows[j]) + (heights[j],), tuple(diff)))
     return out

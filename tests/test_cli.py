@@ -114,6 +114,36 @@ def test_uds_query_rejects_a_degenerate_point(runner, point):
     assert "finite" in out.output or "length 3" in out.output
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--out", "unused.json"],
+    ["measure", "--samples", "1000"],
+    ["query", "--point", "[0, 0, 0]", "--level", "1"],
+])
+@pytest.mark.parametrize("option, message", [
+    ("--n", "n must be >= 1"),
+    ("--height", "height must be >= 1"),
+    ("--depth", "depth must be >= 1"),
+    ("--max-lines", "need at least one line"),
+])
+def test_uds_commands_report_a_degenerate_cover_as_a_usage_error(runner, tmp_path, command, option, message):
+    # each printed a traceback and exited 1
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        out = runner.invoke(main, ["uds", *command, "--max-lines", "8", option, "0"])
+    assert out.exit_code == 2
+    assert message in out.output
+    assert "Traceback" not in out.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--level", "13"], "exceeds constructed depth"),
+    (["--samples", "10"], "at least 1000 samples"),
+])
+def test_uds_measure_reports_a_bad_query_as_a_usage_error(runner, args, message):
+    out = runner.invoke(main, ["uds", "measure", "--max-lines", "8", *args])
+    assert out.exit_code == 2
+    assert message in out.output
+
+
 def test_uds_build_writes_manifest(runner, tmp_path):
     dst = tmp_path / "manifest.json"
     out = runner.invoke(main, ["uds", "build", "--max-lines", "24", "--depth", "4", "--out", str(dst)])

@@ -143,12 +143,20 @@ def test_holder_fit():
         Ball(np.zeros(3), 0.0)
 
 
+@pytest.mark.parametrize("m", [64])
+def test_settled_bisection_gives_the_chain_size_of_the_full_one(m):
+    # stopping once both ends give the same chain size is the full bisection's answer
+    for ratio in BULGE_RATIOS:
+        full = metric._chain_size(_solve_bulge_scalar(float(ratio), m))
+        assert _solve_bulge_scalar(float(ratio), m, metric._chain_size) == full
+
+
 def test_angle_fit_is_at_least_one():
     assert angle_fit(2.0, 50, seed=0) >= 1.0
 
 
 # ratios from 1e-14 to 1e10: the bulge runs from the series branch
-# (theta < 1e-6, ratio below about 1.67e-7) up to within 1e-5 of pi
+# (u = 2 theta <= 1, ratio below about 0.09) up to within 1e-5 of pi
 BULGE_RATIOS = np.concatenate([
     np.logspace(-14, 10, 97),
     10.0 ** np.random.default_rng(11).uniform(-14, 10, 200),
@@ -157,14 +165,20 @@ BULGE_RATIOS = np.concatenate([
 
 
 def _chain_area_coeff(theta, m):
-    # enclosed area of the inscribed chain over a unit chord, bulge theta
+    # enclosed area of the inscribed chain over a unit chord, bulge theta:
+    # (m sin(u/m) - sin u) / (8 sin^2 theta) at u = 2 theta, where for u <= 1
+    # the difference is its series, with the coefficients (1 - m^-2k) / (2k+1)!,
+    # and below u = 1e-8 the coefficient is its first term, (1 - m^-2) theta / 6
     s = np.sin(theta)
+    u = 2.0 * theta
+    u2 = u * u
+    series = np.zeros_like(u)
+    for k in range(9, 0, -1):
+        series = series * u2 + (-1) ** (k + 1) * (1.0 - float(m) ** (-2 * k)) / math.factorial(2 * k + 1)
+    first = (1.0 - float(m) ** -2) / math.factorial(3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = (m * np.sin(2.0 * theta / m) - np.sin(2.0 * theta)) / (8.0 * s * s)
-    small = theta < 1e-6
-    if np.any(small):
-        coeff = np.where(small, theta * (1.0 - 1.0 / (m * m)) / 6.0, coeff)
-    return coeff
+        coeff = np.where(u <= 1.0, u * u2 * series, m * np.sin(u / m) - np.sin(u)) / (8.0 * s * s)
+    return np.where(u < 1e-8, first * theta, coeff)
 
 
 def _solve_bulge(area_over_d2, m, iters=90):
@@ -436,6 +450,29 @@ def test_collapsed_witness_is_rejected():
     DistanceBounds(1.0 + 1e-13, 1.0)  # within the relative slack
 
 
+@pytest.mark.parametrize("height", [1.41e-6, 2.19e-6])
+def test_arc_witness_closes_on_its_target(height):
+    # m sin(2 theta / m) - sin(2 theta) cancelled for theta between about 1e-6
+    # and 1e-4: these witnesses ended 3.24e-11 and 2.72e-11 below z
+    z = np.array([1.0, 0.0, height])
+    witness = cc_bounds(np.zeros(3), z).witness
+    end = witness.eval(np.array([witness.t_max]))[0]
+    assert end[0] == 1.0 and end[1] == 0.0
+    assert abs(end[2] - height) <= 4 * np.spacing(height)
+
+
+def test_arc_witness_closes_within_the_rounding_of_its_lift():
+    # bulges from 1e-12 to near pi: the end height misses z by no more than
+    # the rounding of the lift's running sum, eps times the sum of its partial sums
+    eps = np.finfo(float).eps
+    for D in (1e-3, 1.0, 7.0):
+        for ratio in np.logspace(-12, math.log10(1.25), 120):
+            z = np.array([D, 0.0, 4.0 * ratio * D * D])
+            witness = cc_bounds(np.zeros(3), z).witness
+            heights = witness.eval(witness.knots)[:, -1]
+            assert abs(heights[-1] - z[2]) <= 2.0 * eps * np.sum(np.abs(heights)), (D, ratio)
+
+
 def test_sixteen_gon_ratio_skips_the_64_gon_pre_solve():
     # at or below _RATIO_M16 the 64-gon bulge gives m = 16, as the shortcut assumes
     ratios = np.concatenate([
@@ -445,6 +482,7 @@ def test_sixteen_gon_ratio_skips_the_64_gon_pre_solve():
     ])
     for ratio in ratios:
         assert min(max(math.ceil(_solve_bulge_scalar(float(ratio), 64) / 0.02), 16), 1024) == 16
+        assert _solve_bulge_scalar(float(ratio), 64, metric._chain_size) == 16
     # the threshold is the 64-gon's coefficient at bulge 0.3199, 1e-4 short of m = 17
     assert _solve_bulge_scalar(_RATIO_M16, 64) == pytest.approx(0.3199, abs=1e-12)
 

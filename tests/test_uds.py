@@ -59,16 +59,25 @@ class TestRationalLine:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kept_vector_equals_the_one_recomputed_at_the_base(self, n):
-        # the vector is kept from the uncanonical base given to the constructor
+        # the vector is the horizontal field at the canonical base, and a line
+        # built from an uncanonical base gets the field there, the same vector
         for line in islice(enumerate_lines(2, n), 0, 400, 7):
-            assert line.vector() == RationalLine._vector(line.base, line.direction, n)
+            assert line.vector() == _horizontal_field(line.base, line.direction)
         rng = np.random.default_rng(n)
         for _ in range(50):
             base = tuple(Fraction(int(v), int(d)) for v, d in zip(rng.integers(-9, 10, 2 * n + 1), rng.integers(1, 9, 2 * n + 1)))
             direction = [int(v) for v in rng.integers(-4, 5, 2 * n)]
             direction[0] = direction[0] or 1
             line = RationalLine(base, tuple(direction))
-            assert line.vector() == RationalLine._vector(line.base, line.direction, n)
+            assert line.vector() == _horizontal_field(line.base, line.direction)
+            assert line.vector() == _horizontal_field(base, line.direction)
+
+    def test_odd_length_direction_is_rejected(self):
+        # it built an n = 1 line and dropped base[3], or an n = 0 line
+        with pytest.raises(ValueError, match="even length"):
+            RationalLine((1, 2, 3, 4), (1, 2, 3))
+        with pytest.raises(ValueError, match="even length"):
+            RationalLine((0, 0), (1,))
 
 
 class TestStereographic:
@@ -119,6 +128,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_lines(0, 1))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_validation(self, n):
+        # n = 0 yielded nothing and n = -1 raised from itertools
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            next(enumerate_lines(3, n))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            Cover.build(n=n, height=2, depth=3)
+
     @pytest.mark.parametrize("height, n, count, directions", [
         (3, 1, 10**9, 3),  # levels 1 and 2, then the first 3 of 16 directions of level 3
         (2, 2, 2000, None),  # inside level 1, which holds 7,872 lines
@@ -131,16 +148,15 @@ class TestEnumeration:
 
     def test_lazy_prefix_constructs_few_lines(self, monkeypatch):
         built = []
-        post_init = RationalLine.__post_init__
+        set_line = RationalLine._set
 
-        def counting(self):
+        def counting(self, *args):
             built.append(1)
-            post_init(self)
+            set_line(self, *args)
 
-        monkeypatch.setattr(RationalLine, "__post_init__", counting)
+        monkeypatch.setattr(RationalLine, "_set", counting)
         assert len(list(islice(enumerate_lines(8, 2), 96))) == 96
         assert len(built) <= 300  # a whole level-1 batch at n = 2 is 9,720
-
 
 
 class TestCover:
@@ -305,12 +321,12 @@ def _whole_level_lines(height, n, directions=None):
     """
     seen = set()
     for level in range(1, height + 1):
-        fracs = uds._fractions_up_to(level)
+        fracs = sorted({Fraction(p, q) for q in range(1, level + 1) for p in range(-level, level + 1)})
         dirs = sorted({uds._canonical_direction(h) for h in product(range(-level, level + 1), repeat=2 * n) if any(h)})
         batch = []
         for d in dirs[:directions] if level == height else dirs:
             for base in product(fracs, repeat=2 * n + 1):
-                if max(max(uds._complexity(v) for v in base), max(abs(v) for v in d)) != level:
+                if max(max(max(abs(v.numerator), v.denominator) for v in base), max(abs(v) for v in d)) != level:
                     continue
                 line = RationalLine(base, d)
                 key = (line.direction, line.base)
@@ -319,6 +335,14 @@ def _whole_level_lines(height, n, directions=None):
                     batch.append(line)
         batch.sort(key=lambda l: (l.direction, l.base))
         yield from batch
+
+
+def _horizontal_field(point, direction):
+    """Reference: the horizontal field of frame coefficients ``direction`` at ``point``, exactly."""
+    n = len(direction) // 2
+    a, b = [Fraction(v) for v in point[:n]], [Fraction(v) for v in point[n : 2 * n]]
+    height = 2 * (sum(direction[i] * b[i] for i in range(n)) - sum(direction[n + i] * a[i] for i in range(n)))
+    return tuple(Fraction(v) for v in direction) + (height,)
 
 
 def _planar_lower_dense(cover, pts):
