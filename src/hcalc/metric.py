@@ -561,20 +561,14 @@ def cc_upper_quick(z: np.ndarray) -> np.ndarray:
     p = project(z)
     c = np.abs(z[..., -1])
     # squares of large coordinates overflow to inf, which the routes below
-    # handle; they are not errors
-    with np.errstate(over="ignore", invalid="ignore"):
+    # handle; they are not errors.  Where the two-leg route does not exist
+    # it comes out inf or NaN, and fmin takes the split route: D = 0 gives
+    # 0 * inf, an underflowed D^4 gives c^2 / 0 = inf (or 0 / 0), and
+    # overflowed squares give inf (or inf / inf).  At c = 0 both routes, or
+    # the split route alone, are D itself.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         D = np.sqrt(_row_sums(p * p))
-        D4 = D * D * D * D
-        # D = 0 has no two-leg route, and where D^4 underflows the route is
-        # infinite: those entries keep inf instead of dividing by zero
-        legs = np.full(D.shape, np.inf)
-        np.divide(c * c, D4, out=legs, where=D4 > 0.0)
-        np.multiply(D, np.sqrt(1.0 + legs), out=legs, where=D > 0.0)
-        # the shorter of the two-leg route and the split route, kept in place;
-        # where D^4 and c^2 both overflow the two-leg route is inf / inf = NaN
-        # and fmin takes the split route
-        np.fmin(legs, D + np.sqrt(math.pi * c), out=legs)
-    return np.where(c == 0.0, D, legs)
+        return np.asarray(np.fmin(D * np.sqrt(1.0 + c * c / (D * D * D * D)), D + np.sqrt(math.pi * c)))
 
 
 def holder_fit(region: Ball, samples: int, seed: int) -> float:

@@ -17,6 +17,18 @@ those pairs: the query points are sorted along a Z-order cell grid into
 groups of at most 16, each inside a ball, and only the pairs of a group
 whose ball comes within reach of a segment are tested point by point, a
 bounded number of pairs at a time (see :meth:`Cover.upper_distances`).
+Membership then needs only one pair per point within its radius, so the
+pairs of a point that the grid scan of the refinement already places
+inside a tube skip the golden section.
+
+The volume bound of a constant c is a float sum over the lines, and in
+exact arithmetic it is v 1.5^q (A c^(q-1) + B c^q) with two sums A, B per
+cover.  The bisection for c_k evaluates that closed form at each midpoint
+and reads the float sum only where the two could disagree about the
+target, so every constant is the full bisection's.  Once the ball terms
+underflow, on levels near 800 at n = 1, the float sum reads below the
+exact bound; a build checks each constant against the closed form and
+raises ``ValueError`` naming the first level whose bound exceeds 2^-k.
 
 Bases and directions are exact, held as Python integers: a rational point
 whose entries share a denominator q is an integer point under the dilation
@@ -41,7 +53,7 @@ import numpy as np
 
 from .curves import HorizontalPath, lift_heights
 from .metric import cc_upper_quick
-from .group import _row_sums, group_inv, group_mul
+from .group import _row_sums, group_mul
 
 __all__ = [
     "RationalLine",
@@ -314,25 +326,35 @@ class Box:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(size, len(self.lo)))
 
-    def clip_line(self, base: np.ndarray, vec: np.ndarray):
-        """Parameter interval where the line stays inside the box, or None."""
-        t0, t1 = -np.inf, np.inf
-        for b, v, lo, hi in zip(base, vec, self.lo, self.hi):
-            if v == 0.0:
-                if not (lo <= b <= hi):
-                    return None
-                continue
-            a, b2 = (lo - b) / v, (hi - b) / v
-            t0, t1 = max(t0, min(a, b2)), min(t1, max(a, b2))
-        if not (np.isfinite(t0) and np.isfinite(t1)) or t0 >= t1:
-            return None
-        return float(t0), float(t1)
+    def clip_lines(self, bases: np.ndarray, vecs: np.ndarray) -> tuple:
+        """``(spans, meets)`` for the lines base + t vec, one per row: the
+        parameter interval (t0, t1) where each line stays inside the box, and
+        whether it has one (a finite interval of positive length).
+
+        Coordinate by coordinate, t0 grows to the entry time and t1 shrinks
+        to the exit time, with the choices of Python's ``max`` and ``min``; a
+        zero component keeps the line only if its base lies within the slab.
+        """
+        t0, t1 = np.full(len(bases), -np.inf), np.full(len(bases), np.inf)
+        meets = np.ones(len(bases), dtype=bool)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for b, v, lo, hi in zip(bases.T, vecs.T, self.lo, self.hi):
+                flat = v == 0.0
+                meets &= ~flat | ((lo <= b) & (b <= hi))
+                a, b2 = (lo - b) / v, (hi - b) / v
+                enter, leave = np.where(b2 < a, b2, a), np.where(b2 > a, b2, a)
+                t0 = np.where(~flat & (enter > t0), enter, t0)
+                t1 = np.where(~flat & (leave < t1), leave, t1)
+        meets &= np.isfinite(t0) & np.isfinite(t1) & ~(t0 >= t1)
+        return np.stack([t0, t1], axis=1), meets
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need at least one sample")
+    if not 0 <= hits <= n:
+        raise ValueError(f"hits must lie in [0, n] = [0, {n}], got {hits}")
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -346,6 +368,8 @@ _CELL_POINTS = 16
 _PAIR_BLOCK = 1 << 15
 # Each level's constant is solved against this share of its volume budget 2^-k.
 _VOLUME_SAFETY = 0.99
+# The unit roundoff of float64.
+_U = 2.0**-53
 # A refined pair scans its segment at _REFINE_GRID evenly spaced parameters,
 # then takes _REFINE_GOLDEN golden-section steps around the best of them.
 _REFINE_GRID = 33
@@ -363,7 +387,10 @@ class Cover:
     ``radii_constants[k-1]`` is the level-k constant c_k; line i at level k
     has tube radius c_k / 2^(i+1).  The constants are solved against an
     analytic volume bound (covering each tube by metric balls), so the
-    total level-k tube volume is at most 2^-k by construction.
+    total level-k tube volume is at most 2^-k by construction; each level's
+    constant is checked against the bound's closed form (see
+    :meth:`_closed_form`), and a depth whose float bound underflows below
+    the exact one raises ``ValueError``.
     """
 
     def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
@@ -375,32 +402,99 @@ class Cover:
         self.depth = depth
         self.meta = dict(meta or {})
         self.n = lines[0].n
-        kept = []
-        for line in lines:
-            if line.n != self.n:
-                raise ValueError("mixed dimensions in line enumeration")
-            base, vec = line.base_float(), line.vector_float()
-            span = clip.clip_line(base, vec)
-            if span is not None:
-                kept.append((line, span, base, vec))
-        if not kept:
+        if any(line.n != self.n for line in lines):
+            raise ValueError("mixed dimensions in line enumeration")
+        bases = np.array([line.base_float() for line in lines])
+        vecs = np.array([line.vector_float() for line in lines])
+        spans, meets = clip.clip_lines(bases, vecs)
+        if not meets.any():
             raise ValueError("no line meets the clip box")
-        self.lines, spans, bases, vecs = zip(*kept)
-        self.spans, self._bases, self._vecs = np.asarray(spans), np.stack(bases), np.stack(vecs)
+        self.lines = tuple(line for line, keep in zip(lines, meets) if keep)
+        self.spans, self._bases, self._vecs = spans[meets], bases[meets], vecs[meets]
         # integer directions: the squares and their sums are exact
         self.lengths = (self.spans[:, 1] - self.spans[:, 0]) * np.linalg.norm(self._vecs[:, :-1], axis=1)
+        self._closed_form()
         self.radii_constants = []
         prev = math.inf
         for k, c in enumerate(self._solve_constants(2.0 ** -np.arange(1, depth + 1) * _VOLUME_SAFETY), start=1):
             c = min(float(c), prev)
-            while self.volume_bound(c) > 2.0**-k:
+            while self._exceeds(np.array([c]), np.array([2.0**-k]))[0]:
                 c *= 0.999
             self.radii_constants.append(c)
             prev = c
+        # Where the radii underflow, the float bound reads below the exact one
+        # and the solve above keeps a constant that is too large.
+        lv, err = self._log_volumes(np.array(self.radii_constants))
+        limit = -math.log(2.0) * np.arange(1, depth + 1)
+        failed = np.nonzero(lv + err > limit * (1.0 + 4.0 * _U))[0]
+        if len(failed):
+            k = int(failed[0]) + 1
+            raise ValueError(
+                f"level {k} of depth {depth}: the tube volume bound is not within 2^-{k} "
+                f"(the float bound underflows there); build at most depth {k - 1}"
+            )
 
     def volume_bound(self, c: float) -> float:
         """Analytic upper bound of the total tube volume for constant c."""
         return float(self._volume_bounds(np.array([c]))[0])
+
+    def _closed_form(self) -> None:
+        """Set up :meth:`_log_volumes` and the error bounds of :meth:`_exceeds`.
+
+        With r_i = c 2^-(i+1), the bound of :meth:`_volume_bounds` is exactly
+        V(c) = v 1.5^q (A c^(q-1) + B c^q), q = 2n+2, A = sum L_i 2^-(i+1)(q-1)
+        and B = sum 2^-(i+1)q: two sums per cover instead of one per constant.
+        """
+        q, m = 2 * self.n + 2, len(self.lines)
+        v = _unit_ball_volume_bound(self.n)
+        exps = np.arange(1, m + 1)
+        self._a = float(np.sum(np.ldexp(self.lengths, -exps * (q - 1))))
+        self._b = float(np.sum(np.ldexp(1.0, -exps * q)))
+        self._log_scale = math.log(v) + q * math.log(1.5)
+        self._log_scale_size = abs(math.log(v)) + q * math.log(1.5)
+        # relative error of the float A + B c: ldexp terms that round to
+        # subnormals or to 0 lose at most 2^-1075 each, the sums (m - 1) units
+        with np.errstate(divide="ignore"):
+            rel = np.divide(m * 2.0**-1074, [self._a, self._b])
+        self._rel_ab = 1.01 * (2 * m * _U + float(np.sum(rel))) + 2 * _U
+        # The float sum of _volume_bounds is within gamma V + E of V.  Each
+        # term takes at most q + 10 roundings (the power within two units),
+        # and the sum m - 1 more.  E holds what underflow costs, for a power
+        # within 7/8 of a unit in the subnormal range (0 below 2^-1077): a
+        # term is 0 where (1.5 r)^(q-1) < 2^-1078, an error of at most
+        # v (1.5 L + 1) 2^-1078; where 2^-1078 <= (1.5 r)^(q-1) and
+        # (1.5 r)^q < 2^-1021 the power's error 2^-1074 is multiplied by at
+        # most L / r + 1 + 1.5 L with 1 / r <= 1.5 2^(1078/(q-1)), and the sum
+        # of 1 / r over those radii is at most twice the largest; products
+        # that underflow lose 2^-1075 each.
+        lmax = float(np.max(self.lengths))
+        self._gamma = 1.02 * (m + q + 12) * _U
+        window = 3.0 * lmax * 2.0 ** (1078 / (q - 1)) + m * (4.0 + 2.0 * lmax)
+        self._abs_err = 1.1 * (v * math.ldexp(window, -1074) + math.ldexp(m, -1073)) + 2.0**-1060
+
+    def _log_volumes(self, cs: np.ndarray) -> tuple:
+        """``(log V(c), err)`` per constant: the closed form of
+        :meth:`_closed_form` in logs, and a bound on the error of that float
+        evaluation (its two sums, its logs and its three additions)."""
+        power, sums = (2 * self.n + 1) * np.log(cs), np.log(self._a + self._b * cs)
+        err = 1.01 * self._rel_ab + 8.0 * _U * (1.0 + self._log_scale_size + np.abs(power) + np.abs(sums))
+        return self._log_scale + power + sums, err
+
+    def _exceeds(self, cs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """``self._volume_bounds(cs) > targets``, bit for bit, evaluating the
+        float sum only for the constants whose closed form lies too near the
+        target to tell: within the float sum's error gamma V + E and the
+        closed form's own error (see :meth:`_closed_form`)."""
+        lv, err = self._log_volumes(cs)
+        gap = err + 2.0 * self._gamma + 8.0 * _U * (1.0 + np.abs(lv))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # F > T where V (1 - gamma) - E > T, F <= T where V (1 + gamma) + E <= T
+            above, below = np.log(targets + self._abs_err), np.log(targets - self._abs_err)
+            over = lv - gap - 8.0 * _U * np.abs(above) > above
+            unsure = ~over & ~(lv + gap + 8.0 * _U * np.abs(below) < below)
+        if unsure.any():
+            over[unsure] = self._volume_bounds(cs[unsure]) > targets[unsure]
+        return over
 
     def _volume_bounds(self, cs: np.ndarray) -> np.ndarray:
         """:meth:`volume_bound` for each constant of ``cs``, bit for bit."""
@@ -429,7 +523,7 @@ class Cover:
             live, mid = live[moving], mid[moving]
             if not len(live):
                 break
-            over = self._volume_bounds(mid) > targets[live]
+            over = self._exceeds(mid, targets[live])
             hi[live[over]] = mid[over]
             lo[live[~over]] = mid[~over]
         return lo
@@ -527,40 +621,54 @@ class Cover:
                 pairs.append(np.stack([pi[keep], lj[keep]]))
         return tuple(np.concatenate(pairs, axis=1))
 
-    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray) -> np.ndarray:
+    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, settle: Optional[np.ndarray] = None) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
 
         All flagged (point, line) pairs advance through the grid scan and
         golden-section refinement together, as array operations: one call
         for the whole grid, and one for both probes of each golden step.
+        With per-line radii ``settle``, the pairs of a point that the grid
+        scan already places within the radius of one of its pairs skip the
+        golden section and keep their grid value, which the refinement could
+        only lower: membership at those radii is the same.
         """
-        m = len(pi)
-        p = pts[pi]
-        bases, vecs = self._bases[li], self._vecs[li]
+        p, nbases, vecs = pts[pi], -self._bases[li], self._vecs[li]
         t0s, t1s = self.spans[li, 0], self.spans[li, 1]
 
         def val(ts):
-            line_pts = bases + ts.reshape(-1, m)[:, :, None] * vecs
-            return cc_upper_quick(group_mul(group_inv(line_pts), p))
+            # x^-1 p for x = b + t v: -b - t v rounds as -(b + t v) does, up to
+            # the sign of an exact zero, which the quick bound squares away
+            return cc_upper_quick(group_mul(nbases - ts[:, :, None] * vecs, p))
 
         us = np.linspace(0.0, 1.0, _REFINE_GRID)
-        vals = val((t0s + us[:, None] * (t1s - t0s)).ravel())
+        vals = val(t0s + us[:, None] * (t1s - t0s))
         j = np.argmin(vals, axis=0)
-        best = vals[j, np.arange(m)]
+        best = vals[j, np.arange(len(pi))]
         a = t0s + us[np.maximum(j - 1, 0)] * (t1s - t0s)
         b = t0s + us[np.minimum(j + 1, _REFINE_GRID - 1)] * (t1s - t0s)
+        refine = slice(None)
+        if settle is not None:
+            settled = np.zeros(len(pts), dtype=bool)
+            settled[pi[best <= settle[li]]] = True
+            refine = ~settled[pi]
+            if not refine.any():
+                return best
+        # val reads the pairs still refined
+        p, nbases, vecs, a, b = p[refine], nbases[refine], vecs[refine], a[refine], b[refine]
         gr = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = val(np.concatenate([c, d]))
-        for _ in range(_REFINE_GOLDEN):
-            left = fc < fd
-            b = np.where(left, d, b)
-            a = np.where(left, a, c)
-            c = b - gr * (b - a)
-            d = a + gr * (b - a)
-            fc, fd = val(np.concatenate([c, d]))
-        return np.minimum(best, np.minimum(fc, fd))
+        # the probes c = b - gr (b - a) and d = a + gr (b - a), as the rows of cd
+        cd = np.empty((2, len(a)))
+        for step in range(_REFINE_GOLDEN + 1):
+            if step:
+                left = fc < fd
+                b = np.where(left, cd[1], b)
+                a = np.where(left, a, cd[0])
+            w = gr * (b - a)
+            np.subtract(b, w, out=cd[0])
+            np.add(a, w, out=cd[1])
+            fc, fd = val(cd)
+        best[refine] = np.minimum(best[refine], np.minimum(fc, fd))
+        return best
 
     def upper_distances(self, pts: np.ndarray, needed: np.ndarray) -> np.ndarray:
         """Per (point, line) upper distance, ``inf`` where no pair was refined.
@@ -593,10 +701,15 @@ class Cover:
         grow with the level (see the module docstring).  The dense (points,
         lines) result suits few points, such as the maximizer's ball centre;
         :meth:`contains_batch` builds none.  Raises ``ValueError`` on points
-        of the wrong length or with a non-finite coordinate.
+        of the wrong length or with a non-finite coordinate, and on
+        ``needed`` other than one finite radius >= 0 per line.
         """
         pts = self._query_points(pts)
         needed = np.asarray(needed, dtype=float)
+        if needed.shape != (len(self.lines),) or not np.all(np.isfinite(needed) & (needed >= 0.0)):
+            raise ValueError(
+                f"needed must hold one finite radius >= 0 per line, shape ({len(self.lines)},), got shape {needed.shape}"
+            )
         out = np.full((len(pts), len(self.lines)), np.inf)
         pi, li = self._candidate_pairs(pts, needed)
         if len(pi):
@@ -652,7 +765,7 @@ class Cover:
         member = np.zeros(len(pts), dtype=bool)
         pi, li = self._candidate_pairs(pts, radii)
         if len(pi):
-            member[pi[self._refine_pairs(pts, pi, li) <= radii[li]]] = True
+            member[pi[self._refine_pairs(pts, pi, li, settle=radii) <= radii[li]]] = True
         return member
 
     def cover_measure_mc(self, level: int, region: Box, n_samples: int, seed: int):

@@ -144,6 +144,15 @@ def test_uds_measure_reports_a_bad_query_as_a_usage_error(runner, args, message)
     assert message in out.output
 
 
+def test_uds_build_reports_an_underflowing_depth_as_a_usage_error(runner, tmp_path):
+    # the build passed with levels whose exact volume bound exceeds 2^-k
+    dst = tmp_path / "manifest.json"
+    out = runner.invoke(main, ["uds", "build", "--height", "2", "--max-lines", "16", "--depth", "800", "--out", str(dst)])
+    assert out.exit_code == 2
+    assert "level 794 of depth 800" in out.output
+    assert "Traceback" not in out.output and not dst.exists()
+
+
 def test_uds_build_writes_manifest(runner, tmp_path):
     dst = tmp_path / "manifest.json"
     out = runner.invoke(main, ["uds", "build", "--max-lines", "24", "--depth", "4", "--out", str(dst)])

@@ -242,6 +242,17 @@ class TestCover:
         with pytest.raises(ValueError, match="length 3"):
             cover.contains([Fraction(0), Fraction(0)], 2)
 
+    def test_upper_distances_require_one_radius_per_line(self, cover):
+        # a scalar or a short array raised a bare IndexError; all-NaN or
+        # negative radii silently gave all inf
+        m = len(cover.lines)
+        pts = np.zeros((2, 3))
+        for needed in (0.1, np.full(m - 1, 0.1), np.full((m, 1), 0.1), np.full(m, np.nan), np.full(m, -1.0),
+                       np.concatenate([cover.radii(1)[:-1], [np.inf]])):
+            with pytest.raises(ValueError, match=rf"shape \({m},\)"):
+                cover.upper_distances(pts, needed)
+        assert cover.upper_distances(pts, np.zeros(m)).shape == (2, m)
+
     def test_measure_mc(self, cover):
         est, (lo, hi) = cover.cover_measure_mc(6, Box.cube(2.0, 1), 5000, seed=0)
         assert 0.0 <= lo <= hi
@@ -262,6 +273,30 @@ class TestCover:
             Cover([], depth=3, clip=Box.cube(1.0, 1))
         with pytest.raises(ValueError):
             Cover.build(n=1, height=1, depth=0)
+
+    def test_deep_levels_whose_bound_underflows_are_refused(self):
+        # The float bound's ball terms underflow on deep levels and read below
+        # the exact bound, so the solve kept constants whose exact bound
+        # exceeds 2^-k (at n = 1 from level 794 on) and the build passed.
+        with pytest.raises(ValueError, match="level 794 of depth 800"):
+            Cover.build(n=1, height=2, depth=800, max_lines=16)
+        with pytest.raises(ValueError, match="level 884 of depth 900"):
+            Cover.build(n=2, height=2, depth=900, max_lines=16)
+        with pytest.raises(ValueError, match="level 794 of depth 1100"):
+            Cover.build(n=1, height=2, depth=1100, max_lines=16)
+        cover = Cover.build(n=1, height=2, depth=793, max_lines=16)
+        for k, c in enumerate(cover.radii_constants, start=1):
+            assert _exact_volume_bound(cover, c) <= Fraction(1, 2**k)
+        # level 794's constant, as the build solves it, exceeds its target exactly
+        c = min(float(cover._solve_constants(np.array([2.0**-794 * 0.99]))[0]), cover.radii_constants[-1])
+        while cover.volume_bound(c) > 2.0**-794:
+            c *= 0.999
+        assert cover.volume_bound(c) <= 2.0**-794 < _exact_volume_bound(cover, c)
+
+    def test_a_deep_cover_short_of_the_underflow_still_builds(self):
+        cover = Cover.build(n=1, height=2, depth=780, max_lines=16)
+        assert len(cover.radii_constants) == 780
+        assert all(_exact_volume_bound(cover, c) <= Fraction(1, 2**k) for k, c in enumerate(cover.radii_constants, start=1))
 
 
 class TestCurveInCover:
@@ -444,6 +479,16 @@ def _volume_bound_reference(cover, c):
     return float(np.sum(terms))
 
 
+def _exact_volume_bound(cover, c):
+    """The volume bound of :meth:`Cover.volume_bound` in exact fractions."""
+    q, c = 2 * cover.n + 2, Fraction(c)
+    total = Fraction(0)
+    for i, length in enumerate(cover.lengths):
+        r = c / 2 ** (i + 1)
+        total += (Fraction(length) / r + 1) * (Fraction(3, 2) * r) ** q
+    return Fraction(uds._unit_ball_volume_bound(cover.n)) * total
+
+
 def _solve_constant_reference(cover, target):
     """Reference: the geometric bisection run for all 300 iterations."""
     lo, hi = 1e-300, 1e9
@@ -582,9 +627,8 @@ class TestCoverInternals:
 def test_box_geometry():
     box = Box.cube(2.0, 1)
     assert box.volume == pytest.approx(64.0)
-    span = box.clip_line(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert span == (-2.0, 2.0)
-    assert box.clip_line(np.array([0.0, 0.0, 5.0]), np.array([1.0, 0.0, 0.0])) is None
+    spans, meets = box.clip_lines(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert spans[0].tolist() == [-2.0, 2.0] and meets.tolist() == [True, False]
     with pytest.raises(ValueError):
         Box(np.zeros(3), np.zeros(3))
 
@@ -596,3 +640,11 @@ def test_wilson_interval():
     assert 0.45 < lo2 < 0.5 < hi2 < 0.55
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+def test_wilson_interval_rejects_hits_outside_the_sample():
+    # both raised "math domain error"
+    for hits in (-1, 1001):
+        with pytest.raises(ValueError, match="hits must lie in"):
+            wilson_interval(hits, 1000)
+    assert wilson_interval(1000, 1000)[1] >= 1.0 - 1e-12
