@@ -244,7 +244,8 @@ def maximize(config_path, out_path):
     if config_path:
         with open(config_path) as fh:
             kwargs = json.load(fh)
-    config = maximizer.MaximizerConfig(**kwargs)
+    with _usage_errors():
+        config = maximizer.MaximizerConfig.from_json(kwargs)
     n = 1
     e1 = np.zeros(2 * n)
     e1[0] = 1.0

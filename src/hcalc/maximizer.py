@@ -14,7 +14,8 @@ comparison against the incumbent.  The schedules
 sit at interior points of their allowed open ranges; sigma_0 = 2 and
 t_0 = min(1/4, mu/2).  The ball radius delta_m is found by halving until
 the closed ball fits inside a level-m tube and the incumbent-vs-selected
-increment inequality verifies on the configured grid.
+increment inequality verifies on the configured grid; a tube fit that the
+grid scan of the distances already shows skips their golden section.
 
 The true candidate set is uncountable; the finite surrogate preserves
 every checkable invariant but the near-maximality margin is only known
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -169,15 +170,29 @@ class MaximizerConfig:
     deriv_steps: np.ndarray = field(default_factory=lambda: DEFAULT_STEPS)
 
     def __post_init__(self):
-        if self.K < 8.0:
-            raise ValueError("K must be at least 8")
-        if min(self.delta0, self.mu) <= 0:
-            raise ValueError("delta0 and mu must be positive")
-        if self.c_angle < 1.0 or self.c_holder < 1.0:
-            raise ValueError("comparison constants must be >= 1")
+        # comparisons written so that NaN fails them
+        if not (math.isfinite(self.K) and self.K >= 8.0):
+            raise ValueError(f"K must be finite and at least 8, got {self.K}")
+        for name, value in (("delta0", self.delta0), ("mu", self.mu)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, value in (("c_angle", self.c_angle), ("c_holder", self.c_holder)):
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ValueError(f"{name} must be finite and >= 1, got {value}")
+        for name, value, least in (("budget", self.budget, 1), ("max_steps", self.max_steps, 0),
+                                   ("uds_level", self.uds_level, 1)):
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         self.t_grid = np.asarray(self.t_grid, dtype=float)
-        if np.any(np.abs(self.t_grid) >= 1.0) or np.all(self.t_grid == 0.0):
-            raise ValueError("t grid must be nonzero values in (-1, 1)")
+        if not np.all(np.abs(self.t_grid) < 1.0) or np.all(self.t_grid == 0.0):
+            raise ValueError("t grid must be finite nonzero values in (-1, 1)")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "MaximizerConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        return cls(**data)
 
     def to_json(self) -> dict:
         return {
@@ -261,6 +276,17 @@ def step(
     undecided: every diverging estimate, plus each candidate that beat the
     best admissible value seen before it and whose comparison was
     inconclusive.
+
+    The tube distances of the selected point are computed once, at the
+    first delta whose increment test passes, with that delta as the slack
+    of :meth:`Cover.upper_distances`: if the grid scan already fits the
+    ball in a tube, the golden section is skipped and the grid values are
+    kept.  The trajectory is the same as with the full refinement.  The
+    refined value never exceeds the grid's best, and float addition is
+    monotone, so a grid fit at that delta means both
+    ``any(grid + delta <= r)`` and ``any(refined + delta <= r)`` hold there
+    and at every smaller delta the search can still reach.  If the grid
+    does not fit, the distances are the full refinement.
     """
     m = state.m + 1
     accum = state.accum + state.t * state.direction
@@ -304,13 +330,13 @@ def step(
     inc_prev = line_increments(f_m, state.x, state.direction, config.t_grid)
     gap_sel = e_sel - d_prev.value + sigma_prev
     radii = cover.radii(min(m, cover.depth))
-    dist = None  # upper distances from x_m to the lines: they do not depend on delta
+    dist = None  # upper distances from x_m to the lines, computed at the first delta that reads them
     for _ in range(600):
         t_range = config.c_holder**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
         if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
             if dist is None:
-                dist = cover.upper_distances(x_m[None, :], needed=radii)[0]
+                dist = cover.upper_distances(x_m[None, :], needed=radii, slack=delta_m)[0]
             # the closed ball fits in a level-m tube, and inside the previous ball
             if np.any(dist + delta_m <= radii) and delta_m + d_move < delta_prev:
                 break

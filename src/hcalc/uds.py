@@ -621,16 +621,18 @@ class Cover:
                 pairs.append(np.stack([pi[keep], lj[keep]]))
         return tuple(np.concatenate(pairs, axis=1))
 
-    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, settle: Optional[np.ndarray] = None) -> np.ndarray:
+    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, settle: Optional[np.ndarray] = None,
+                      slack: float = 0.0) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
 
         All flagged (point, line) pairs advance through the grid scan and
         golden-section refinement together, as array operations: one call
         for the whole grid, and one for both probes of each golden step.
-        With per-line radii ``settle``, the pairs of a point that the grid
-        scan already places within the radius of one of its pairs skip the
+        With per-line radii ``settle``, the pairs of a point with some pair
+        whose grid best satisfies ``best + slack <= settle[li]`` skip the
         golden section and keep their grid value, which the refinement could
-        only lower: membership at those radii is the same.
+        only lower: a test ``dist + s <= settle`` with 0 <= s <= slack is
+        then true for the point either way.
         """
         p, nbases, vecs = pts[pi], -self._bases[li], self._vecs[li]
         t0s, t1s = self.spans[li, 0], self.spans[li, 1]
@@ -649,7 +651,7 @@ class Cover:
         refine = slice(None)
         if settle is not None:
             settled = np.zeros(len(pts), dtype=bool)
-            settled[pi[best <= settle[li]]] = True
+            settled[pi[best + slack <= settle[li]]] = True
             refine = ~settled[pi]
             if not refine.any():
                 return best
@@ -670,7 +672,7 @@ class Cover:
         best[refine] = np.minimum(best[refine], np.minimum(fc, fd))
         return best
 
-    def upper_distances(self, pts: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    def upper_distances(self, pts: np.ndarray, needed: np.ndarray, slack: Optional[float] = None) -> np.ndarray:
         """Per (point, line) upper distance, ``inf`` where no pair was refined.
 
         A pair is refined only where the float planar point-to-segment
@@ -700,9 +702,13 @@ class Cover:
         Membership at level k needs only ``needed = radii(k)``, as radii never
         grow with the level (see the module docstring).  The dense (points,
         lines) result suits few points, such as the maximizer's ball centre;
-        :meth:`contains_batch` builds none.  Raises ``ValueError`` on points
-        of the wrong length or with a non-finite coordinate, and on
-        ``needed`` other than one finite radius >= 0 per line.
+        :meth:`contains_batch` builds none.  With a ``slack``, a point whose
+        grid scan already gives some line ``dist + slack <= needed`` keeps
+        its grid values, upper distances no smaller than the refined ones
+        (see :meth:`_refine_pairs`); other points are refined in full.
+        Raises ``ValueError`` on points of the wrong length or with a
+        non-finite coordinate, on ``needed`` other than one finite radius
+        >= 0 per line, and on a ``slack`` that is not finite and >= 0.
         """
         pts = self._query_points(pts)
         needed = np.asarray(needed, dtype=float)
@@ -710,10 +716,12 @@ class Cover:
             raise ValueError(
                 f"needed must hold one finite radius >= 0 per line, shape ({len(self.lines)},), got shape {needed.shape}"
             )
+        if slack is not None and not (math.isfinite(slack) and slack >= 0.0):
+            raise ValueError(f"slack must be finite and >= 0, got {slack}")
         out = np.full((len(pts), len(self.lines)), np.inf)
         pi, li = self._candidate_pairs(pts, needed)
         if len(pi):
-            out[pi, li] = self._refine_pairs(pts, pi, li)
+            out[pi, li] = self._refine_pairs(pts, pi, li, None if slack is None else needed, slack or 0.0)
         return out
 
     # -- queries -------------------------------------------------------------

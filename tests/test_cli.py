@@ -302,3 +302,20 @@ def test_maximize_cli(runner, tmp_path):
     rec = json.loads(out.output)
     assert rec["clean"] is True
     assert len(traj.read_text().splitlines()) == 4  # config line + 3 states
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"budget": -5}, "budget must be at least 1"),
+    ({"budget": 0}, "budget must be at least 1"),
+    ({"delta0": 0}, "delta0 must be finite and positive"),
+    ({"budgte": 64}, "unknown config fields: ['budgte']"),
+])
+def test_maximize_reports_a_bad_config_as_a_usage_error(runner, tmp_path, config, message):
+    # each exited 1, the code of a trajectory with violations, with a traceback
+    cfg = tmp_path / "mx.json"
+    cfg.write_text(json.dumps(config))
+    traj = tmp_path / "traj.jsonl"
+    out = runner.invoke(main, ["maximize", "--config", str(cfg), "--out", str(traj)])
+    assert out.exit_code == 2
+    assert message in out.output
+    assert "Traceback" not in out.output and not traj.exists()

@@ -47,6 +47,37 @@ class TestConfigAndPair:
         with pytest.raises(ValueError):
             MaximizerConfig(t_grid=np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("field, value, message", [
+        # delta0=nan ran every step out of its delta search, with NaN deltas in the trajectory
+        ("delta0", math.nan, "delta0 must be finite and positive"),
+        ("K", math.nan, "K must be finite and at least 8"),
+        ("mu", math.inf, "mu must be finite and positive"),
+        ("c_angle", math.inf, "c_angle must be finite and >= 1"),
+        ("c_holder", math.nan, "c_holder must be finite and >= 1"),
+        ("t_grid", np.array([0.5, math.nan]), "t grid must be finite nonzero values"),
+        # budget=0 ran the incumbent alone; budget=-5 failed with "math domain error"
+        ("budget", 0, "budget must be at least 1"),
+        ("budget", -5, "budget must be at least 1"),
+        ("max_steps", -1, "max_steps must be at least 0"),
+        # uds_level=0 was reported as "level 0 exceeds constructed depth 12"
+        ("uds_level", 0, "uds_level must be at least 1"),
+    ])
+    def test_degenerate_values_are_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MaximizerConfig(**{field: value})
+
+    def test_the_default_config_is_unchanged(self):
+        assert MaximizerConfig().to_json() == {
+            "delta0": 1.0, "mu": 0.5, "K": 8.0, "budget": 512, "max_steps": 10,
+            "uds_level": 10, "c_angle": 2.0, "c_holder": 4.0, "seed": 0,
+        }
+        assert np.array_equal(MaximizerConfig().t_grid, default_t_grid())
+
+    def test_from_json_names_an_unknown_field(self):
+        assert MaximizerConfig.from_json({"budget": 64}).budget == 64
+        with pytest.raises(ValueError, match="unknown config fields: \\['budgte'\\]"):
+            MaximizerConfig.from_json({"budgte": 64})
+
     def test_pair_unit_check(self):
         with pytest.raises(ValueError):
             Pair(np.zeros(3), np.array([1.0, 1.0]))
@@ -232,9 +263,9 @@ def test_step_computes_tube_distances_at_most_once(cover, monkeypatch):
     calls = []
     original = Cover.upper_distances
 
-    def counting(self, pts, needed):
+    def counting(self, pts, needed, **kw):
         calls.append(len(np.atleast_2d(pts)))
-        return original(self, pts, needed)
+        return original(self, pts, needed, **kw)
 
     monkeypatch.setattr(Cover, "upper_distances", counting)
     f0 = hlinear_field(HLinearMap(0.5, E1))
