@@ -9,20 +9,19 @@ both exact.  Upper bounds come in two kinds.
 
 Brackets with a witness, :func:`cc_upper` and :func:`cc_bounds`, stay
 polylines: the upper bound is the measured length of an explicit witness
-curve, either the two-leg construction of :func:`hcalc.curves.gamma_y`, or a
-planar circular arc joining the projections whose lifted height closes on
-the target (projections of length minimizers are circular arcs, so this
-family contains near-optimal competitors).  Arcs are realized as inscribed
-polylines whose bulge is solved so that the polygonal enclosed area, and
-hence the lifted height, matches the target: the end misses it by no more
-than the rounding of the lift's running sum.  The returned upper bound is
-the actual polyline length and therefore always certified by the witness.
-Candidates stay plain knot and row arrays until one wins: :func:`cc_upper`
-measures each on its rows translated to x, the way :func:`horizontal_length`
-measures a path, and builds one :class:`HorizontalPath` for the winner.
-The bulge is found by bisection in plain floats, :func:`_solve_bulge_scalar`,
-which stops at the bisection's fixed point; the chain's area coefficient
-takes a series where its two sines would cancel.
+curve, a planar circular arc joining the projections whose lifted height
+closes on the target (projections of length minimizers are circular arcs).
+The arc is an inscribed polyline whose bulge is the fitted start of the
+closed form's root, stretched across the chord until its enclosed area, and
+hence the lifted height, is the target's: the end misses it only by the
+rounding of the lift, eps times its partial sums where p(z) lies on a
+coordinate axis and about eps D^2 elsewhere, where the lift's terms cancel.
+The returned upper bound is the actual polyline length and therefore always
+certified by the witness.  The route stays plain knot and row arrays until
+it is measured on its rows translated to x, the way :func:`horizontal_length`
+measures a path; then one :class:`HorizontalPath` is built.  The chain's
+area coefficient, which gives the stretch, takes a series where its two
+sines would cancel.
 
 Norms follow one rule, :func:`hcalc.curves._root_sum_squares`: the square
 root of the sum of squares, except on rows whose squares over- or
@@ -59,10 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .curves import (
-    _GAMMA_KNOTS,
     HorizontalPath,
     _chords,
-    _gamma_rows,
     _length,
     _root_sum_squares,
     horizontal_length,
@@ -130,8 +127,10 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.isfinite(self.center).all():
+            raise ValueError("center must be finite")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and positive")
 
     @property
     def n(self) -> int:
@@ -192,48 +191,9 @@ def _chain_area_coeff_scalar(theta: float, m: int) -> float:
     return u * u2 * acc / (8.0 * s * s)
 
 
-_BULGE_STEPS = 90
-
-
-def _solve_bulge_scalar(area_over_d2: float, m: int, settled=None) -> float:
-    """Solve the inscribed chain's area coefficient = area_over_d2 on (0, pi) by bisection.
-
-    Each step is a function of ``(lo, hi)`` alone, so once a step leaves
-    them unchanged every later step does too, and stopping there returns
-    exactly the value after ``_BULGE_STEPS`` steps.  The interval closes on
-    adjacent doubles after about 53 steps for ratios near 1 and 85 steps at
-    1e-10; below about 1e-11 all ``_BULGE_STEPS`` steps run.  A caller that
-    needs only ``settled(theta)`` of the result, a nondecreasing function,
-    passes it: the bisection then stops as soon as both ends of the interval
-    give the same value, which every later midpoint shares, and returns it.
-    A midpoint at or below 0.5 whose lower bound 0.156 theta on the
-    coefficient (m >= 16) reaches the ratio is above the root without an
-    evaluation; the steps are the same as with one.
-    """
-    lo, hi = 0.0, math.pi - 1e-12
-    ends = None if settled is None else [settled(lo), settled(hi)]
-    for _ in range(_BULGE_STEPS):
-        if ends is not None and ends[0] == ends[1]:
-            return ends[0]
-        mid = 0.5 * (lo + hi)
-        below = (mid > 0.5 or 0.156 * mid < area_over_d2) and _chain_area_coeff_scalar(mid, m) < area_over_d2
-        if below:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-        if ends is not None:
-            ends[0 if below else 1] = settled(mid)
-    theta = 0.5 * (lo + hi)
-    return theta if settled is None else settled(theta)
-
-
-def _chain_size(theta_64: float) -> int:
-    """Segments m of the arc chain from the 64-gon's bulge: one per 0.02 of bulge, within [16, 1024]."""
-    return min(max(math.ceil(theta_64 / 0.02), 16), 1024)
+def _chain_size(theta: float) -> int:
+    """Segments m of the arc chain of bulge theta: one per 0.02 of bulge, within [16, 1024]."""
+    return min(max(math.ceil(theta / 0.02), 16), 1024)
 
 
 def _arc_chain_2d(D: float, theta: float, m: int) -> np.ndarray:
@@ -290,11 +250,6 @@ def _circle_chain_2d(c: float) -> np.ndarray:
     return pts
 
 
-def _ccw_area(chain: np.ndarray) -> float:
-    x, y = chain[:, 0], chain[:, 1]
-    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
-
-
 def _embed_chain(chain: np.ndarray, w: np.ndarray, D: float) -> np.ndarray:
     """Embed a 2d chain into the symplectic plane spanned by w/D and J(w/D), D = |w|."""
     n = len(w) // 2
@@ -307,37 +262,49 @@ def _embed_chain(chain: np.ndarray, w: np.ndarray, D: float) -> np.ndarray:
     return chain[:, :1] * w_hat + chain[:, 1:] * j_w
 
 
-# the bulge of the 64-gon pre-solve stays below 0.3199, so m = 16, for every
-# ratio up to the 64-gon's area coefficient there
-_RATIO_M16 = _chain_area_coeff_scalar(0.3199, 64)
-# the smallest bulge _solve_bulge_scalar returns; an arc needs a bulge about
-# 6 times its ratio, and the straight chord misses the height by 4 ratio D^2,
-# far below the rounding of the heights, about eps D^2
+# below this ratio the witness goes straight: the chord misses the height by
+# 4 ratio D^2, far below the rounding of the heights, about eps D^2.  A bulge
+# that small (theta is about 6 ratio) builds its rows from D / sin(theta),
+# which overflows once D^3 / |c| passes about 1e308, and a ratio that
+# underflowed to 0 has no bulge at all
 _BULGE_FLOOR = math.pi * 2.0**-91
 
 
 def _arc_witness(w: np.ndarray, D: float, c: float):
     """Knots and projected rows, relative to the start, of the witness whose
-    projection is an inscribed circular arc closing on z = (w, c) != 0, D = |w|."""
-    target_ccw = -c / 4.0
+    projection is an inscribed circular arc closing on z = (w, c) != 0, D = |w|.
+
+    The bulge theta is :func:`_gaveau_start` at r = |c| / D^2 = 4 ratio,
+    clipped to its bracket (pi - phi on the steep branch): the fitted start of
+    the closed form's Newton, within 3.1e-5 of the root of Gaveau's equation.  The inscribed chain of that bulge is then
+    stretched perpendicular to the chord by ratio over its area coefficient.
+    A stretch multiplies the enclosed area by its factor, so the area is
+    ratio D^2 = |c| / 4 and the lift closes on the height up to its own
+    rounding; the sign of the factor turns the chain to the
+    side the height's sign needs.  The length is measured, so the bound is
+    certified for any theta, and the length is stationary at the root, so
+    the error of theta costs only second-order length.
+    """
     # below D = 1.5e-162, D * D is 0: go straight and close with the circle
-    ratio = abs(target_ccw) / (D * D) if D * D > 0.0 else math.inf
+    ratio = abs(c / 4.0) / (D * D) if D * D > 0.0 else math.inf
     if D == 0.0:
         chain = _circle_chain_2d(c)
     elif c == 0.0 or ratio < _BULGE_FLOOR:
-        # a floor bulge would enclose far more than the height needs, and
-        # from D = 1e154 on its lift overflows
         chain = np.array([[0.0, 0.0], [D, 0.0]])
     elif ratio > 1e10:
-        # bulge saturates in float; go straight to the projection, then close
-        # the height with a full circle (out-and-back chord encloses nothing)
+        # theta = pi - phi loses phi in floats; go straight to the projection,
+        # then close the height with a full circle (out-and-back chord encloses nothing)
         circle = _circle_chain_2d(c) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
     else:
-        m = 16 if ratio <= _RATIO_M16 else _solve_bulge_scalar(ratio, 64, _chain_size)
-        chain = _arc_chain_2d(D, _solve_bulge_scalar(ratio, m), m)
-        if (target_ccw < 0.0) == (_ccw_area(chain) > 0.0):
-            chain[:, 1] *= -1.0
+        r = 4.0 * ratio
+        steep = r > 0.5 * math.pi
+        t, lo, hi = _gaveau_start(r, steep)
+        t = float(np.clip(t, lo, hi))
+        theta = math.pi - t if steep else t
+        m = _chain_size(theta)
+        chain = _arc_chain_2d(D, theta, m)
+        chain[:, 1] *= math.copysign(ratio / _chain_area_coeff_scalar(theta, m), c)
     rel = _embed_chain(chain, w, D)
     steps = _chords(rel)
     knots = np.empty(len(rel))
@@ -347,49 +314,41 @@ def _arc_witness(w: np.ndarray, D: float, c: float):
     return knots, rel
 
 
-# Below this D, underflow in the two-leg midpoint's a c / D^2 can move it by
-# more than a unit in the last place, so only the arc is a route there.
-_TWO_LEG_MIN_D = 2.0**-340
-
-
 def cc_upper(x: np.ndarray, y: np.ndarray):
     """Certified upper bound with its witness curve.
 
-    Takes the shorter of the two-leg route and the exactly-closing circular
-    arc (the full circle when the projections coincide) and returns
-    ``(length, witness)`` where ``length`` is the measured length of the
-    returned path.  Each route is measured on its rows translated to x,
+    The witness is the circular arc of :func:`_arc_witness`, whose lift
+    closes on the height (the full circle when the projections coincide).
+    Returns ``(length, witness)`` where ``length`` is the measured length of
+    the returned path.  The route is measured on its rows translated to x,
     as the witness's are (translation moves their last bits), and one path
     is built, directly at x, with the start height
     :meth:`HorizontalPath.left_translate` would give the route built at 0.
-    A route whose length is not finite in floats drops out; where no route
-    is left, or the winner's lift is not finite, no witness exists at x and
-    ValueError is raised.
+    A point with a coordinate that is not finite raises ValueError("points
+    must be finite"); a relative position, a length or a lift that is not
+    finite in floats means no witness exists at x, and raises
+    ValueError("path data must be finite").
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("points must be finite")
     # what overflows or turns NaN here is caught by the finiteness checks
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         z = group_mul(group_inv(x), y)
         w, c = z[:-1], float(z[-1])
         D = float(_norm(w[None])[0])
         px = x[:-1]
+        if not (math.isfinite(D) and math.isfinite(c)):
+            raise ValueError("path data must be finite")
         if D == 0.0 and c == 0.0:
             return 0.0, HorizontalPath(np.array([0.0, 1.0]), np.stack([px] * 2), float(x[-1]))
-        candidates = [_arc_witness(w, D, c)]
-        if D >= _TWO_LEG_MIN_D:
-            candidates.append((_GAMMA_KNOTS, _gamma_rows(z)))
-        best = None
-        for knots, rel in candidates:
-            planar = rel + px
-            length = _length(planar)
-            # a route whose length is not finite drops out of the comparison
-            if math.isfinite(length) and (best is None or length < best[0]):
-                best = (length, knots, planar)
-        if best is None:
+        knots, rel = _arc_witness(w, D, c)
+        planar = rel + px
+        length = _length(planar)
+        if not math.isfinite(length):
             raise ValueError("path data must be finite")
-        length, knots, planar = best
-        # a route starts at 0, so its start translated by x has height x_c + 0.0:
+        # the route starts at 0, so its start translated by x has height x_c + 0.0:
         # the cross terms of the group law are products with (signed) zeros;
         # the path refuses a lift that is not finite
         witness = HorizontalPath(knots, planar, float(x[-1]) + 0.0)
@@ -598,16 +557,14 @@ def holder_fit(region: Ball, samples: int, seed: int) -> float:
 _ANGLE_GRID = 33
 
 
-def angle_fit(speed_bound: float, trials: int, seed: int, n: int = 1) -> float:
+def angle_fit(trials: int, seed: int, n: int = 1) -> float:
     """Fit the divergence constant for curves leaving a common point.
 
-    Generates pairs (g, h) with g(0) = h(0), speeds <= speed_bound and
-    projected derivatives within A of each other, and fits the smallest
+    Generates pairs (g, h) of unit-speed horizontal lines with g(0) = h(0)
+    and projected derivatives within A of each other, and fits the smallest
     C >= 1 with d(g(t), h(t)) <= C sqrt(A) |t| over the sample, measuring
     d by its certified upper bound.
     """
-    if speed_bound < 1.0:
-        raise ValueError("speed bound below 1 leaves no unit directions")
     rng = np.random.default_rng(seed)
     ts = np.linspace(-1.0, 1.0, _ANGLE_GRID)
     ts = ts[ts != 0.0]

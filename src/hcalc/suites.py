@@ -699,7 +699,7 @@ def suite_closedirection(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[in
     trials = cfg.count(1000)
     fits = []
     for rep_i in range(3):
-        fits.append(metric.angle_fit(2.0, trials // 3, seed + rep_i, n=cfg.n_values[0]))
+        fits.append(metric.angle_fit(trials // 3, seed + rep_i, n=cfg.n_values[0]))
     c_a = max(fits)
     spread = (max(fits) - min(fits)) / max(fits)
     ledger.check(0.10 - spread)

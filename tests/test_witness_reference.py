@@ -6,6 +6,8 @@ before the one-pass rewrite: the same float operations, reached through
 np.diff, np.linalg.norm, np.sum, np.stack, np.linspace and _interpolate, with
 |p(z)| and the height of z recomputed in each helper.  On every ordinary pair
 the rewrite must give the same bits, and on a bad path the same message.
+The reference's arc takes the route's bulge, the fitted start of Gaveau's
+root, and its stretch to the target's area.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 
 from hcalc.curves import HorizontalPath
 from hcalc.group import group_inv, group_mul
-from hcalc.metric import _solve_bulge_scalar, cc_bounds
+from hcalc.metric import _chain_area_coeff_scalar, _gaveau_start, cc_bounds
 
 # -- the reference ----------------------------------------------------------------
 
@@ -62,14 +64,6 @@ def _ref_interpolate(knots, vertices, t):
     return lo + np.expand_dims(u, -1) * (hi - lo)
 
 
-def _ref_gamma_rows(y):
-    n = (y.shape[-1] - 1) // 2
-    a, b, c = y[..., :n], y[..., n : 2 * n], y[..., -1:]
-    L2 = np.vecdot(a, a, keepdims=True) + np.vecdot(b, b, keepdims=True)
-    mid = np.concatenate([a - b * c / L2, b + a * c / L2], axis=-1) / 2
-    return np.stack([np.zeros_like(mid), mid, np.concatenate([a, b], axis=-1)], axis=-2)
-
-
 def _ref_arc_chain_2d(D, theta, m):
     if theta <= 0.0:
         return np.array([[0.0, 0.0], [D, 0.0]])
@@ -91,11 +85,6 @@ def _ref_circle_chain_2d(area, m):
     pts[0] = [0.0, 0.0]
     pts[-1] = [0.0, 0.0]
     return pts
-
-
-def _ref_ccw_area(chain):
-    x, y = chain[:, 0], chain[:, 1]
-    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
 
 
 def _ref_embed_chain(chain, w, n):
@@ -122,11 +111,15 @@ def _ref_arc_witness(z, n):
         circle = _ref_circle_chain_2d(target_ccw, 1024) + np.array([D, 0.0])
         chain = np.vstack([[[0.0, 0.0]], circle])
     else:
-        theta0 = _solve_bulge_scalar(ratio, 64)
-        m = min(max(math.ceil(theta0 / 0.02), 16), 1024)
-        chain = _ref_arc_chain_2d(D, _solve_bulge_scalar(ratio, m), m)
-        if (target_ccw < 0.0) == (_ref_ccw_area(chain) > 0.0):
-            chain[:, 1] *= -1.0
+        # the fitted start of Gaveau's root at r = 4 ratio, then the stretch
+        # that makes the enclosed area |c| / 4
+        steep = 4.0 * ratio > 0.5 * math.pi
+        t, lo, hi = _gaveau_start(4.0 * ratio, steep)
+        t = float(np.clip(t, lo, hi))
+        theta = math.pi - t if steep else t
+        m = min(max(math.ceil(theta / 0.02), 16), 1024)
+        chain = _ref_arc_chain_2d(D, theta, m)
+        chain[:, 1] *= math.copysign(ratio / _chain_area_coeff_scalar(theta, m), c)
     rel = _ref_embed_chain(chain, w, n)
     steps = _ref_chords(rel)
     knots = np.concatenate([[0.0], np.cumsum(steps)])
@@ -135,22 +128,15 @@ def _ref_arc_witness(z, n):
 
 
 def _ref_cc_upper(x, y):
-    """(length, (knots, planar, c0, heights)) of the shorter route."""
+    """(length, (knots, planar, c0, heights)) of the arc route."""
     z = group_mul(group_inv(x), y)
     D = float(np.linalg.norm(z[:-1]))
     c = float(z[-1])
     if D == 0.0 and c == 0.0:
         return 0.0, _ref_path(np.array([0.0, 1.0]), np.stack([x[:-1]] * 2), float(x[-1]))
     px = x[:-1]
-    candidates = [_ref_arc_witness(z, (len(x) - 1) // 2)]
-    if D > 0.0:
-        candidates.append((np.array([0.0, 0.5, 1.0]), _ref_gamma_rows(z)))
-    best = None
-    for knots, rel in candidates:
-        length = _ref_length(rel + px)
-        if best is None or length < best[0]:
-            best = (length, (knots, rel))
-    length, (knots, rel) = best
+    knots, rel = _ref_arc_witness(z, (len(x) - 1) // 2)
+    length = _ref_length(rel + px)
     start = np.append(_ref_interpolate(knots, rel, knots[0]), 0.0)
     return length, _ref_path(knots, rel + px, group_mul(x, start)[-1])
 
