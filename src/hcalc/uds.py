@@ -21,14 +21,16 @@ Membership then needs only one pair per point within its radius, so the
 pairs of a point that the grid scan of the refinement already places
 inside a tube skip the golden section.
 
-The volume bound of a constant c is a float sum over the lines, and in
-exact arithmetic it is v 1.5^q (A c^(q-1) + B c^q) with two sums A, B per
-cover.  The bisection for c_k evaluates that closed form at each midpoint
-and reads the float sum only where the two could disagree about the
-target, so every constant is the full bisection's.  Once the ball terms
-underflow, on levels near 800 at n = 1, the float sum reads below the
-exact bound; a build checks each constant against the closed form and
-raises ``ValueError`` naming the first level whose bound exceeds 2^-k.
+The volume bound covers the tube of line i, of length L_i and radius
+r_i = c 2^-(i+1), by L_i / r_i + 1 metric balls of radius 1.5 r_i, each of
+volume at most v (1.5 r_i)^q with q = 2n+2 and v = 2 pi^n / n!.  Summed
+over the lines, that is V(c) = v 1.5^q (A c^(q-1) + B c^q) with
+A = sum L_i 2^-(i+1)(q-1) and B = sum 2^-(i+1)q, two sums a cover takes
+once and exactly.  One float bisection solves every level's constant
+against 0.99 2^-k; each level is then certified in exact arithmetic, with
+pi rounded up, as V(c_k) <= 2^-k, and :meth:`Cover.volume_bound` is that
+exact V rounded up to a float.  Depths up to 1074 build, 2^-1074 being the
+last target that is a float.
 
 Bases and directions are exact, held as Python integers: a rational point
 whose entries share a denominator q is an integer point under the dilation
@@ -368,17 +370,18 @@ _CELL_POINTS = 16
 _PAIR_BLOCK = 1 << 15
 # Each level's constant is solved against this share of its volume budget 2^-k.
 _VOLUME_SAFETY = 0.99
-# The unit roundoff of float64.
-_U = 2.0**-53
+# 2^-1074, the least subnormal, is the last volume target that is a float.
+_MAX_DEPTH = 1074
 # A refined pair scans its segment at _REFINE_GRID evenly spaced parameters,
 # then takes _REFINE_GOLDEN golden-section steps around the best of them.
 _REFINE_GRID = 33
 _REFINE_GOLDEN = 60
 
 
-def _unit_ball_volume_bound(n: int) -> float:
-    # metric unit ball sits inside {|p| <= 1} x {|c| <= 1}
-    return 2.0 * math.pi**n / math.factorial(n)
+def _unit_ball_volume_bound(n: int) -> Fraction:
+    # metric unit ball sits inside {|p| <= 1} x {|c| <= 1}; float pi is below
+    # pi, so it is rounded up
+    return 2 * Fraction(math.nextafter(math.pi, math.inf)) ** n / math.factorial(n)
 
 
 class Cover:
@@ -386,16 +389,18 @@ class Cover:
 
     ``radii_constants[k-1]`` is the level-k constant c_k; line i at level k
     has tube radius c_k / 2^(i+1).  The constants are solved against an
-    analytic volume bound (covering each tube by metric balls), so the
-    total level-k tube volume is at most 2^-k by construction; each level's
-    constant is checked against the bound's closed form (see
-    :meth:`_closed_form`), and a depth whose float bound underflows below
-    the exact one raises ``ValueError``.
+    analytic volume bound V (covering each tube by metric balls, see the
+    module docstring), and every level is certified in exact arithmetic:
+    V(c_k) <= 2^-k, or the build raises ``ValueError`` naming the level.
+    Depths from 1 to 1074 build.
     """
 
     def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        if depth > _MAX_DEPTH:
+            raise ValueError(f"depth must be at most {_MAX_DEPTH}, the last level whose target 2^-k is a float, "
+                             f"got {depth}")
         if not lines:
             raise ValueError("need at least one line")
         self.clip = clip
@@ -414,116 +419,55 @@ class Cover:
         # integer directions: the squares and their sums are exact
         self.lengths = (self.spans[:, 1] - self.spans[:, 0]) * np.linalg.norm(self._vecs[:, :-1], axis=1)
         self._closed_form()
-        self.radii_constants = []
-        prev = math.inf
-        for k, c in enumerate(self._solve_constants(2.0 ** -np.arange(1, depth + 1) * _VOLUME_SAFETY), start=1):
-            c = min(float(c), prev)
-            while self._exceeds(np.array([c]), np.array([2.0**-k]))[0]:
-                c *= 0.999
-            self.radii_constants.append(c)
-            prev = c
-        # Where the radii underflow, the float bound reads below the exact one
-        # and the solve above keeps a constant that is too large.
-        lv, err = self._log_volumes(np.array(self.radii_constants))
-        limit = -math.log(2.0) * np.arange(1, depth + 1)
-        failed = np.nonzero(lv + err > limit * (1.0 + 4.0 * _U))[0]
-        if len(failed):
-            k = int(failed[0]) + 1
-            raise ValueError(
-                f"level {k} of depth {depth}: the tube volume bound is not within 2^-{k} "
-                f"(the float bound underflows there); build at most depth {k - 1}"
-            )
+        self.radii_constants = np.minimum.accumulate(self._solve_constants(depth)).tolist()
+        for k, c in enumerate(self.radii_constants, start=1):
+            if not self.volume_bound(c) <= math.ldexp(1.0, -k):
+                raise ValueError(f"level {k}: the tube volume bound of constant {c!r} exceeds 2^-{k}")
 
     def volume_bound(self, c: float) -> float:
-        """Analytic upper bound of the total tube volume for constant c."""
-        return float(self._volume_bounds(np.array([c]))[0])
+        """Analytic upper bound of the total tube volume for constant c: V(c)
+        in exact arithmetic, with pi rounded up, rounded up to a float."""
+        if not (math.isfinite(c) and c >= 0.0):
+            raise ValueError(f"constant must be finite and >= 0, got {c}")
+        c = Fraction(c)
+        v = self._scale * c ** (2 * self.n + 1) * (self._a + self._b * c)
+        f = float(v)
+        return f if v <= f else math.nextafter(f, math.inf)
 
     def _closed_form(self) -> None:
-        """Set up :meth:`_log_volumes` and the error bounds of :meth:`_exceeds`.
-
-        With r_i = c 2^-(i+1), the bound of :meth:`_volume_bounds` is exactly
-        V(c) = v 1.5^q (A c^(q-1) + B c^q), q = 2n+2, A = sum L_i 2^-(i+1)(q-1)
-        and B = sum 2^-(i+1)q: two sums per cover instead of one per constant.
-        """
+        """Sum A = sum L_i 2^-(i+1)(q-1) and B = sum 2^-(i+1)q, q = 2n+2, of
+        V(c) = v 1.5^q (A c^(q-1) + B c^q), and the factor v 1.5^q, exactly."""
         q, m = 2 * self.n + 2, len(self.lines)
-        v = _unit_ball_volume_bound(self.n)
-        exps = np.arange(1, m + 1)
-        self._a = float(np.sum(np.ldexp(self.lengths, -exps * (q - 1))))
-        self._b = float(np.sum(np.ldexp(1.0, -exps * q)))
-        self._log_scale = math.log(v) + q * math.log(1.5)
-        self._log_scale_size = abs(math.log(v)) + q * math.log(1.5)
-        # relative error of the float A + B c: ldexp terms that round to
-        # subnormals or to 0 lose at most 2^-1075 each, the sums (m - 1) units
-        with np.errstate(divide="ignore"):
-            rel = np.divide(m * 2.0**-1074, [self._a, self._b])
-        self._rel_ab = 1.01 * (2 * m * _U + float(np.sum(rel))) + 2 * _U
-        # The float sum of _volume_bounds is within gamma V + E of V.  Each
-        # term takes at most q + 10 roundings (the power within two units),
-        # and the sum m - 1 more.  E holds what underflow costs, for a power
-        # within 7/8 of a unit in the subnormal range (0 below 2^-1077): a
-        # term is 0 where (1.5 r)^(q-1) < 2^-1078, an error of at most
-        # v (1.5 L + 1) 2^-1078; where 2^-1078 <= (1.5 r)^(q-1) and
-        # (1.5 r)^q < 2^-1021 the power's error 2^-1074 is multiplied by at
-        # most L / r + 1 + 1.5 L with 1 / r <= 1.5 2^(1078/(q-1)), and the sum
-        # of 1 / r over those radii is at most twice the largest; products
-        # that underflow lose 2^-1075 each.
-        lmax = float(np.max(self.lengths))
-        self._gamma = 1.02 * (m + q + 12) * _U
-        window = 3.0 * lmax * 2.0 ** (1078 / (q - 1)) + m * (4.0 + 2.0 * lmax)
-        self._abs_err = 1.1 * (v * math.ldexp(window, -1074) + math.ldexp(m, -1073)) + 2.0**-1060
+        # each term is an integer over a power of two: (numerator, exponent)
+        terms = [(num, den.bit_length() - 1 + i * (q - 1)) for i, (num, den) in
+                 enumerate((length.as_integer_ratio() for length in self.lengths.tolist()), start=1)]
+        top = max(e for _, e in terms)
+        self._a = Fraction(sum(num << (top - e) for num, e in terms), 1 << top)
+        self._b = Fraction((1 << m * q) - 1, ((1 << q) - 1) << m * q)
+        self._scale = _unit_ball_volume_bound(self.n) * Fraction(3, 2) ** q
 
-    def _log_volumes(self, cs: np.ndarray) -> tuple:
-        """``(log V(c), err)`` per constant: the closed form of
-        :meth:`_closed_form` in logs, and a bound on the error of that float
-        evaluation (its two sums, its logs and its three additions)."""
-        power, sums = (2 * self.n + 1) * np.log(cs), np.log(self._a + self._b * cs)
-        err = 1.01 * self._rel_ab + 8.0 * _U * (1.0 + self._log_scale_size + np.abs(power) + np.abs(sums))
-        return self._log_scale + power + sums, err
-
-    def _exceeds(self, cs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """``self._volume_bounds(cs) > targets``, bit for bit, evaluating the
-        float sum only for the constants whose closed form lies too near the
-        target to tell: within the float sum's error gamma V + E and the
-        closed form's own error (see :meth:`_closed_form`)."""
-        lv, err = self._log_volumes(cs)
-        gap = err + 2.0 * self._gamma + 8.0 * _U * (1.0 + np.abs(lv))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # F > T where V (1 - gamma) - E > T, F <= T where V (1 + gamma) + E <= T
-            above, below = np.log(targets + self._abs_err), np.log(targets - self._abs_err)
-            over = lv - gap - 8.0 * _U * np.abs(above) > above
-            unsure = ~over & ~(lv + gap + 8.0 * _U * np.abs(below) < below)
-        if unsure.any():
-            over[unsure] = self._volume_bounds(cs[unsure]) > targets[unsure]
-        return over
-
-    def _volume_bounds(self, cs: np.ndarray) -> np.ndarray:
-        """:meth:`volume_bound` for each constant of ``cs``, bit for bit."""
-        q = 2 * self.n + 2
-        v_ball = _unit_ball_volume_bound(self.n)
-        radii = np.ldexp(cs[:, None], -(np.arange(len(self.lines)) + 1))
-        lengths = np.broadcast_to(self.lengths, radii.shape)
-        ball = (1.5 * radii) ** q
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = (lengths / radii + 1.0) * ball * v_ball
-        # Where lengths/radii overflows (or radii is 0), ball has underflowed:
-        # (L/r + 1)(1.5r)^q = 1.5 L (1.5r)^(q-1) + (1.5r)^q has no factor that overflows.
-        bad = ~np.isfinite(terms)
-        terms[bad] = (1.5 * lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
-        return np.sum(terms, axis=1)
-
-    def _solve_constants(self, targets: np.ndarray) -> np.ndarray:
-        """Largest constant with volume bound at most each target: one geometric
-        bisection for all targets, each stopping at its own fixed point."""
-        lo, hi = np.full(len(targets), 1e-300), np.full(len(targets), 1e9)
-        live = np.arange(len(targets))
+    def _solve_constants(self, depth: int) -> np.ndarray:
+        """Per level k up to ``depth``, the largest constant c whose float
+        V(c) 2^k is at most ``_VOLUME_SAFETY``: one geometric bisection for all
+        levels, each stopping at its own fixed point.  With c = f 2^e, f in
+        [1/2, 1), V(c) 2^k is v 1.5^q f^(q-1) (A + B c) scaled by 2^(e(q-1) + k),
+        so no factor underflows."""
+        scale, a, b, q = float(self._scale), float(self._a), float(self._b), 2 * self.n + 2
+        ks = np.arange(1, depth + 1)
+        lo, hi = np.full(depth, 1e-300), np.full(depth, 1e9)
+        live = np.arange(depth)
         for _ in range(300):
-            mid = np.sqrt(lo[live] * hi[live])
+            prod = lo[live] * hi[live]
+            # below the normal range the product loses bits, down to 0 (from
+            # constants under 3e-146 on); the product of the roots does not
+            mid = np.where(prod >= np.finfo(float).tiny, np.sqrt(prod), np.sqrt(lo[live]) * np.sqrt(hi[live]))
             # fixed point: the interval cannot shrink any further
             moving = (mid != lo[live]) & (mid != hi[live])
             live, mid = live[moving], mid[moving]
             if not len(live):
                 break
-            over = self._exceeds(mid, targets[live])
+            f, e = np.frexp(mid)
+            over = np.ldexp(scale * f ** (q - 1) * (a + b * mid), e * (q - 1) + ks[live]) > _VOLUME_SAFETY
             hi[live[over]] = mid[over]
             lo[live[~over]] = mid[~over]
         return lo
@@ -828,8 +772,6 @@ class Cover:
 
     def manifest(self) -> dict:
         bounds = [self.volume_bound(c) for c in self.radii_constants]
-        if not all(math.isfinite(b) for b in bounds):
-            raise ValueError(f"non-finite tube volume bound in {bounds}")
         return {
             "n": self.n,
             "depth": self.depth,
@@ -839,6 +781,8 @@ class Cover:
             "radii_constants": [float(c) for c in self.radii_constants],
             "volume_targets": [2.0**-k for k in range(1, self.depth + 1)],
             "volume_bounds": bounds,
+            # per level, the tubes whose float radius underflows to 0
+            "zero_radius_lines": [int(np.sum(self.radii(k) == 0.0)) for k in range(1, self.depth + 1)],
             "tube_model": "metric neighborhoods of clipped line segments",
             # construction is deterministic: no randomness enters the build
             "seed": None,

@@ -144,12 +144,18 @@ def test_uds_measure_reports_a_bad_query_as_a_usage_error(runner, args, message)
     assert message in out.output
 
 
-def test_uds_build_reports_an_underflowing_depth_as_a_usage_error(runner, tmp_path):
-    # the build passed with levels whose exact volume bound exceeds 2^-k
+def test_uds_build_certifies_a_deep_cover_and_names_the_depth_limit(runner, tmp_path):
+    # depth 800 was refused: the float bound underflowed from level 794 on
     dst = tmp_path / "manifest.json"
-    out = runner.invoke(main, ["uds", "build", "--height", "2", "--max-lines", "16", "--depth", "800", "--out", str(dst)])
+    out = runner.invoke(main, ["uds", "build", "--depth", "800", "--out", str(dst)])
+    assert out.exit_code == 0
+    man = json.loads(dst.read_text())
+    bounds, targets = man["volume_bounds"], man["volume_targets"]
+    assert len(bounds) == 800 and all(math.isfinite(b) and b <= t for b, t in zip(bounds, targets))
+    dst.unlink()
+    out = runner.invoke(main, ["uds", "build", "--depth", "1075", "--out", str(dst)])
     assert out.exit_code == 2
-    assert "level 794 of depth 800" in out.output
+    assert "at most 1074" in out.output
     assert "Traceback" not in out.output and not dst.exists()
 
 

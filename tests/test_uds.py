@@ -159,6 +159,44 @@ class TestEnumeration:
         assert len(built) <= 300  # a whole level-1 batch at n = 2 is 9,720
 
 
+def _volume_reference(cover, c, pi):
+    """The tube volume bound of constant c > 0 in fractions, term by term:
+    sum (L_i / r_i + 1)(1.5 r_i)^q 2 pi^n / n! with r_i = c 2^-(i+1)."""
+    q, c = 2 * cover.n + 2, Fraction(c)
+    total = Fraction(0)
+    for i, length in enumerate(cover.lengths.tolist()):
+        r = c / 2 ** (i + 1)
+        total += (Fraction(length) / r + 1) * (Fraction(3, 2) * r) ** q
+    return 2 * pi**cover.n / math.factorial(cover.n) * total
+
+
+def _assert_maximal(cover):
+    """Each constant is the largest the solve can give: the volume bound just
+    above it, a lower bound taken with float pi < pi, exceeds 0.99 2^-k,
+    unless the constant is the previous level's."""
+    prev = math.inf
+    for k, c in enumerate(cover.radii_constants, start=1):
+        if c != prev:
+            above = Fraction(c) * (1 + Fraction(1, 10**12))
+            assert _volume_reference(cover, above, Fraction(math.pi)) > Fraction(99, 100) / 2**k
+        prev = c
+
+
+def _random_specs():
+    rng = np.random.default_rng(2024)
+    specs = []
+    for n in (1, 2, 3):
+        for _ in range(3):
+            specs.append(dict(
+                n=n,
+                height=int(rng.integers(1, 4)) if n < 3 else 1,
+                depth=int(rng.integers(1, 41)),
+                max_lines=int(rng.integers(1, 160)),
+                clip_half_width=float(10.0 ** rng.uniform(0.0, 2.0)),
+            ))
+    return specs
+
+
 class TestCover:
     def test_volume_bounds_hold_by_construction(self, cover):
         for k, c in enumerate(cover.radii_constants, start=1):
@@ -274,29 +312,41 @@ class TestCover:
         with pytest.raises(ValueError):
             Cover.build(n=1, height=1, depth=0)
 
-    def test_deep_levels_whose_bound_underflows_are_refused(self):
-        # The float bound's ball terms underflow on deep levels and read below
-        # the exact bound, so the solve kept constants whose exact bound
-        # exceeds 2^-k (at n = 1 from level 794 on) and the build passed.
-        with pytest.raises(ValueError, match="level 794 of depth 800"):
-            Cover.build(n=1, height=2, depth=800, max_lines=16)
-        with pytest.raises(ValueError, match="level 884 of depth 900"):
-            Cover.build(n=2, height=2, depth=900, max_lines=16)
-        with pytest.raises(ValueError, match="level 794 of depth 1100"):
-            Cover.build(n=1, height=2, depth=1100, max_lines=16)
-        cover = Cover.build(n=1, height=2, depth=793, max_lines=16)
-        for k, c in enumerate(cover.radii_constants, start=1):
-            assert _exact_volume_bound(cover, c) <= Fraction(1, 2**k)
-        # level 794's constant, as the build solves it, exceeds its target exactly
-        c = min(float(cover._solve_constants(np.array([2.0**-794 * 0.99]))[0]), cover.radii_constants[-1])
-        while cover.volume_bound(c) > 2.0**-794:
-            c *= 0.999
-        assert cover.volume_bound(c) <= 2.0**-794 < _exact_volume_bound(cover, c)
+    def test_depths_up_to_1074_build_and_certify_every_level(self):
+        # the float sum of the bound underflowed from level 794 (n = 1) and
+        # 884 (n = 2), and a build refused those depths
+        for n, depth in ((1, 800), (2, 900), (1, 1074)):
+            cover = Cover.build(n=n, height=2, depth=depth, max_lines=16)
+            assert len(cover.radii_constants) == depth
+            for k, c in enumerate(cover.radii_constants, start=1):
+                assert _volume_reference(cover, c, Fraction(355, 113)) <= Fraction(1, 2**k)
+        with pytest.raises(ValueError, match="at most 1074"):
+            Cover.build(n=1, height=2, depth=1075, max_lines=16)
 
-    def test_a_deep_cover_short_of_the_underflow_still_builds(self):
-        cover = Cover.build(n=1, height=2, depth=780, max_lines=16)
-        assert len(cover.radii_constants) == 780
-        assert all(_exact_volume_bound(cover, c) <= Fraction(1, 2**k) for k, c in enumerate(cover.radii_constants, start=1))
+    @pytest.mark.parametrize("spec", _random_specs())
+    def test_every_level_is_certified_by_an_independent_sum(self, spec):
+        # 355/113 > pi, so this is a stronger check than the build's own
+        cover = Cover.build(**spec)
+        for k, c in enumerate(cover.radii_constants, start=1):
+            assert _volume_reference(cover, c, Fraction(355, 113)) <= Fraction(1, 2**k)
+
+    @pytest.mark.parametrize("spec", _random_specs())
+    def test_every_constant_is_maximal(self, spec):
+        _assert_maximal(Cover.build(**spec))
+
+    def test_constants_below_3e_146_are_solved(self):
+        # the bisection's geometric mean lo * hi underflowed to 0 there, and
+        # levels 618-1074 of this cover kept the constant 0
+        cover = Cover.build(n=1, height=2, depth=1074, max_lines=16, clip_half_width=1e250)
+        assert 0.0 < cover.radii_constants[-1] < 3e-146
+        _assert_maximal(cover)
+
+    def test_the_certificate_rounds_pi_up(self):
+        # float pi is below pi, so the factor 2 pi^n / n! taken with it was
+        # below the unit ball's bound
+        pi_below = Fraction("3.14159265358979323846")
+        for n in (1, 2, 3):
+            assert uds._unit_ball_volume_bound(n) >= 2 * pi_below**n / math.factorial(n)
 
 
 class TestCurveInCover:
@@ -466,41 +516,6 @@ def _contains_per_level_reference(cover, pts, level):
     return member
 
 
-def _volume_bound_reference(cover, c):
-    """Reference: the one-constant volume bound formula."""
-    q = 2 * cover.n + 2
-    v_ball = uds._unit_ball_volume_bound(cover.n)
-    radii = np.ldexp(c, -(np.arange(len(cover.lines)) + 1))
-    ball = (1.5 * radii) ** q
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = (cover.lengths / radii + 1.0) * ball * v_ball
-    bad = ~np.isfinite(terms)
-    terms[bad] = (1.5 * cover.lengths[bad] * (1.5 * radii[bad]) ** (q - 1) + ball[bad]) * v_ball
-    return float(np.sum(terms))
-
-
-def _exact_volume_bound(cover, c):
-    """The volume bound of :meth:`Cover.volume_bound` in exact fractions."""
-    q, c = 2 * cover.n + 2, Fraction(c)
-    total = Fraction(0)
-    for i, length in enumerate(cover.lengths):
-        r = c / 2 ** (i + 1)
-        total += (Fraction(length) / r + 1) * (Fraction(3, 2) * r) ** q
-    return Fraction(uds._unit_ball_volume_bound(cover.n)) * total
-
-
-def _solve_constant_reference(cover, target):
-    """Reference: the geometric bisection run for all 300 iterations."""
-    lo, hi = 1e-300, 1e9
-    for _ in range(300):
-        mid = math.sqrt(lo * hi)
-        if cover.volume_bound(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
 class TestCoverInternals:
     @pytest.fixture(scope="class")
     def benchmark_covers(self):
@@ -595,22 +610,23 @@ class TestCoverInternals:
             assert np.array_equal(got, _contains_per_level_reference(cover, pts, level))
         assert cover.contains_batch(pts[:0], 1).shape == (0,)
 
-    def test_solve_constant_equals_full_bisection(self, benchmark_covers):
-        for cover in benchmark_covers:
-            targets = 2.0 ** -np.arange(1, 13) * 0.99
-            solved = cover._solve_constants(targets)
-            for k in range(1, 13):
-                target = 2.0**-k * 0.99
-                assert solved[k - 1] == _solve_constant_reference(cover, target)
-
-    def test_volume_bounds_equal_the_one_constant_formula(self, benchmark_covers):
+    def test_volume_bound_is_the_exact_bound_rounded_up(self, benchmark_covers):
+        pi_up = Fraction(math.nextafter(math.pi, math.inf))
         rng = np.random.default_rng(4)
+        for cover in benchmark_covers[:2]:
+            for c in [*cover.radii_constants, *10.0 ** rng.uniform(-300, 9, 8), 1e-300, 1e9]:
+                exact, bound = _volume_reference(cover, c, pi_up), cover.volume_bound(c)
+                assert math.nextafter(bound, 0.0) < exact <= bound
+            assert cover.volume_bound(0.0) == 0.0
+            for bad in (math.nan, math.inf, -1.0):
+                with pytest.raises(ValueError, match="finite and >= 0"):
+                    cover.volume_bound(bad)
+
+    def test_zero_radius_lines_are_reported_per_level(self, benchmark_covers):
         for cover in benchmark_covers:
-            cs = np.concatenate([cover.radii_constants, 10.0 ** rng.uniform(-300, 9, 40), [0.0, 1e-300, 1e9]])
-            bounds = cover._volume_bounds(cs)
-            for c, b in zip(cs, bounds):
-                assert b.hex() == _volume_bound_reference(cover, c).hex()
-                assert cover.volume_bound(c).hex() == b.hex()
+            zeros = cover.manifest()["zero_radius_lines"]
+            assert zeros == [int(np.sum(cover.radii(k) == 0)) for k in range(1, cover.depth + 1)]
+        assert benchmark_covers[2].manifest()["zero_radius_lines"][0] == 28
 
     def test_volume_bounds_finite_when_radii_go_subnormal(self, benchmark_covers):
         cover = benchmark_covers[2]

@@ -2,10 +2,8 @@
 
 The ``_ref_*`` definitions below are the former implementations, kept
 verbatim in behaviour: the quick distance bound with its masks, the per-line
-box clip, the pair refinement that always runs its golden section, and the
-constant solve that evaluates the float volume bound at every bisection
-step.  The current code must give the same bits, spans, verdicts and
-constants.
+box clip and the pair refinement that always runs its golden section.  The
+current code must give the same bits, spans and verdicts.
 """
 
 import math
@@ -83,33 +81,6 @@ def _ref_contains_batch(cover, pts, level):
     if len(pi):
         member[pi[_ref_refine_pairs(cover, pts, pi, li) <= radii[li]]] = True
     return member
-
-
-def _ref_solve_constants(cover, targets):
-    lo, hi = np.full(len(targets), 1e-300), np.full(len(targets), 1e9)
-    live = np.arange(len(targets))
-    for _ in range(300):
-        mid = np.sqrt(lo[live] * hi[live])
-        moving = (mid != lo[live]) & (mid != hi[live])
-        live, mid = live[moving], mid[moving]
-        if not len(live):
-            break
-        over = cover._volume_bounds(mid) > targets[live]
-        hi[live[over]] = mid[over]
-        lo[live[~over]] = mid[~over]
-    return lo
-
-
-def _ref_radii_constants(cover):
-    constants, prev = [], math.inf
-    solved = _ref_solve_constants(cover, 2.0 ** -np.arange(1, cover.depth + 1) * uds._VOLUME_SAFETY)
-    for k, c in enumerate(solved, start=1):
-        c = min(float(c), prev)
-        while cover.volume_bound(c) > 2.0**-k:
-            c *= 0.999
-        constants.append(c)
-        prev = c
-    return constants
 
 
 def _bits(a):
@@ -246,47 +217,3 @@ def test_a_grid_that_settles_every_point_skips_the_golden_section(monkeypatch):
     assert cover.contains_batch(pts, 6).all()
     assert len(calls) == 1 and calls[0][0] == uds._REFINE_GRID
     assert np.array_equal(_ref_contains_batch(cover, pts, 6), np.ones(len(pts), dtype=bool))
-
-
-# -- the constant solve ---------------------------------------------------------
-
-
-def _random_specs():
-    rng = np.random.default_rng(2024)
-    specs = []
-    for n in (1, 2, 3):
-        for _ in range(3):
-            specs.append(dict(
-                n=n,
-                height=int(rng.integers(1, 4)) if n < 3 else 1,
-                depth=int(rng.integers(1, 41)),
-                max_lines=int(rng.integers(1, 160)),
-                clip_half_width=float(10.0 ** rng.uniform(0.0, 2.0)),
-            ))
-    return specs
-
-
-@pytest.mark.parametrize("spec", _random_specs())
-def test_constants_equal_those_of_the_full_bisection(spec):
-    cover = Cover.build(**spec)
-    targets = 2.0 ** -np.arange(1, cover.depth + 1) * uds._VOLUME_SAFETY
-    assert _bits(cover._solve_constants(targets)) == _bits(_ref_solve_constants(cover, targets))
-    assert _bits(cover.radii_constants) == _bits(_ref_radii_constants(cover))
-
-
-def test_the_closed_form_decides_most_bisection_steps(monkeypatch):
-    cover = Cover.build(n=1, height=8, depth=12, max_lines=1100)
-    rows = []
-    full = Cover._volume_bounds
-
-    def counted(self, cs):
-        rows.append(len(cs))
-        return full(self, cs)
-
-    monkeypatch.setattr(Cover, "_volume_bounds", counted)
-    targets = 2.0 ** -np.arange(1, 13) * uds._VOLUME_SAFETY
-    solved = cover._solve_constants(targets)
-    monkeypatch.undo()
-    assert _bits(solved) == _bits(_ref_solve_constants(cover, targets))
-    # the full bisection takes about 62 steps per target; only those near the root read the float sum
-    assert sum(rows) < 25 * len(targets)
