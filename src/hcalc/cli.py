@@ -45,10 +45,8 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), default="hcalc_report.json", show_default=True)
 def verify(suite_names, seed, trials, config_path, out_path):
     """Run verification suites and write the JSON report."""
-    try:
+    with _usage_errors():
         cfg = suites.RunConfig.load(config_path) if config_path else suites.RunConfig().with_env_overrides()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     if seed is not None:
         cfg.seed = seed
     if trials is not None:
@@ -125,10 +123,8 @@ def dist(x_text, y_text, batch_path, out_path):
         return
     if x_text is None or y_text is None:
         raise click.UsageError("need --x and --y, or --batch")
-    try:
+    with _usage_errors():
         rec = _bracket(json.loads(x_text), json.loads(y_text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     click.echo(json.dumps(rec))
 
 
@@ -141,8 +137,13 @@ def curve():
 @click.option("--y", "y_text", required=True, help="Target point as a JSON array.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def curve_gamma(y_text, out_path):
-    """Two-leg curve from the origin to a point with nonzero projection."""
-    path = curves.gamma_y(_parse_vector(y_text))
+    """Two-leg curve from the origin to a point with nonzero projection.
+
+    Malformed JSON, a point of even length and a point with zero projection
+    are usage errors (exit 2).
+    """
+    with _usage_errors():
+        path = curves.gamma_y(_parse_vector(y_text))
     payload = json.dumps(path.to_json(), sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
@@ -270,20 +271,28 @@ def maximize(config_path, out_path):
               help="Existing report JSON.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def report(from_path, out_path):
-    """Re-emit a report (and its CSV sidecars) from an existing report file."""
-    with open(from_path) as fh:
-        data = json.load(fh)
-    results = [
-        suites.SuiteResult(
-            suite=rec["suite"], trials=rec["trials"], failures=rec["failures"],
-            worst_margin=rec["worst_margin"], seed=rec["seed"], wall_time_s=0.0,
-            details=rec.get("details", {}),
-        )
-        for rec in data.get("suites", [])
-    ]
+    """Re-emit a report (and its CSV sidecars) from an existing report file.
+
+    Malformed JSON, a suite record missing a field and a config block naming
+    a field ``RunConfig`` does not have are usage errors (exit 2).
+    """
+    with _usage_errors():
+        with open(from_path) as fh:
+            data = json.load(fh)
+        try:
+            results = [
+                suites.SuiteResult(
+                    suite=rec["suite"], trials=rec["trials"], failures=rec["failures"],
+                    worst_margin=rec["worst_margin"], seed=rec["seed"], wall_time_s=0.0,
+                    details=rec.get("details", {}),
+                )
+                for rec in data.get("suites", [])
+            ]
+        except KeyError as exc:
+            raise ValueError(f"a suite record has no {exc.args[0]!r} field") from exc
+        cfg = suites.RunConfig.from_json(data["config"]) if data.get("config") else None
     if not results:
         raise click.ClickException("no suite records in the input report")
-    cfg = suites.RunConfig.from_json(data["config"]) if data.get("config") else None
     out = suites.emit_report(results, out_path, config=cfg)
     click.echo(f"aggregate: {'pass' if out['aggregate_pass'] else 'FAIL'}; report at {out_path}")
 

@@ -326,7 +326,7 @@ class PathBatch(NamedTuple):
         return _difference_quotient(self.knots, self.vertices, t)
 
 
-def lift_planar(planar: np.ndarray, base: np.ndarray, knots=None) -> HorizontalPath:
+def lift_planar(planar: np.ndarray, base: np.ndarray) -> HorizontalPath:
     """Lift a planar polyline to the horizontal curve starting at ``base``.
 
     ``base`` must project onto the first vertex; the height along the lift
@@ -340,14 +340,10 @@ def lift_planar(planar: np.ndarray, base: np.ndarray, knots=None) -> HorizontalP
         raise ValueError("dimension mismatch between polyline and base point")
     if not np.allclose(base[:-1], planar[0], rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(planar))))):
         raise ValueError("base point does not project onto the first vertex")
-    if knots is None:
-        # parametrize by chord length; merge zero-length steps
-        steps = _chords(planar)
-        steps = np.where(steps == 0.0, np.max(steps) * 1e-9 if np.max(steps) > 0 else 1.0, steps)
-        knots = np.concatenate([[0.0], np.cumsum(steps)])
-    else:
-        knots = np.asarray(knots, dtype=float)
-    return HorizontalPath(knots, planar, float(base[-1]))
+    # parametrize by chord length; merge zero-length steps
+    steps = _chords(planar)
+    steps = np.where(steps == 0.0, np.max(steps) * 1e-9 if np.max(steps) > 0 else 1.0, steps)
+    return HorizontalPath(np.concatenate([[0.0], np.cumsum(steps)]), planar, float(base[-1]))
 
 
 def horizontal_length(path: HorizontalPath) -> float:

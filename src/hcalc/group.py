@@ -173,9 +173,9 @@ def omega(h: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(h, dtype=float), axis=-1)
 
 
-def require_unit(h: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
+def require_unit(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    if np.any(np.abs(omega(h) - 1.0) > tol):
+    if np.any(np.abs(omega(h) - 1.0) > UNIT_TOL):
         raise ValueError("direction is not unit-normalized")
     return h
 

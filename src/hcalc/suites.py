@@ -44,26 +44,20 @@ __all__ = ["RunConfig", "SuiteResult", "SUITES", "run_suite", "emit_report"]
 
 @dataclass
 class RunConfig:
-    """Harness configuration; JSON round-trippable, env-overridable.
+    """Harness configuration: the dimensions, the master seed and a trial
+    count; JSON round-trippable, env-overridable.
 
-    Environment variables prefixed ``HCALC_`` override scalar fields, e.g.
-    ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An ``HCALC_`` variable that
-    names no field raises, as an unknown field of a config file does.
+    Every other parameter of a suite is fixed where the suite states it, or
+    is the default of the object it builds (``Cover.build``,
+    ``MaximizerConfig``).  Environment variables prefixed ``HCALC_``
+    override fields, e.g. ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An
+    ``HCALC_`` variable or a config-file key that names no field raises.
     """
 
     schema_version: int = 1
     n_values: tuple = (1, 2)
     seed: int = 20250808
-    trials: Optional[int] = None  # scales each suite's default trial count
-    uds_height: int = 8
-    uds_depth: int = 12
-    uds_max_lines: int = 96
-    uds_clip: float = 10.0
-    mc_samples: int = 100_000
-    max_budget: int = 512
-    max_steps: int = 10
-    mu: float = 0.5
-    K: float = 8.0
+    trials: Optional[int] = None  # replaces each suite's default trial count
 
     def __post_init__(self):
         self.n_values = tuple(int(v) for v in self.n_values)
@@ -100,14 +94,10 @@ class RunConfig:
         unknown = sorted(k for k in os.environ if k.startswith("HCALC_") and k not in known)
         if unknown:
             raise ValueError(f"unknown config fields: {unknown}")
-        for name, value in list(data.items()):
+        for name in data:
             env = os.environ.get("HCALC_" + name.upper())
-            if env is None:
-                continue
-            if name == "n_values":
-                data[name] = [int(v) for v in env.split(",")]
-            else:
-                data[name] = float(env) if isinstance(value, float) else int(env)
+            if env is not None:
+                data[name] = [int(v) for v in env.split(",")] if name == "n_values" else int(env)
         return RunConfig.from_json(data)
 
     def count(self, default: int) -> int:
@@ -130,8 +120,9 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0 and math.isfinite(self.worst_margin)
 
-    def to_json(self, include_wall_time: bool = True) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        """The report record; the wall time stays out, so reports are byte-deterministic."""
+        return {
             "suite": self.suite,
             "trials": self.trials,
             "failures": self.failures,
@@ -140,9 +131,6 @@ class SuiteResult:
             "passed": self.passed,
             "details": self.details,
         }
-        if include_wall_time:
-            data["wall_time_s"] = self.wall_time_s
-        return data
 
 
 class _Ledger:
@@ -863,10 +851,7 @@ def suite_meanvalue(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
 def suite_uds(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     rng = np.random.default_rng(seed)
     details = {}
-    cover = uds.Cover.build(
-        n=1, height=cfg.uds_height, depth=cfg.uds_depth,
-        clip_half_width=cfg.uds_clip, max_lines=cfg.uds_max_lines,
-    )
+    cover = uds.Cover.build(n=1, max_lines=96)
     # analytic volume bounds hold by construction at every level
     for k, c in enumerate(cover.radii_constants, start=1):
         ledger.check(2.0**-k - cover.volume_bound(c))
@@ -894,7 +879,7 @@ def suite_uds(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     details["members_per_level"] = per_level
     # Monte-Carlo measure at a mid level agrees with the analytic bound
     level = min(6, cover.depth)
-    est, (ci_lo, ci_hi) = cover.cover_measure_mc(level, uds.Box.cube(2.0, 1), cfg.mc_samples, seed)
+    est, (ci_lo, ci_hi) = cover.cover_measure_mc(level, uds.Box.cube(2.0, 1), 100_000, seed)
     bound = 2.0**-level
     ledger.check(bound - ci_lo)
     details["mc"] = {"level": level, "estimate": est, "ci": [ci_lo, ci_hi], "bound": bound}
@@ -969,12 +954,9 @@ def suite_almostmax(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
 def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     n = 1
     e1 = np.array([1.0, 0.0])
-    cover = uds.Cover.build(n=n, height=2, depth=max(cfg.max_steps + 2, 12), max_lines=64)
+    config = maximizer.MaximizerConfig(seed=seed)
+    cover = uds.Cover.build(n=n, height=2, depth=max(config.max_steps + 2, 12), max_lines=64)
     f0 = calculus.hlinear_field(group.HLinearMap(0.5, e1), label="half-first-axis")
-    config = maximizer.MaximizerConfig(
-        max_steps=cfg.max_steps, budget=cfg.max_budget, uds_level=min(10, cover.depth),
-        mu=cfg.mu, K=cfg.K, seed=seed,
-    )
     start = maximizer.Pair.in_cover(np.zeros(2 * n + 1), e1, cover, config.uds_level)
     traj = maximizer.run(f0, start, config, cover)
     report = maximizer.verify_trajectory(traj)
@@ -984,7 +966,7 @@ def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     sigma_last = traj.states[-1].sigma
     ledger.check(sigma_last - drift)
     shift = traj.field_shift_norm()
-    ledger.check(cfg.mu - shift)
+    ledger.check(config.mu - shift)
     e_values = report["e_values"]
     ledger.count(not all(b > a for a, b in zip(e_values, e_values[1:])))
     # zero start field: the first perturbation creates a positive derivative
@@ -997,7 +979,7 @@ def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     trajn = maximizer.run(f0, start, maximizer.MaximizerConfig(max_steps=0, seed=seed), cover)
     ledger.count(len(trajn.states) != 1)
     ledger.count(not np.array_equal(trajn.final_pair().x, start.x))
-    return cfg.max_steps, {"e_values": e_values, "violations": report["violations"], "sigma_last": sigma_last, "shift": shift}
+    return config.max_steps, {"e_values": e_values, "violations": report["violations"], "sigma_last": sigma_last, "shift": shift}
 
 
 # Each suite states its checks to its ledger and returns (trials, details).
@@ -1048,7 +1030,7 @@ def emit_report(results: list, path: str, config: Optional[RunConfig] = None) ->
     report = {
         "schema_version": 1,
         "config": None if config is None else config.to_json(),
-        "suites": [r.to_json(include_wall_time=False) for r in sorted(results, key=lambda r: r.suite)],
+        "suites": [r.to_json() for r in sorted(results, key=lambda r: r.suite)],
         "aggregate_pass": all(r.passed for r in results),
     }
     with open(path, "w") as fh:

@@ -351,8 +351,9 @@ class Box:
         return np.stack([t0, t1], axis=1), meets
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(hits: int, n: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054  # the 97.5% standard normal quantile
     if n <= 0:
         raise ValueError("need at least one sample")
     if not 0 <= hits <= n:
@@ -388,11 +389,11 @@ class Cover:
     """Nested tube covers around a finite enumeration of rational lines.
 
     ``radii_constants[k-1]`` is the level-k constant c_k; line i at level k
-    has tube radius c_k / 2^(i+1).  The constants are solved against an
-    analytic volume bound V (covering each tube by metric balls, see the
-    module docstring), and every level is certified in exact arithmetic:
-    V(c_k) <= 2^-k, or the build raises ``ValueError`` naming the level.
-    Depths from 1 to 1074 build.
+    has tube radius c_k / 2^(i+1), rounded down to a float.  The constants
+    are solved against an analytic volume bound V (covering each tube by
+    metric balls, see the module docstring), and every level is certified
+    in exact arithmetic: V(c_k) <= 2^-k, or the build raises ``ValueError``
+    naming the level.  Depths from 1 to 1074 build.
     """
 
     def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
@@ -473,8 +474,13 @@ class Cover:
         return lo
 
     def radii(self, level: int) -> np.ndarray:
+        """Tube radii at a level, each at most the exact c_k 2^-(i+1): below
+        the normal range ldexp rounds to nearest, so a radius that rounded up
+        steps one ulp toward 0 (the test ldexp(r, i+1) > c_k is exact)."""
         self._check_level(level)
-        return np.ldexp(self.radii_constants[level - 1], -(np.arange(len(self.lines)) + 1))
+        c, shifts = self.radii_constants[level - 1], np.arange(1, len(self.lines) + 1)
+        r = np.ldexp(c, -shifts)
+        return np.where(np.ldexp(r, shifts) > c, np.nextafter(r, 0.0), r)
 
     def _check_level(self, level: int):
         if not (1 <= level <= self.depth):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from hcalc.maximizer import MaximizerConfig
 from hcalc.suites import SUITES, RunConfig, emit_report, run_suite
 
 CONFIG = RunConfig()  # the default configuration is the acceptance target
@@ -157,8 +158,8 @@ def test_criterion_11_maximization_run(battery):
     ok = (
         r.failures == 0
         and not r.details["violations"]
-        and r.details["shift"] <= CONFIG.mu
-        and len(r.details["e_values"]) == CONFIG.max_steps + 1
+        and r.details["shift"] <= MaximizerConfig().mu
+        and len(r.details["e_values"]) == MaximizerConfig().max_steps + 1
     )
     _show(
         "criterion 11: 10-step run verifies clean (nesting, schedules, drift, monotone derivative)",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -79,6 +80,15 @@ def test_curve_gamma(runner):
     assert out.exit_code == 0
     rec = json.loads(out.output)
     assert rec["planar"][1] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("y, message", [
+    ("[0,0,1]", "zero projection"), ("[1,0]", "odd trailing length"), ("abc", "Expecting value"),
+])
+def test_curve_gamma_reports_bad_input_as_a_usage_error(runner, y, message):
+    out = runner.invoke(main, ["curve", "gamma-y", "--y", y])
+    assert out.exit_code == 2
+    assert message in out.output and "Traceback" not in out.output
 
 
 def test_curve_modify(runner):
@@ -209,6 +219,22 @@ def test_report_reemission(runner, tmp_path):
     assert json.loads(second.read_text())["aggregate_pass"] is True
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rep: rep["config"].update(mu=0.5), "unknown config fields: ['mu']"),
+    (lambda rep: rep["suites"][0].pop("seed"), "a suite record has no 'seed' field"),
+])
+def test_report_reemission_reports_bad_input_as_a_usage_error(runner, tmp_path, edit, message):
+    first = tmp_path / "first.json"
+    assert runner.invoke(main, ["verify", "--suite", "lift", "--trials", "12", "--out", str(first)]).exit_code == 0
+    rep = json.loads(first.read_text())
+    edit(rep)
+    first.write_text(json.dumps(rep))
+    second = tmp_path / "second.json"
+    out = runner.invoke(main, ["report", "--from", str(first), "--out", str(second)])
+    assert out.exit_code == 2
+    assert message in out.output and "Traceback" not in out.output and not second.exists()
+
+
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(seed=123, trials=50, n_values=(1,))
     path = tmp_path / "config.json"
@@ -234,6 +260,29 @@ def test_config_env_rejects_unknown_variables(runner, monkeypatch, tmp_path):
     assert out.exit_code == 2
     assert "HCALC_SEEDS" in out.output
     assert not (tmp_path / "rep.json").exists()
+
+
+RETIRED_FIELDS = ["uds_height", "uds_depth", "uds_max_lines", "uds_clip", "mc_samples",
+                  "max_budget", "max_steps", "mu", "K"]
+
+
+def test_config_fields_are_dimensions_seed_and_trials():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["schema_version", "n_values", "seed", "trials"]
+
+
+@pytest.mark.parametrize("name", RETIRED_FIELDS)
+def test_config_rejects_a_retired_field(runner, monkeypatch, tmp_path, name):
+    # each held one value that no caller changed; the suites fix it where they use it
+    monkeypatch.setenv("HCALC_" + name.upper(), "1")
+    with pytest.raises(ValueError, match="unknown config fields"):
+        RunConfig().with_env_overrides()
+    monkeypatch.delenv("HCALC_" + name.upper())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, name: 1}))
+    with pytest.raises(ValueError, match="unknown config fields"):
+        RunConfig.load(str(path))
+    out = runner.invoke(main, ["verify", "--suite", "lift", "--config", str(path), "--out", str(tmp_path / "rep.json")])
+    assert out.exit_code == 2 and name in out.output
 
 
 def test_config_rejects_unknown_fields():

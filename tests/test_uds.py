@@ -216,7 +216,9 @@ class TestCover:
         for level, c in enumerate(big.radii_constants, start=1):
             with np.errstate(over="raise"):
                 radii = big.radii(level)
-            assert radii.tobytes() == np.ldexp(c, -(np.arange(1100) + 1)).tobytes()
+            # each radius is the largest float at most c / 2^(i+1)
+            exact = [Fraction(c) / 2 ** (i + 1) for i in range(1100)]
+            assert all(Fraction(r) <= e < Fraction(math.nextafter(r, math.inf)) for r, e in zip(radii.tolist(), exact))
             # power-of-two scaling is exact until the radii turn subnormal
             normal = radii >= np.finfo(float).tiny
             assert np.array_equal(radii[normal], c * scale[normal])
@@ -626,7 +628,15 @@ class TestCoverInternals:
         for cover in benchmark_covers:
             zeros = cover.manifest()["zero_radius_lines"]
             assert zeros == [int(np.sum(cover.radii(k) == 0)) for k in range(1, cover.depth + 1)]
-        assert benchmark_covers[2].manifest()["zero_radius_lines"][0] == 28
+        assert benchmark_covers[2].manifest()["zero_radius_lines"][0] == 29
+
+    def test_radii_never_exceed_the_certified_radius(self, benchmark_covers):
+        # below the normal range ldexp rounds to nearest, so it can round
+        # above c_k 2^-(i+1), the radius the volume certificate covers
+        for cover in benchmark_covers:
+            for k in range(1, cover.depth + 1):
+                c = Fraction(cover.radii_constants[k - 1])
+                assert all(Fraction(r) <= c / 2 ** (i + 1) for i, r in enumerate(cover.radii(k).tolist()))
 
     def test_volume_bounds_finite_when_radii_go_subnormal(self, benchmark_covers):
         cover = benchmark_covers[2]
