@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -32,6 +33,22 @@ def _usage_errors():
         raise click.UsageError(str(exc)) from exc
 
 
+def _out_option(**kwargs):
+    """The ``--out`` option of a command that writes a file.
+
+    A path in a directory that does not exist, or a path that is a
+    directory, is a usage error (exit 2) that names it, raised while the
+    command line is parsed, before any work.
+    """
+
+    def existing_directory(ctx, param, value):
+        if value is not None and not os.path.isdir(os.path.dirname(value) or "."):
+            raise click.BadParameter(f"the directory of {value!r} does not exist", ctx=ctx, param=param)
+        return value
+
+    return click.option("--out", "out_path", type=click.Path(dir_okay=False), callback=existing_directory, **kwargs)
+
+
 @click.group()
 def main():
     """Numerical calculus on the Heisenberg group."""
@@ -42,7 +59,7 @@ def main():
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--trials", type=int, default=None, help="Trial-count override for every suite.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="RunConfig JSON.")
-@click.option("--out", "out_path", type=click.Path(), default="hcalc_report.json", show_default=True)
+@_out_option(default="hcalc_report.json", show_default=True)
 def verify(suite_names, seed, trials, config_path, out_path):
     """Run verification suites and write the JSON report."""
     with _usage_errors():
@@ -91,7 +108,7 @@ def _bracket(x, y) -> dict:
 @click.option("--y", "y_text", default=None, help="Point as a JSON array.")
 @click.option("--batch", "batch_path", type=click.Path(exists=True), default=None,
               help='JSON-lines file, each line {"x": [...], "y": [...]}.')
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Response JSON-lines path.")
+@_out_option(default=None, help="Response JSON-lines path.")
 def dist(x_text, y_text, batch_path, out_path):
     """Distance bracket for one pair or a batch file.
 
@@ -135,7 +152,7 @@ def curve():
 
 @curve.command("gamma-y")
 @click.option("--y", "y_text", required=True, help="Target point as a JSON array.")
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_out_option(default=None)
 def curve_gamma(y_text, out_path):
     """Two-leg curve from the origin to a point with nonzero projection.
 
@@ -160,7 +177,7 @@ def curve_gamma(y_text, out_path):
 @click.option("--r", type=float, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--eta", type=float, required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@_out_option(default=None)
 def curve_modify(x_text, u_text, e_text, r, delta, eta, out_path):
     """Modify the horizontal line through x to pass through x * dil_r(u)."""
     try:
@@ -192,7 +209,7 @@ def uds_group():
 @click.option("--depth", type=int, default=12, show_default=True)
 @click.option("--max-lines", type=int, default=96, show_default=True)
 @click.option("--clip", type=float, default=10.0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default="cover_manifest.json", show_default=True)
+@_out_option(default="cover_manifest.json", show_default=True)
 def uds_build(n, height, depth, max_lines, clip, out_path):
     """Build a cover and write its manifest."""
     with _usage_errors():
@@ -238,7 +255,7 @@ def uds_query(point_text, level, n, height, depth, max_lines):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Maximizer config JSON (fields of MaximizerConfig).")
-@click.option("--out", "out_path", type=click.Path(), default="trajectory.jsonl", show_default=True)
+@_out_option(default="trajectory.jsonl", show_default=True)
 def maximize(config_path, out_path):
     """Run the derivative-maximization iteration on the default linear field."""
     kwargs = {}
@@ -269,16 +286,25 @@ def maximize(config_path, out_path):
 @main.command()
 @click.option("--from", "from_path", type=click.Path(exists=True), required=True,
               help="Existing report JSON.")
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@_out_option(required=True)
 def report(from_path, out_path):
     """Re-emit a report (and its CSV sidecars) from an existing report file.
 
-    Malformed JSON, a suite record missing a field and a config block naming
-    a field ``RunConfig`` does not have are usage errors (exit 2).
+    Malformed JSON, input that is not a JSON object, a ``suites`` entry
+    that is not a list of objects, a suite record missing a field and a
+    config block that is not an object or names a field ``RunConfig`` does
+    not have are usage errors (exit 2).
     """
     with _usage_errors():
         with open(from_path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, got {type(data).__name__}")
+        records = data.get("suites", [])
+        if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+            raise ValueError("'suites' must be a list of suite records (JSON objects)")
+        if data.get("config") and not isinstance(data["config"], dict):
+            raise ValueError("'config' must be a JSON object")
         try:
             results = [
                 suites.SuiteResult(
@@ -286,7 +312,7 @@ def report(from_path, out_path):
                     worst_margin=rec["worst_margin"], seed=rec["seed"], wall_time_s=0.0,
                     details=rec.get("details", {}),
                 )
-                for rec in data.get("suites", [])
+                for rec in records
             ]
         except KeyError as exc:
             raise ValueError(f"a suite record has no {exc.args[0]!r} field") from exc

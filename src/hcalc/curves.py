@@ -118,7 +118,7 @@ def _checked_vertices(knots: np.ndarray, planar: np.ndarray, c0) -> np.ndarray:
         raise ValueError("planar rows must have even length >= 2")
     # what overflows in the lift is caught by the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        vertices = _lift_vertices(planar, np.expand_dims(c0, -1))
+        vertices = _lift_vertices(planar, c0 if isinstance(c0, float) else np.expand_dims(c0, -1))
     # a running sum that overflowed stays inf or NaN, so the last height tells
     if not np.isfinite(vertices[..., -1, -1]).all():
         raise ValueError("path data must be finite")
@@ -325,6 +325,11 @@ class PathBatch(NamedTuple):
             raise ValueError("parameter outside the path domain")
         return _difference_quotient(self.knots, self.vertices, t)
 
+    def left_translate(self, g: np.ndarray) -> "PathBatch":
+        """Paths t -> g * path(t), one g per path, as :meth:`HorizontalPath.left_translate`."""
+        start = self.eval(self.knots[..., :1])[..., 0, :]
+        return PathBatch.lift(self.knots, self.planar + project(g)[..., None, :], group_mul(g, start)[..., -1])
+
 
 def lift_planar(planar: np.ndarray, base: np.ndarray) -> HorizontalPath:
     """Lift a planar polyline to the horizontal curve starting at ``base``.
@@ -340,10 +345,18 @@ def lift_planar(planar: np.ndarray, base: np.ndarray) -> HorizontalPath:
         raise ValueError("dimension mismatch between polyline and base point")
     if not np.allclose(base[:-1], planar[0], rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(planar))))):
         raise ValueError("base point does not project onto the first vertex")
-    # parametrize by chord length; merge zero-length steps
+    return HorizontalPath(_chord_knots(planar), planar, float(base[-1]))
+
+
+def _chord_knots(planar: np.ndarray) -> np.ndarray:
+    """Knots of :func:`lift_planar`: chord length from 0, a zero-length step
+    counting 1e-9 of the longest (1 if every step is 0).  Leading axes are a batch."""
     steps = _chords(planar)
-    steps = np.where(steps == 0.0, np.max(steps) * 1e-9 if np.max(steps) > 0 else 1.0, steps)
-    return HorizontalPath(np.concatenate([[0.0], np.cumsum(steps)]), planar, float(base[-1]))
+    longest = np.max(steps, axis=-1, keepdims=True)
+    steps = np.where(steps == 0.0, np.where(longest > 0, longest * 1e-9, 1.0), steps)
+    knots = np.zeros(planar.shape[:-1])
+    np.cumsum(steps, axis=-1, out=knots[..., 1:])
+    return knots
 
 
 def horizontal_length(path: HorizontalPath) -> float:

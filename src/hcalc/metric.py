@@ -21,7 +21,10 @@ certified by the witness.  The route stays plain knot and row arrays until
 it is measured on its rows translated to x, the way :func:`horizontal_length`
 measures a path; then one :class:`HorizontalPath` is built.  The chain's
 area coefficient, which gives the stretch, takes a series where its two
-sines would cancel.
+sines would cancel.  The route computes x^-1 y, D = |p(z)| and c once, and
+:func:`cc_bounds` takes its lower end from them.  The route's scalars, the
+fitted bulge, its clip and the start height, stay Python floats: on one
+pair, numpy's cost per call would exceed their arithmetic.
 
 Norms follow one rule, :func:`hcalc.curves._root_sum_squares`: the square
 root of the sum of squares, except on rows whose squares over- or
@@ -300,7 +303,7 @@ def _arc_witness(w: np.ndarray, D: float, c: float):
         r = 4.0 * ratio
         steep = r > 0.5 * math.pi
         t, lo, hi = _gaveau_start(r, steep)
-        t = float(np.clip(t, lo, hi))
+        t = float(min(max(t, lo), hi))
         theta = math.pi - t if steep else t
         m = _chain_size(theta)
         chain = _arc_chain_2d(D, theta, m)
@@ -312,6 +315,15 @@ def _arc_witness(w: np.ndarray, D: float, c: float):
     np.cumsum(steps, out=knots[1:])
     knots[-1] = np.add.reduce(steps)
     return knots, rel
+
+
+class _Upper(tuple):
+    """``(length, witness)`` of :func:`cc_upper`, carrying ``lower``: max(D, sqrt|c|) of the same x^-1 y."""
+
+    def __new__(cls, length: float, witness: HorizontalPath, lower: float):
+        upper = super().__new__(cls, (length, witness))
+        upper.lower = lower
+        return upper
 
 
 def cc_upper(x: np.ndarray, y: np.ndarray):
@@ -341,8 +353,10 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
         px = x[:-1]
         if not (math.isfinite(D) and math.isfinite(c)):
             raise ValueError("path data must be finite")
+        # cc_lower's max(|p(z)|, sqrt|c|) on the same z, bit for bit
+        lower = max(D, math.sqrt(abs(c)))
         if D == 0.0 and c == 0.0:
-            return 0.0, HorizontalPath(np.array([0.0, 1.0]), np.stack([px] * 2), float(x[-1]))
+            return _Upper(0.0, HorizontalPath(np.array([0.0, 1.0]), np.stack([px] * 2), float(x[-1])), lower)
         knots, rel = _arc_witness(w, D, c)
         planar = rel + px
         length = _length(planar)
@@ -352,13 +366,18 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
         # the cross terms of the group law are products with (signed) zeros;
         # the path refuses a lift that is not finite
         witness = HorizontalPath(knots, planar, float(x[-1]) + 0.0)
-    return length, witness
+    return _Upper(length, witness, lower)
 
 
 def cc_bounds(x: np.ndarray, y: np.ndarray) -> DistanceBounds:
-    """Distance bracket with witness; the core comparison primitive."""
-    upper, witness = cc_upper(x, y)
-    return DistanceBounds(cc_lower(x, y), upper, witness)
+    """Distance bracket with witness; the core comparison primitive.
+
+    The upper end is :func:`cc_upper`'s witness length.  The lower end is
+    :func:`cc_lower`, bit for bit, read from the x^-1 y, D and c that
+    :func:`cc_upper`'s route has already computed.
+    """
+    upper = cc_upper(x, y)
+    return DistanceBounds(upper.lower, *upper)
 
 
 class CertificationError(ArithmeticError):
@@ -429,12 +448,23 @@ def _gaveau_terms(t: np.ndarray, r: np.ndarray, steep: bool, r_err: float):
     return F, err, step if steep else -step
 
 
+def _polyval(coeffs: tuple, x):
+    """``np.polyval(coeffs, x)`` bit for bit, by its own recurrence from 0 x, on a float or an array."""
+    acc = 0.0 * x
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def _gaveau_start(r: np.ndarray, steep: bool):
-    """``(t, lo, hi)``: the fitted start of Newton and the bracket that clips its iterates (see :func:`_gaveau_end`)."""
+    """``(t, lo, hi)``: the fitted start of Newton and the bracket that clips its iterates (see :func:`_gaveau_end`).
+
+    ``r`` is an array of rows or one float, and each row gets the same bits either way.
+    """
     if steep:
         base = 2.0 * math.pi / (1.0 + np.sqrt(1.0 + 4.0 * math.pi * r))
-        return base * np.polyval(_STEEP_START, 1.0 / np.sqrt(r)), base * (1.0 - _ROOM), 0.5 * math.pi
-    return r * np.polyval(_SHALLOW_START, r * r), r, np.minimum(1.5 * r, 0.5 * math.pi) * (1.0 + _ROOM)
+        return base * _polyval(_STEEP_START, 1.0 / np.sqrt(r)), base * (1.0 - _ROOM), 0.5 * math.pi
+    return r * _polyval(_SHALLOW_START, r * r), r, np.minimum(1.5 * r, 0.5 * math.pi) * (1.0 + _ROOM)
 
 
 def _gaveau_end(r: np.ndarray, steep: bool, r_err: float) -> np.ndarray:
@@ -568,7 +598,7 @@ def angle_fit(trials: int, seed: int, n: int = 1) -> float:
     rng = np.random.default_rng(seed)
     ts = np.linspace(-1.0, 1.0, _ANGLE_GRID)
     ts = ts[ts != 0.0]
-    rel, scales = [], []
+    g_dirs, h_dirs, offsets = [], [], []
     for _ in range(trials):
         A = 10.0 ** rng.uniform(-4, 0)
         h_dir = rng.standard_normal(2 * n)
@@ -583,16 +613,16 @@ def angle_fit(trials: int, seed: int, n: int = 1) -> float:
         offset = float(np.linalg.norm(g_dir - h_dir))
         if offset == 0.0:
             continue
-        # straight pair: worst observed case is two lines at angle min(offset, 1)
-        ga = ts[:, None] * horizontal_point(g_dir)
-        ha = ts[:, None] * horizontal_point(h_dir)
-        rel.append(group_mul(group_inv(ga), ha))
-        scales.append(math.sqrt(min(offset, 1.0)) * np.abs(ts))
-    c_fit = 1.0
-    if rel:
-        ups = cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), len(ts))
-        c_fit = max(c_fit, float(np.max(ups / np.stack(scales))))
-    return c_fit
+        g_dirs.append(g_dir)
+        h_dirs.append(h_dir)
+        offsets.append(offset)
+    if not offsets:
+        return 1.0
+    # straight pairs: worst observed case is two lines at angle min(offset, 1)
+    ga, ha = (ts[:, None] * horizontal_point(np.array(dirs))[:, None, :] for dirs in (g_dirs, h_dirs))
+    ups = cc_upper_value_batch(group_mul(group_inv(ga), ha).reshape(-1, 2 * n + 1)).reshape(len(offsets), len(ts))
+    scales = np.sqrt(np.minimum(offsets, 1.0))[:, None] * np.abs(ts)
+    return max(1.0, float(np.max(ups / scales)))
 
 
 @dataclass

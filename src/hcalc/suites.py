@@ -16,10 +16,14 @@ records its two halves apart, :meth:`_Ledger.count` for the failures and
 :meth:`_Ledger.margin` for the margin.  A NaN margin entry neither fails
 nor moves the worst margin.
 
-``goodcurve``, ``newcurveg`` and ``welldefined`` build their curves as
-batches.  They draw trial by trial, so the random stream is the one of a
-loop that builds one curve per trial, and then check each dimension's
-trials as one batch.  Each trial keeps the bits of its own curve.
+``goodcurve``, ``newcurveg``, ``welldefined``, ``lipschitzhorizontal`` and
+``closedirection`` build their curves as batches, and
+``horizontaldistances`` its pairs.  They draw trial by trial, so the
+random stream is the one of a loop that builds one curve per trial, and
+then check each dimension's trials as one batch (``lipschitzhorizontal``
+one batch per knot count).  Each trial keeps the bits of its own curve.
+``horizontaldistances`` checks each bracket's witness, so its brackets
+stay one pair at a time.
 """
 
 from __future__ import annotations
@@ -265,16 +269,18 @@ def suite_horizontaldistances(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
     trials = cfg.count(1000)
     tol = 1e-9
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
-            x = 2.0 * rng.standard_normal(2 * n + 1)
-            e = rng.standard_normal(2 * n)
-            w = float(np.linalg.norm(e))
-            t = float(rng.uniform(-2.0, 2.0))
-            y = x + t * group.vector_at(e, x)
-            b = metric.cc_bounds(x, y)
-            target = abs(t) * w
-            err = max(abs(b.lower - target), abs(b.upper - target))
-            ledger.check(tol - err)
+        m = trials // len(cfg.n_values)
+        x, e, t = np.empty((m, 2 * n + 1)), np.empty((m, 2 * n)), np.empty(m)
+        for i in range(m):  # one trial at a time, so the stream is the per-trial one
+            x[i] = 2.0 * rng.standard_normal(2 * n + 1)
+            e[i] = rng.standard_normal(2 * n)
+            t[i] = rng.uniform(-2.0, 2.0)
+        y = x + t[:, None] * group.vector_at(e, x)
+        # each bracket's witness is checked, so the pairs go one at a time
+        ends = np.array([(b.lower, b.upper) for b in map(metric.cc_bounds, x, y)]).reshape(m, 2)
+        # |t| omega(E), with a 1-D norm per trial: it rounds apart from a row-wise one
+        target = np.abs(t) * np.array([np.linalg.norm(ei) for ei in e])
+        ledger.check(tol - np.max(np.abs(ends - target[:, None]), axis=-1))
     return trials, {"tol": tol}
 
 
@@ -287,33 +293,48 @@ def suite_lipschitzhorizontal(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
     rng = np.random.default_rng(seed)
     trials = cfg.count(200)
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
+        drawn = {k: [] for k in range(3, 8)}  # trials by knot count
+        for _ in range(trials // len(cfg.n_values)):  # one trial at a time, so the stream is the per-trial one
             k = int(rng.integers(3, 8))
-            planar = np.cumsum(rng.standard_normal((k, 2 * n)), axis=0)
-            base = np.concatenate([planar[0], [rng.standard_normal()]])
-            path = curves.lift_planar(planar, base)
-            lip = curves.lipschitz_constant(path)
-            ts = np.sort(rng.uniform(path.t_min, path.t_max, 12))
-            pts = path.eval(ts)
-            gaps = np.diff(ts)
-            apart = gaps > 1e-12
-            lo = metric.cc_lower_batch(pts[:-1][apart], pts[1:][apart])
-            ledger.check(lip * gaps[apart] * (1.0 + 1e-9) + 1e-12 - lo)
-            # the max-speed segment attains the constant
-            speeds = path.segment_speeds()
-            j = int(np.argmax(speeds))
-            ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
-            tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
-            attain = metric.cc_lower(path.eval(ta), path.eval(tb)) / (tb - ta)
-            ledger.check(attain - lip * (1.0 - 1e-9))
-            # left translation preserves length and speed
-            g = 2.0 * rng.standard_normal(2 * n + 1)
-            moved = path.left_translate(g)
-            dlen = abs(curves.horizontal_length(moved) - curves.horizontal_length(path))
-            dlip = abs(curves.lipschitz_constant(moved) - lip)
-            err = max(dlen, dlip) / (1.0 + lip)
-            ledger.check(1e-12 - err)
+            steps = rng.standard_normal((k, 2 * n))
+            c0 = rng.standard_normal()
+            # the 12 parameters rng.uniform(0, t_max, 12) are 0 + (t_max - 0) u;
+            # t_max comes with the batch's knots
+            u = rng.random(12)
+            drawn[k].append((steps, c0, u, 2.0 * rng.standard_normal(2 * n + 1)))
+        for rows in drawn.values():
+            if rows:
+                _lipschitz_posts(ledger, *(np.array(v) for v in zip(*rows)))
     return trials, {}
+
+
+def _lipschitz_posts(ledger: _Ledger, steps, c0, u, g) -> None:
+    """Check one batch of polylines with equally many knots, lifted from c0, and their translates by g."""
+    planar = np.cumsum(steps, axis=-2)
+    knots = curves._chord_knots(planar)
+    path = curves.PathBatch.lift(knots, planar, c0)
+    speeds = curves._segment_speeds(knots, planar)
+    lip = np.max(speeds, axis=-1)
+    t_min, t_max = knots[:, :1], knots[:, -1:]
+    ts = np.sort(t_min + (t_max - t_min) * u, axis=-1)
+    # the max-speed segment attains the constant, between its quarter points
+    j = np.argmax(speeds, axis=-1)[:, None]
+    k0, k1 = np.take_along_axis(knots, j, -1), np.take_along_axis(knots, j + 1, -1)
+    ta, tb = k0 + 0.25 * (k1 - k0), k0 + 0.75 * (k1 - k0)
+    pts = path.eval(np.concatenate([ts, ta, tb], axis=-1))
+    gaps = np.diff(ts, axis=-1)
+    apart = gaps > 1e-12
+    lo = metric.cc_lower_batch(np.concatenate([pts[:, :11][apart], pts[:, 12]]),
+                               np.concatenate([pts[:, 1:12][apart], pts[:, 13]]))
+    m = np.count_nonzero(apart)
+    ledger.check((lip[:, None] * gaps)[apart] * (1.0 + 1e-9) + 1e-12 - lo[:m])
+    ledger.check(lo[m:] / (tb - ta)[:, 0] - lip * (1.0 - 1e-9))
+    # left translation preserves length and speed
+    moved = path.left_translate(g)
+    length, moved_length = (np.add.reduce(curves._chords(p), axis=-1) for p in (planar, moved.planar))
+    dlen = np.abs(moved_length - length)
+    dlip = np.abs(np.max(curves._segment_speeds(knots, moved.planar), axis=-1) - lip)
+    ledger.check(1e-12 - np.maximum(dlen, dlip) / (1.0 + lip))
 
 
 # ---------------------------------------------------------------------------
@@ -694,25 +715,26 @@ def suite_closedirection(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[in
     # validation: polyline pairs with controlled derivative offset
     rng = np.random.default_rng(seed + 99)
     n = cfg.n_values[0]
-    amps, times, rel = [], [], []
-    for _ in range(100):
-        A = 10.0 ** rng.uniform(-3, 0)
-        e = rng.standard_normal(2 * n)
-        e /= np.linalg.norm(e)
-        k = 6
-        knots = np.linspace(0.0, 1.0, k + 1)
-        pert = rng.standard_normal((k, 2 * n))
-        pert /= np.linalg.norm(pert, axis=1, keepdims=True)
-        vels = e[None, :] + A * rng.uniform(0.0, 1.0, (k, 1)) * pert
-        planar_g = np.vstack([np.zeros(2 * n), np.cumsum(vels * np.diff(knots)[:, None], axis=0)])
-        g = curves.HorizontalPath(knots, planar_g, 0.0)
-        h = curves.line_path(np.zeros(2 * n + 1), e, 0.0, 1.0)
-        tts = rng.uniform(0.05, 1.0, 8)
-        amps.append(A)
-        times.append(tts)
-        rel.append(group.group_mul(group.group_inv(g.eval(tts)), h.eval(tts)))
-    ups = metric.cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), -1)
-    margins = (c_a * np.sqrt(amps))[:, None] * np.stack(times) - ups
+    k = 6
+    amps, e, times = np.empty(100), np.empty((100, 2 * n)), np.empty((100, 8))
+    pert, amp = np.empty((100, k, 2 * n)), np.empty((100, k, 1))
+    for i in range(100):  # one trial at a time, so the stream is the per-trial one
+        amps[i] = 10.0 ** rng.uniform(-3, 0)  # Python's pow, which rounds apart from numpy's
+        e[i] = rng.standard_normal(2 * n)
+        e[i] /= np.linalg.norm(e[i])  # a 1-D norm rounds apart from a row-wise one
+        pert[i] = rng.standard_normal((k, 2 * n))
+        amp[i] = rng.uniform(0.0, 1.0, (k, 1))
+        times[i] = rng.uniform(0.05, 1.0, 8)
+    knots = np.broadcast_to(np.linspace(0.0, 1.0, k + 1), (100, k + 1))
+    pert /= np.linalg.norm(pert, axis=-1, keepdims=True)
+    vels = e[:, None, :] + amps[:, None, None] * amp * pert
+    planar_g = np.zeros((100, k + 1, 2 * n))
+    np.cumsum(vels * np.diff(knots)[:, :, None], axis=-2, out=planar_g[:, 1:])
+    g = curves.PathBatch.lift(knots, planar_g, np.zeros(100))
+    h = curves.PathBatch.lift(*curves._line_knots(np.zeros((100, 2 * n + 1)), e, np.zeros(100), np.ones(100)))
+    rel = group.group_mul(group.group_inv(g.eval(times)), h.eval(times))
+    ups = metric.cc_upper_value_batch(rel.reshape(-1, 2 * n + 1)).reshape(100, -1)
+    margins = (c_a * np.sqrt(amps))[:, None] * times - ups
     ledger.count(np.count_nonzero(margins < -1e-9))
     ledger.margin(margins)
     return trials, {"c_angle_per_seed": fits, "c_angle": c_a}

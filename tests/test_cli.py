@@ -235,6 +235,53 @@ def test_report_reemission_reports_bad_input_as_a_usage_error(runner, tmp_path, 
     assert message in out.output and "Traceback" not in out.output and not second.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a report is a JSON object, got list"),
+    ('{"suites": [5]}', "'suites' must be a list of suite records"),
+    ('{"suites": {"suite": "lift"}}', "'suites' must be a list of suite records"),
+    ('{"suites": [], "config": [1]}', "'config' must be a JSON object"),
+], ids=["array", "record-not-object", "suites-not-list", "config-not-object"])
+def test_report_reports_wrong_shaped_input_as_a_usage_error(runner, tmp_path, text, message):
+    # the first two raised AttributeError and TypeError tracebacks (exit 1)
+    first = tmp_path / "first.json"
+    first.write_text(text)
+    second = tmp_path / "second.json"
+    out = runner.invoke(main, ["report", "--from", str(first), "--out", str(second)])
+    assert out.exit_code == 2
+    assert message in out.output and "Traceback" not in out.output and not second.exists()
+
+
+def _writing_commands(tmp_path):
+    """Each command that writes a file, as arguments before --out, with valid input otherwise."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"suites": [
+        {"suite": "lift", "trials": 1, "failures": 0, "worst_margin": 1.0, "seed": 0}]}))
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"x": [0, 0, 0], "y": [0, 0, 1]}\n')
+    return {
+        "verify": ["verify", "--suite", "group"],
+        "report": ["report", "--from", str(report)],
+        "dist": ["dist", "--batch", str(batch)],
+        "curve gamma-y": ["curve", "gamma-y", "--y", "[1,0,1]"],
+        "curve modify": ["curve", "modify", "--x", "[0,0,0]", "--u", "[0,0.5,0]", "--direction", "[1,0]",
+                         "--r", "1e-6", "--delta", "1e-5", "--eta", "0.1"],
+        "uds build": ["uds", "build", "--max-lines", "8", "--depth", "2"],
+        "maximize": ["maximize"],
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "report", "dist", "curve gamma-y", "curve modify", "uds build", "maximize"])
+def test_an_out_in_a_missing_directory_is_a_usage_error(runner, tmp_path, monkeypatch, command):
+    # each ran its job and then raised FileNotFoundError (exit 1); now the
+    # path is refused while the command line is parsed, before any work
+    monkeypatch.setattr(suites, "run_suite", lambda *a, **k: pytest.fail("the battery ran"))
+    dst = tmp_path / "missing" / "out.json"
+    out = runner.invoke(main, [*_writing_commands(tmp_path)[command], "--out", str(dst)])
+    assert out.exit_code == 2
+    assert str(dst) in out.output and "does not exist" in out.output
+    assert "Traceback" not in out.output and not dst.parent.exists()
+
+
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(seed=123, trials=50, n_values=(1,))
     path = tmp_path / "config.json"

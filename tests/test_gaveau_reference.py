@@ -185,3 +185,29 @@ def test_fitted_start_is_within_its_bound_of_the_root(steep, ratios, tol):
     sign = -1 if steep else 1
     for r, t in zip(ratios, start):
         assert sign * _gaveau_F(t * (1.0 - tol), r, steep) < 0 < sign * _gaveau_F(t * (1.0 + tol), r, steep), r
+
+
+def _ref_gaveau_start(r, steep):
+    # the fitted start summed by np.polyval, as it stood before the sum was written out
+    if steep:
+        base = 2.0 * math.pi / (1.0 + np.sqrt(1.0 + 4.0 * math.pi * r))
+        return base * np.polyval(metric._STEEP_START, 1.0 / np.sqrt(r)), base * (1.0 - metric._ROOM), 0.5 * math.pi
+    return r * np.polyval(metric._SHALLOW_START, r * r), r, np.minimum(1.5 * r, 0.5 * math.pi) * (1.0 + metric._ROOM)
+
+
+@pytest.mark.parametrize("steep", [False, True])
+def test_fitted_start_is_np_polyval_on_arrays_and_on_floats(steep):
+    # the witness calls it on one float, the closed form on arrays of rows
+    rng = np.random.default_rng(17)
+    side = np.array([r for r in SPECIAL_RATIOS if (r > 0.5 * math.pi) == steep])
+    if steep:
+        ratios = np.concatenate([0.5 * math.pi * 2.0 ** rng.uniform(0.0, 110.0, 3000), side])
+    else:
+        ratios = np.concatenate([2.0 ** rng.uniform(-40.0, math.log2(0.5 * math.pi), 3000), side])
+    got, want = metric._gaveau_start(ratios, steep), _ref_gaveau_start(ratios, steep)
+    for g, w in zip(got, want):
+        assert np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+    for i, r in enumerate(ratios.tolist()):
+        one, ref = metric._gaveau_start(r, steep), _ref_gaveau_start(r, steep)
+        for g, w, col in zip(one, ref, got):
+            assert float(g).hex() == float(w).hex() == float(np.broadcast_to(col, ratios.shape)[i]).hex(), r

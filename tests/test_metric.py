@@ -292,9 +292,15 @@ def test_bracket_dilation_homogeneity(pair, sixteenths):
 
 
 def test_cc_bounds_raises_on_an_inconsistent_lower_bound(monkeypatch):
-    # a lower bound above the witness length is a defect, not something to clip
-    true_lower = metric.cc_lower
-    monkeypatch.setattr(metric, "cc_lower", lambda x, y: 2.0 * true_lower(x, y))
+    # a lower bound above the witness length is a defect, not something to clip;
+    # cc_bounds reads its lower end off cc_upper's route
+    true_upper = metric.cc_upper
+
+    def doubled_lower(x, y):
+        route = true_upper(x, y)
+        return metric._Upper(*route, 2.0 * route.lower)
+
+    monkeypatch.setattr(metric, "cc_upper", doubled_lower)
     with pytest.raises(ValueError, match="exceeds upper bound"):
         cc_bounds(ORIGIN, np.array([0.37, 0.0, 0.0]))
 

@@ -1,8 +1,10 @@
-"""The batched ``newcurveg`` and ``welldefined`` suites against their per-trial loops.
+"""The batched suites against their per-trial loops.
 
-``_ref_newcurveg`` and ``_ref_welldefined`` keep the loops that build one
-path per trial.  The batched suites must report the same failures, the
-same worst margin to the bit and the same details.
+``_ref_newcurveg``, ``_ref_welldefined``, ``_ref_lipschitzhorizontal`` and
+``_ref_closedirection`` keep the loops that build one path per trial, and
+``_ref_horizontaldistances`` the loop that builds one pair per trial.  The
+batched suites must report the same failures, the same worst margin to the
+bit and the same details.
 """
 
 import math
@@ -124,7 +126,124 @@ def _ref_newcurveg(cfg, seed, ledger):
     }
 
 
-REFERENCES = {"newcurveg": _ref_newcurveg, "welldefined": _ref_welldefined}
+def _ref_horizontaldistances(cfg, seed, ledger):
+    rng = np.random.default_rng(seed)
+    trials = cfg.count(1000)
+    tol = 1e-9
+    for n in cfg.n_values:
+        for _ in range(trials // len(cfg.n_values)):
+            x = 2.0 * rng.standard_normal(2 * n + 1)
+            e = rng.standard_normal(2 * n)
+            w = float(np.linalg.norm(e))
+            t = float(rng.uniform(-2.0, 2.0))
+            y = x + t * group.vector_at(e, x)
+            b = metric.cc_bounds(x, y)
+            target = abs(t) * w
+            err = max(abs(b.lower - target), abs(b.upper - target))
+            ledger.check(tol - err)
+    return trials, {"tol": tol}
+
+
+def _ref_lipschitzhorizontal(cfg, seed, ledger):
+    rng = np.random.default_rng(seed)
+    trials = cfg.count(200)
+    for n in cfg.n_values:
+        for _ in range(trials // len(cfg.n_values)):
+            k = int(rng.integers(3, 8))
+            planar = np.cumsum(rng.standard_normal((k, 2 * n)), axis=0)
+            base = np.concatenate([planar[0], [rng.standard_normal()]])
+            path = curves.lift_planar(planar, base)
+            lip = curves.lipschitz_constant(path)
+            ts = np.sort(rng.uniform(path.t_min, path.t_max, 12))
+            pts = path.eval(ts)
+            gaps = np.diff(ts)
+            apart = gaps > 1e-12
+            lo = metric.cc_lower_batch(pts[:-1][apart], pts[1:][apart])
+            ledger.check(lip * gaps[apart] * (1.0 + 1e-9) + 1e-12 - lo)
+            speeds = path.segment_speeds()
+            j = int(np.argmax(speeds))
+            ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
+            tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
+            attain = metric.cc_lower(path.eval(ta), path.eval(tb)) / (tb - ta)
+            ledger.check(attain - lip * (1.0 - 1e-9))
+            g = 2.0 * rng.standard_normal(2 * n + 1)
+            moved = path.left_translate(g)
+            dlen = abs(curves.horizontal_length(moved) - curves.horizontal_length(path))
+            dlip = abs(curves.lipschitz_constant(moved) - lip)
+            err = max(dlen, dlip) / (1.0 + lip)
+            ledger.check(1e-12 - err)
+    return trials, {}
+
+
+def _ref_angle_fit(trials, seed, n=1):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-1.0, 1.0, 33)
+    ts = ts[ts != 0.0]
+    rel, scales = [], []
+    for _ in range(trials):
+        A = 10.0 ** rng.uniform(-4, 0)
+        h_dir = rng.standard_normal(2 * n)
+        h_dir /= np.linalg.norm(h_dir)
+        pert = rng.standard_normal(2 * n)
+        pert -= (pert @ h_dir) * h_dir
+        norm = np.linalg.norm(pert)
+        if norm == 0.0:
+            continue
+        g_dir = h_dir + A * pert / norm
+        g_dir /= np.linalg.norm(g_dir)
+        offset = float(np.linalg.norm(g_dir - h_dir))
+        if offset == 0.0:
+            continue
+        ga = ts[:, None] * group.horizontal_point(g_dir)
+        ha = ts[:, None] * group.horizontal_point(h_dir)
+        rel.append(group.group_mul(group.group_inv(ga), ha))
+        scales.append(math.sqrt(min(offset, 1.0)) * np.abs(ts))
+    c_fit = 1.0
+    if rel:
+        ups = metric.cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), len(ts))
+        c_fit = max(c_fit, float(np.max(ups / np.stack(scales))))
+    return c_fit
+
+
+def _ref_closedirection(cfg, seed, ledger):
+    trials = cfg.count(1000)
+    fits = [_ref_angle_fit(trials // 3, seed + rep_i, n=cfg.n_values[0]) for rep_i in range(3)]
+    c_a = max(fits)
+    spread = (max(fits) - min(fits)) / max(fits)
+    ledger.check(0.10 - spread)
+    rng = np.random.default_rng(seed + 99)
+    n = cfg.n_values[0]
+    amps, times, rel = [], [], []
+    for _ in range(100):
+        A = 10.0 ** rng.uniform(-3, 0)
+        e = rng.standard_normal(2 * n)
+        e /= np.linalg.norm(e)
+        k = 6
+        knots = np.linspace(0.0, 1.0, k + 1)
+        pert = rng.standard_normal((k, 2 * n))
+        pert /= np.linalg.norm(pert, axis=1, keepdims=True)
+        vels = e[None, :] + A * rng.uniform(0.0, 1.0, (k, 1)) * pert
+        planar_g = np.vstack([np.zeros(2 * n), np.cumsum(vels * np.diff(knots)[:, None], axis=0)])
+        g = curves.HorizontalPath(knots, planar_g, 0.0)
+        h = curves.line_path(np.zeros(2 * n + 1), e, 0.0, 1.0)
+        tts = rng.uniform(0.05, 1.0, 8)
+        amps.append(A)
+        times.append(tts)
+        rel.append(group.group_mul(group.group_inv(g.eval(tts)), h.eval(tts)))
+    ups = metric.cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), -1)
+    margins = (c_a * np.sqrt(amps))[:, None] * np.stack(times) - ups
+    ledger.count(np.count_nonzero(margins < -1e-9))
+    ledger.margin(margins)
+    return trials, {"c_angle_per_seed": fits, "c_angle": c_a}
+
+
+REFERENCES = {
+    "closedirection": _ref_closedirection,
+    "horizontaldistances": _ref_horizontaldistances,
+    "lipschitzhorizontal": _ref_lipschitzhorizontal,
+    "newcurveg": _ref_newcurveg,
+    "welldefined": _ref_welldefined,
+}
 
 
 def _summary(result):
@@ -151,6 +270,32 @@ def test_batched_suite_is_the_per_trial_loop(monkeypatch, name, seed):
 def test_batched_suite_is_the_per_trial_loop_at_other_configs(monkeypatch, name, cfg):
     for seed in (0, 5):
         _assert_same(monkeypatch, name, cfg, seed)
+
+
+def _every_margin(monkeypatch, name, cfg, seed, suite):
+    """Every margin entry the suite states to its ledger, sorted."""
+    seen = []
+    record = suites._Ledger.margin
+
+    def margin(self, value):
+        seen.append(np.ravel(np.asarray(value, dtype=float)))
+        record(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites._Ledger, "margin", margin)
+        patch.setitem(suites.SUITES, name, suite)
+        run_suite(name, cfg, seed=seed)
+    return np.sort(np.concatenate(seen))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_suite_checks_every_margin_of_the_per_trial_loop(monkeypatch, name, seed):
+    # the worst margin shows only the binding check; every entry must match
+    cfg = RunConfig(n_values=(1, 2, 3))
+    got = _every_margin(monkeypatch, name, cfg, seed, suites.SUITES[name])
+    want = _every_margin(monkeypatch, name, cfg, seed, REFERENCES[name])
+    assert got.tobytes() == want.tobytes()
 
 
 def _random_modifications(rng, m, n):

@@ -17,7 +17,7 @@ import pytest
 
 from hcalc.curves import HorizontalPath
 from hcalc.group import group_inv, group_mul
-from hcalc.metric import _chain_area_coeff_scalar, _gaveau_start, cc_bounds
+from hcalc.metric import _chain_area_coeff_scalar, _gaveau_start, cc_bounds, cc_lower
 
 # -- the reference ----------------------------------------------------------------
 
@@ -196,6 +196,18 @@ def test_bracket_and_witness_bits_match_the_reference(n, shape):
         assert w.planar.tobytes() == planar.tobytes()
         assert w.c0.hex() == c0.hex()
         assert np.ascontiguousarray(w.heights).tobytes() == heights.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_bracket_lower_end_is_cc_lower(n, shape):
+    # cc_bounds reads the lower end off its route's x^-1 y, D and c
+    rng = np.random.default_rng([n, list(SHAPES).index(shape), 7])
+    x, y = _pairs(rng, n, shape, 32)
+    x[:4] = [np.full(2 * n + 1, v) for v in (0.0, -0.0, 1e-162, 1e150)]
+    y[:4] = x[:4] + rng.uniform(-1.0, 1.0, (4, 2 * n + 1)) * np.array([[1.0], [1.0], [1e-162], [1e150]])
+    for xi, yi in list(zip(x, y)) + [(x[0], x[0].copy())]:
+        assert cc_bounds(xi, yi).lower.hex() == cc_lower(xi, yi).hex()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
