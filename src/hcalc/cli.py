@@ -283,6 +283,17 @@ def maximize(config_path, out_path):
     sys.exit(0 if report["clean"] else 1)
 
 
+# the fields of a suite record, their JSON types (a bool is none of them) and
+# their names in a usage error
+_RECORD_FIELDS = {
+    "suite": (str, "a string"),
+    "trials": (int, "an integer"),
+    "failures": (int, "an integer"),
+    "worst_margin": ((int, float), "a number"),
+    "seed": (int, "an integer"),
+}
+
+
 @main.command()
 @click.option("--from", "from_path", type=click.Path(exists=True), required=True,
               help="Existing report JSON.")
@@ -291,9 +302,10 @@ def report(from_path, out_path):
     """Re-emit a report (and its CSV sidecars) from an existing report file.
 
     Malformed JSON, input that is not a JSON object, a ``suites`` entry
-    that is not a list of objects, a suite record missing a field and a
-    config block that is not an object or names a field ``RunConfig`` does
-    not have are usage errors (exit 2).
+    that is not a list of objects, a suite record missing a field or
+    holding one of the wrong type, and a config block that is not an
+    object or names a field ``RunConfig`` does not have are usage errors
+    (exit 2).
     """
     with _usage_errors():
         with open(from_path) as fh:
@@ -305,17 +317,17 @@ def report(from_path, out_path):
             raise ValueError("'suites' must be a list of suite records (JSON objects)")
         if data.get("config") and not isinstance(data["config"], dict):
             raise ValueError("'config' must be a JSON object")
-        try:
-            results = [
-                suites.SuiteResult(
-                    suite=rec["suite"], trials=rec["trials"], failures=rec["failures"],
-                    worst_margin=rec["worst_margin"], seed=rec["seed"], wall_time_s=0.0,
-                    details=rec.get("details", {}),
-                )
-                for rec in records
-            ]
-        except KeyError as exc:
-            raise ValueError(f"a suite record has no {exc.args[0]!r} field") from exc
+        for rec in records:
+            for name, (kinds, what) in _RECORD_FIELDS.items():
+                if name not in rec:
+                    raise ValueError(f"a suite record has no {name!r} field")
+                if isinstance(rec[name], bool) or not isinstance(rec[name], kinds):
+                    raise ValueError(f"a suite record's {name!r} must be {what}, got {json.dumps(rec[name])}")
+        results = [
+            suites.SuiteResult(**{name: rec[name] for name in _RECORD_FIELDS}, wall_time_s=0.0,
+                               details=rec.get("details", {}))
+            for rec in records
+        ]
         cfg = suites.RunConfig.from_json(data["config"]) if data.get("config") else None
     if not results:
         raise click.ClickException("no suite records in the input report")

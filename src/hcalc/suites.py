@@ -22,8 +22,9 @@ nor moves the worst margin.
 random stream is the one of a loop that builds one curve per trial, and
 then check each dimension's trials as one batch (``lipschitzhorizontal``
 one batch per knot count).  Each trial keeps the bits of its own curve.
-``horizontaldistances`` checks each bracket's witness, so its brackets
-stay one pair at a time.
+``horizontaldistances`` brackets its pairs without witnesses: the lower
+end is :func:`metric.cc_lower`'s and the upper end the certified closed
+form, one batched call each per dimension.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ def suite_horizontaldistances(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
             e[i] = rng.standard_normal(2 * n)
             t[i] = rng.uniform(-2.0, 2.0)
         y = x + t[:, None] * group.vector_at(e, x)
-        # each bracket's witness is checked, so the pairs go one at a time
-        ends = np.array([(b.lower, b.upper) for b in map(metric.cc_bounds, x, y)]).reshape(m, 2)
+        # cc_lower's bits below, the certified closed form above: no witness
+        upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y))
+        ends = np.stack([metric.cc_lower_batch(x, y), upper], axis=-1)
         # |t| omega(E), with a 1-D norm per trial: it rounds apart from a row-wise one
         target = np.abs(t) * np.array([np.linalg.norm(ei) for ei in e])
         ledger.check(tol - np.max(np.abs(ends - target[:, None]), axis=-1))
@@ -889,11 +891,16 @@ def suite_uds(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     near += rng.normal(scale=10.0 ** rng.uniform(-6, -1, (len(near), 1)), size=near.shape)
     pts = np.vstack([pts_far, np.clip(near, -9.9, 9.9)])
     d = cover.upper_distances(pts, needed=cover.radii(1))
+    # the inf entries, pairs never refined, are within no radius
+    pi, li = np.nonzero(np.isfinite(d))
+    dist = d[pi, li]
     members = np.ones(len(pts), dtype=bool)
     prev_count = len(pts)
     per_level = []
     for k in range(1, cover.depth + 1):
-        members = members & np.any(d <= cover.radii(k)[None, :], axis=1)
+        within = np.zeros(len(pts), dtype=bool)
+        within[pi[dist <= cover.radii(k)[li]]] = True
+        members &= within
         count = int(np.sum(members))
         ledger.count(count > prev_count)
         per_level.append(count)

@@ -17,9 +17,11 @@ those pairs: the query points are sorted along a Z-order cell grid into
 groups of at most 16, each inside a ball, and only the pairs of a group
 whose ball comes within reach of a segment are tested point by point, a
 bounded number of pairs at a time (see :meth:`Cover.upper_distances`).
-Membership then needs only one pair per point within its radius, so the
-pairs of a point that the grid scan of the refinement already places
-inside a tube skip the golden section.
+Membership then drops the pairs whose relative height, affine along the
+line, stays above the squared radius wherever the projection could be
+within it (see :meth:`Cover._may_reach`), and needs only one pair per point
+within its radius, so the pairs of a point that the grid scan of the
+refinement already places inside a tube skip the golden section.
 
 The volume bound covers the tube of line i, of length L_i and radius
 r_i = c 2^-(i+1), by L_i / r_i + 1 metric balls of radius 1.5 r_i, each of
@@ -622,6 +624,58 @@ class Cover:
         best[refine] = np.minimum(best[refine], np.minimum(fc, fd))
         return best
 
+    def _may_reach(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Per (point, line) pair: False where a lower bound of the distance
+        puts the point outside its tube, so that no value :meth:`_refine_pairs`
+        takes along the segment is within ``radii[li]``.
+
+        For x(t) = b + t v and the point p, z(t) = x(t)^-1 p has projection
+        P(t) = p - b - t h (h the direction) and, by the group law, the
+        height C(t) = C0 + t C1 with C0 = p_c - b_c + 2 w(b, p) and
+        C1 = -v_c + 2 w(h, p), where w(u, y) = <u_a, y_b> - <u_b, y_a> on the
+        projections.  The quick bound of z is at least max(|P|, sqrt|C|): its
+        split route is |P| + sqrt(pi |C|) and its two-leg route
+        sqrt(|P|^2 + C^2 / |P|^2) >= sqrt(2 |C|), margins of sqrt(2) and
+        sqrt(pi) over sqrt|C| that its own rounding does not use up.  As
+        |P(t)| >= |h| |t - t_c|, t_c the parameter nearest p, a value within
+        rho needs some t in W = [t0, t1] and [t_c - rho / |h|, t_c + rho / |h|]
+        with |C(t)| <= rho^2.  C is affine, so the least |C| on W is at an end
+        of W, or 0 where C changes sign.  The pair is dropped where W is empty,
+        or where C has one sign at both ends and exceeds rho^2 there.
+
+        Slack, in the style of :meth:`upper_distances`' stage 2: with
+        T = max(|t0|, |t1|) and S = 1e-100 + rho + |p| + |b| + T |h| +
+        sqrt|p_c| + sqrt|b_c| (|p| and |b| of the projections), every term
+        of a height computed here or by :meth:`_refine_pairs` at a parameter
+        of the segment is at most S^2, and so is |C1| times the rounding of
+        a window end or of a parameter of the refinement.  Each side rounds
+        within 20 (2n + 4) units of 2^-53 times S^2 on the height, and times
+        S on |P|; W is widened to (rho + 1e-12 S) / |h| and the height bound
+        is rho^2 + 1e-12 S^2, about 9,000 units, so for every n below 200 no
+        pair whose refinement could meet its radius is dropped.  The floor
+        1e-100 keeps the slack above the absolute error of squares that
+        underflow.  A NaN from overflowing products keeps the pair.
+        """
+        n, p, b, v, rho = self.n, pts[pi], self._bases[li], self._vecs[li], radii[li]
+        pp, bp, h = p[:, :-1], b[:, :-1], v[:, :-1]
+        t0, t1 = self.spans[li, 0], self.spans[li, 1]
+
+        def w(u, y):
+            return _row_sums(u[:, :n] * y[:, n:]) - _row_sums(u[:, n:] * y[:, :n])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0 = p[:, -1] - b[:, -1] + 2.0 * w(bp, pp)
+            c1 = 2.0 * w(h, pp) - v[:, -1]
+            hn = np.sqrt(_row_sums(h * h))
+            s = (1e-100 + rho + np.sqrt(_row_sums(pp * pp)) + np.sqrt(_row_sums(bp * bp))
+                 + np.maximum(np.abs(t0), np.abs(t1)) * hn + np.sqrt(np.abs(p[:, -1])) + np.sqrt(np.abs(b[:, -1])))
+            tc = _row_sums((pp - bp) * h) / (hn * hn)
+            half = (rho + 1e-12 * s) / hn
+            w0, w1 = np.maximum(t0, tc - half), np.minimum(t1, tc + half)
+            e0, e1 = c0 + w0 * c1, c0 + w1 * c1
+            out = (w0 > w1) | ((e0 * e1 > 0.0) & (np.minimum(np.abs(e0), np.abs(e1)) > rho * rho + 1e-12 * s * s))
+        return ~out
+
     def upper_distances(self, pts: np.ndarray, needed: np.ndarray, slack: Optional[float] = None) -> np.ndarray:
         """Per (point, line) upper distance, ``inf`` where no pair was refined.
 
@@ -714,14 +768,19 @@ class Cover:
 
         Radii never grow with the level, so this is membership at every level
         up to ``level`` (see the module docstring).  The pairs of
-        :meth:`upper_distances` at the level's radii reduce straight into the
-        membership vector, with no dense (points, lines) matrix.
+        :meth:`upper_distances` at the level's radii that :meth:`_may_reach`
+        keeps, those a height lower bound does not put outside their tube,
+        are refined and reduce straight into the membership vector, with no
+        dense (points, lines) matrix.  The dropped pairs could not have met
+        their radius, so membership is what refining every pair gives.
         """
         self._check_level(level)
         pts = self._query_points(pts)
         radii = self.radii(level)
         member = np.zeros(len(pts), dtype=bool)
         pi, li = self._candidate_pairs(pts, radii)
+        reach = self._may_reach(pts, pi, li, radii)
+        pi, li = pi[reach], li[reach]
         if len(pi):
             member[pi[self._refine_pairs(pts, pi, li, settle=radii) <= radii[li]]] = True
         return member

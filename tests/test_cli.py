@@ -235,6 +235,35 @@ def test_report_reemission_reports_bad_input_as_a_usage_error(runner, tmp_path, 
     assert message in out.output and "Traceback" not in out.output and not second.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("worst_margin", "x", "'worst_margin' must be a number, got \"x\""),
+    ("worst_margin", True, "'worst_margin' must be a number, got true"),
+    ("failures", "0", "'failures' must be an integer, got \"0\""),
+    ("failures", 0.0, "'failures' must be an integer, got 0.0"),
+    ("trials", False, "'trials' must be an integer, got false"),
+    ("seed", [1], "'seed' must be an integer, got [1]"),
+    ("suite", 7, "'suite' must be a string, got 7"),
+])
+def test_report_reports_a_wrongly_typed_record_field_as_a_usage_error(runner, tmp_path, field, value, message):
+    # a string worst_margin raised a TypeError traceback (exit 1), and a
+    # string failures count was read as a failing suite
+    record = {"suite": "lift", "trials": 1, "failures": 0, "worst_margin": 1.0, "seed": 0, field: value}
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({"suites": [record]}))
+    second = tmp_path / "second.json"
+    out = runner.invoke(main, ["report", "--from", str(first), "--out", str(second)])
+    assert out.exit_code == 2
+    assert message in out.output and "Traceback" not in out.output and not second.exists()
+
+
+def test_report_keeps_an_infinite_worst_margin(runner, tmp_path):
+    first = tmp_path / "first.json"
+    first.write_text('{"suites": [{"suite": "lift", "trials": 1, "failures": 0, "worst_margin": Infinity, "seed": 0}]}')
+    out = runner.invoke(main, ["report", "--from", str(first), "--out", str(tmp_path / "second.json")])
+    assert out.exit_code == 0, out.output
+    assert "aggregate: FAIL" in out.output  # a suite without a finite margin does not pass
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "a report is a JSON object, got list"),
     ('{"suites": [5]}', "'suites' must be a list of suite records"),

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcalc import metric
+from hcalc import metric, suites
 from hcalc.curves import HorizontalPath, gamma_y, horizontal_length
 from hcalc.calculus import sample_unit_ball
-from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, vertical
+from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, vector_at, vertical
 from hcalc.metric import (
     _arc_witness,
     Ball,
@@ -50,6 +50,25 @@ def test_bracket_collapses_on_horizontal_lines():
     b = cc_bounds(x, y)
     assert b.lower == pytest.approx(0.37, abs=1e-12)
     assert b.upper == pytest.approx(0.37, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [0, 3])
+def test_witness_brackets_collapse_on_the_horizontaldistances_pairs(base):
+    # the pairs of the horizontaldistances suite at this base seed, drawn by
+    # its per-trial loop and bracketed one at a time with a witness: both
+    # ends within criterion 3's 1e-9 of |t| omega(E).  cc_bounds builds a
+    # DistanceBounds, which checks each witness's length against the upper end.
+    cfg = suites.RunConfig(seed=base, n_values=(1, 2, 3))
+    rng = np.random.default_rng(suites.run_suite("horizontaldistances", cfg).seed)
+    for n in cfg.n_values:
+        for _ in range(1000 // len(cfg.n_values)):
+            x = 2.0 * rng.standard_normal(2 * n + 1)
+            e = rng.standard_normal(2 * n)
+            t = float(rng.uniform(-2.0, 2.0))
+            b = cc_bounds(x, x + t * vector_at(e, x))
+            target = abs(t) * float(np.linalg.norm(e))
+            assert b.witness is not None
+            assert abs(b.lower - target) <= 1e-9 and abs(b.upper - target) <= 1e-9, (n, t, b)
 
 
 def test_bracket_ordering_and_witness():

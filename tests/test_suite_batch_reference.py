@@ -2,7 +2,7 @@
 
 ``_ref_newcurveg``, ``_ref_welldefined``, ``_ref_lipschitzhorizontal`` and
 ``_ref_closedirection`` keep the loops that build one path per trial, and
-``_ref_horizontaldistances`` the loop that builds one pair per trial.  The
+``_ref_horizontaldistances`` the loop that brackets one pair per trial.  The
 batched suites must report the same failures, the same worst margin to the
 bit and the same details.
 """
@@ -137,9 +137,10 @@ def _ref_horizontaldistances(cfg, seed, ledger):
             w = float(np.linalg.norm(e))
             t = float(rng.uniform(-2.0, 2.0))
             y = x + t * group.vector_at(e, x)
-            b = metric.cc_bounds(x, y)
+            lower = metric.cc_lower(x, y)
+            upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y)[None])[0]
             target = abs(t) * w
-            err = max(abs(b.lower - target), abs(b.upper - target))
+            err = max(abs(lower - target), abs(upper - target))
             ledger.check(tol - err)
     return trials, {"tol": tol}
 

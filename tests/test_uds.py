@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hcalc import uds
 from hcalc.curves import ModifyLineParams, gamma_y, modify_line
+from hcalc.group import group_mul
 from hcalc.uds import (
     Box,
     Cover,
@@ -509,6 +510,26 @@ def _random_and_near_line_points(cover, rng, count):
     return np.vstack([rng.uniform(-3.0, 3.0, (count, dim)), near])
 
 
+def _prune_boundary_points(cover, level, rng):
+    """Points x(t) w, x(t) on a line and w = (d u, s) with u a unit vector
+    normal to the line's direction: at t, the relative point is w itself.
+    Heights s = +-rho^2 within 3 ulps, at d = 0 and rho / 2, meet the
+    prune's height bound; d = rho within 3 ulps, at s = 0 and +-rho^2 / 4,
+    puts the point on the planar rim, where only t itself is within rho."""
+    dim, radii = 2 * cover.n + 1, cover.radii(level)
+    ulps = 1.0 + np.arange(-3, 4) * 2.0**-52
+    pts = []
+    for i, rho in enumerate(radii):
+        h = cover._vecs[i, :-1]
+        for d, s in [*product((0.0, 0.5 * rho), rho * rho * np.concatenate([ulps, -ulps])),
+                     *product(rho * ulps, (0.0, 0.25 * rho * rho, -0.25 * rho * rho))]:
+            u = rng.standard_normal(dim - 1)
+            u -= (u @ h) / (h @ h) * h
+            x = cover._bases[i] + rng.uniform(*cover.spans[i]) * cover._vecs[i]
+            pts.append(group_mul(x, np.append(d * u / np.linalg.norm(u), s)))
+    return np.array(pts)
+
+
 def _contains_per_level_reference(cover, pts, level):
     """Reference: distances refined at the level-1 radii, one test per level."""
     d = cover.upper_distances(pts, needed=cover.radii(1))
@@ -611,6 +632,31 @@ class TestCoverInternals:
             got = cover.contains_batch(pts, level)
             assert np.array_equal(got, _contains_per_level_reference(cover, pts, level))
         assert cover.contains_batch(pts[:0], 1).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_height_prune_keeps_membership_at_its_boundaries(self, n):
+        cover = Cover.build(n=n, height=2, depth=12, max_lines=48)
+        rng = np.random.default_rng(40 + n)
+        clouds = _finder_clouds(cover, rng)
+        for level in (1, 6, 12):
+            pts = np.vstack([_prune_boundary_points(cover, level, rng), clouds["on the rim"], clouds["huge"]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = cover.contains_batch(pts, level)
+                assert np.array_equal(got, _contains_per_level_reference(cover, pts, level)), level
+                # the cloud has pairs on both sides of the prune, and points on both sides of the tubes
+                pi, li = cover._candidate_pairs(pts, cover.radii(level))
+                reach = cover._may_reach(pts, pi, li, cover.radii(level))
+            assert reach.any() and not reach.all() and got.any() and not got.all(), level
+
+    def test_height_prune_drops_nearly_every_monte_carlo_pair(self):
+        # the uds suite's cover and Monte-Carlo query: without the prune every
+        # candidate pair would take the golden section
+        cover = Cover.build(n=1, max_lines=96)
+        pts = Box.cube(2.0, 1).sample(np.random.default_rng(0), 100_000)
+        radii = cover.radii(6)
+        pi, li = cover._candidate_pairs(pts, radii)
+        kept = int(np.sum(cover._may_reach(pts, pi, li, radii)))
+        assert len(pi) >= 1000 and kept <= 0.01 * len(pi), (kept, len(pi))
 
     def test_volume_bound_is_the_exact_bound_rounded_up(self, benchmark_covers):
         pi_up = Fraction(math.nextafter(math.pi, math.inf))
