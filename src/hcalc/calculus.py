@@ -459,8 +459,13 @@ class MeanValueInstance:
         self.grid = np.asarray(self.grid, dtype=float)
         self.phi = np.asarray(self.phi, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
+        if len(self.grid) < 9:
+            raise ValueError("grid must be uniform with at least 9 points")
         h = np.diff(self.grid)
-        if len(self.grid) < 9 or not np.allclose(h, h[0], rtol=1e-9):
+        if not (math.isfinite(h[0]) and h[0] != 0.0):
+            raise ValueError(f"grid step must be finite and nonzero, got {h[0]}")
+        # relative only: every step within 1e-9 of the first, whatever its size
+        if not np.all(np.abs(h - h[0]) <= 1e-9 * abs(h[0])):
             raise ValueError("grid must be uniform with at least 9 points")
         if self.phi.shape != self.grid.shape or self.psi.shape != self.grid.shape:
             raise ValueError("phi and psi must be sampled on the grid")
@@ -476,12 +481,27 @@ class MeanValueInstance:
         return i
 
 
-def _central_diff(vals: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(vals)
-    d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    d[0] = (vals[1] - vals[0]) / h
-    d[-1] = (vals[-1] - vals[-2]) / h
-    return d
+def _window(grid: np.ndarray, bound: float, closed: bool) -> tuple:
+    """``(start, stop)`` with ``grid[start:stop]`` the points g of a strictly
+    monotone grid with |g| <= bound (``closed``) or |g| < bound; start may
+    exceed stop, an empty window.  ``bound`` is not NaN."""
+    left, right = ("left", "right") if closed else ("right", "left")
+    if grid[0] < grid[-1]:
+        return int(np.searchsorted(grid, -bound, left)), int(np.searchsorted(grid, bound, right))
+    m, rising = len(grid), grid[::-1]
+    return m - int(np.searchsorted(rising, bound, right)), m - int(np.searchsorted(rising, -bound, left))
+
+
+def _central_diff(vals: np.ndarray, h: float, start: int, stop: int) -> np.ndarray:
+    """Central differences of ``vals`` at the indices start..stop-1, one-sided at its two ends."""
+    lo = max(start - 1, 0)
+    return np.gradient(vals[lo : stop + 1], h)[start - lo : stop - lo] if start < stop else np.empty(0)
+
+
+def _same(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """``np.allclose(a, b, rtol=0, atol=atol)``: within atol, or equal (equal infinities included)."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.all((np.abs(a - b) <= atol) | (a == b)))
 
 
 def _check_hypotheses(inst: MeanValueInstance, margin: float = 1e-9):
@@ -493,16 +513,18 @@ def _check_hypotheses(inst: MeanValueInstance, margin: float = 1e-9):
     lip_sum = float(np.max(np.abs(np.diff(inst.phi))) + np.max(np.abs(np.diff(inst.psi)))) / h
     if lip_sum > inst.L * (1.0 + 1e-9):
         raise MeanValueHypothesisError("Lip(phi) + Lip(psi) <= L", f"{lip_sum} > {inst.L}")
-    outside = np.abs(inst.grid) >= inst.s - 1e-12
-    if not np.allclose(inst.phi[outside], inst.psi[outside], rtol=0.0, atol=1e-12):
+    # the points with |g| >= s - 1e-12 are those off the open window
+    start, stop = _window(inst.grid, inst.s - 1e-12, closed=False)
+    phi, psi = inst.phi, inst.psi
+    if not (_same(phi[:start], psi[:start], 1e-12) and _same(phi[stop:], psi[stop:], 1e-12)):
         raise MeanValueHypothesisError("phi = psi outside [-s, s]")
     iz = inst.index_of(inst.zeta)
     gap = float(inst.phi[iz] - inst.psi[iz])
     if gap == 0.0:
         raise MeanValueHypothesisError("phi(zeta) != psi(zeta)")
     i0 = inst.index_of(0.0)
-    psi_p0 = float(_central_diff(inst.psi, h)[i0])
-    within = np.abs(inst.grid) <= inst.rho
+    psi_p0 = float(_central_diff(inst.psi, h, i0, i0 + 1)[0])
+    within = slice(*_window(inst.grid, inst.rho, closed=True))
     lin_err = np.abs(inst.psi[within] - inst.psi[i0] - inst.grid[within] * psi_p0)
     bound = inst.sigma * inst.L * np.abs(inst.grid[within]) + margin
     if np.any(lin_err > bound):
@@ -532,35 +554,38 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
             <= 4 (1 + 20 v) sqrt((phi'(tau) - psi'(0)) L) |t|.
 
     Candidates are tried in order of decreasing derivative; if none passes,
-    the best-derivative candidate is reported in the raised error.
+    the best-derivative candidate is reported in the raised error.  Only
+    the window |t| < s is differenced, and each increment test reads its
+    grid stretch as slices.
     """
-    exclude = exclude or set()
     gap, psi_p0, i0, iz = _check_hypotheses(inst)
-    h = inst.step
-    phi_p = _central_diff(inst.phi, h)
-    need = psi_p0 + inst.v * abs(gap) / inst.s
-    m = len(inst.grid)
-    interior = (np.abs(inst.grid) < inst.s) & (np.arange(m) != iz)
+    grid, phi, psi, m = inst.grid, inst.phi, inst.psi, len(inst.grid)
+    start, stop = _window(grid, inst.s, closed=False)
+    stop = max(start, stop)
+    phi_p = _central_diff(phi, inst.step, start, stop)
+    interior = np.ones(stop - start, dtype=bool)
+    exclude = exclude or ()
     excluded = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-    interior[excluded[(excluded >= 0) & (excluded < m)]] = False
-    cand = np.where(interior & (phi_p >= need))[0]
+    interior[excluded[(excluded >= start) & (excluded < stop)] - start] = False
+    if start <= iz < stop:
+        interior[iz - start] = False
+    need = psi_p0 + inst.v * abs(gap) / inst.s
+    cand = np.flatnonzero(interior & (phi_p >= need))
     if len(cand) == 0:
-        raise MeanValueSearchError(float(inst.grid[int(np.argmax(np.where(interior, phi_p, -np.inf)))]),
+        # np.argmax over the whole grid, -inf off the window: index 0 unless the window beats -inf
+        j = int(np.argmax(np.concatenate([[-np.inf], np.where(interior, phi_p, -np.inf)])))
+        raise MeanValueSearchError(float(grid[start + j - 1 if j else 0]),
                                    "no grid point reaches the derivative lower bound")
     order = cand[np.argsort(-phi_p[cand])]
-    psi_rel = inst.psi - inst.psi[i0]
-    best = order[0]
-    for idx in order:
-        slope = 4.0 * (1.0 + 20.0 * inst.v) * math.sqrt((phi_p[idx] - psi_p0) * inst.L)
-        # align phi(tau + t) with psi(t): t grid offsets shared through k
-        lo = max(0, i0 - idx)
-        hi = min(m, m + i0 - idx)
-        k = np.arange(lo, hi)
-        t_vals = inst.grid[k] - inst.grid[i0]
-        lhs = np.abs((inst.phi[k + idx - i0] - inst.phi[idx]) - psi_rel[k])
-        if np.all(lhs <= slope * np.abs(t_vals) + 1e-12):
-            return float(inst.grid[idx])
-    raise MeanValueSearchError(float(inst.grid[best]), "derivative bound reached but increment bound failed")
+    for j in order:
+        idx = start + j
+        slope = 4.0 * (1.0 + 20.0 * inst.v) * math.sqrt((phi_p[j] - psi_p0) * inst.L)
+        # align phi(tau + t) with psi(t): t = grid[k] - grid[i0] for k in lo..hi-1
+        lo, hi, shift = max(0, i0 - idx), min(m, m + i0 - idx), idx - i0
+        lhs = np.abs((phi[lo + shift : hi + shift] - phi[idx]) - (psi[lo:hi] - psi[i0]))
+        if np.all(lhs <= slope * np.abs(grid[lo:hi] - grid[i0]) + 1e-12):
+            return float(grid[idx])
+    raise MeanValueSearchError(float(grid[start + order[0]]), "derivative bound reached but increment bound failed")
 
 
 def line_increments(f: ScalarField, x: np.ndarray, direction: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ exactly "margin < 0" is one :meth:`_Ledger.check` call: every entry of
 the margin below zero counts as one failure, and its smallest entry folds
 into the worst margin.  A check whose failure test is anything else
 records its two halves apart, :meth:`_Ledger.count` for the failures and
-:meth:`_Ledger.margin` for the margin.  A NaN margin entry neither fails
-nor moves the worst margin.
+:meth:`_Ledger.margin` for the margin.  A NaN margin entry, which no
+comparison can pass, counts as one failure and leaves the worst margin
+alone, so no NaN reaches a report.
 
 ``goodcurve``, ``newcurveg``, ``welldefined``, ``lipschitzhorizontal`` and
 ``closedirection`` build their curves as batches, and
@@ -150,7 +151,7 @@ class _Ledger:
         self.worst = math.inf
 
     def check(self, margin) -> None:
-        """One failure per entry below zero; the smallest entry is a margin."""
+        """One failure per entry below zero or NaN; the smallest entry is a margin."""
         scalar = isinstance(margin, float)
         self.count(margin < 0.0 if scalar else np.count_nonzero(np.less(margin, 0.0)))
         self.margin(margin)
@@ -159,8 +160,13 @@ class _Ledger:
         self.failures += int(failures)
 
     def margin(self, margin) -> None:
-        if not isinstance(margin, float):
-            margin = np.fmin.reduce(np.ravel(margin), initial=math.inf)  # passes over NaN entries
+        """One failure per NaN entry; the smallest other entry folds into the worst margin."""
+        if isinstance(margin, float):
+            self.failures += math.isnan(margin)
+        else:
+            margin = np.ravel(margin)
+            self.failures += int(np.count_nonzero(np.isnan(margin)))
+            margin = np.fmin.reduce(margin, initial=math.inf)  # passes over NaN entries
         if margin < self.worst:  # False for NaN
             self.worst = float(margin)
 
@@ -794,10 +800,11 @@ def _mean_value_instance(rng: np.random.Generator, grid_exp: int = 14):
     grid = np.linspace(-half, half, m + 1)
     zeta = float(grid[np.argmin(np.abs(grid - rng.uniform(-0.3 * s, 0.3 * s)))])
     psi = slope * grid
-    rise = (grid + s) / (zeta + s)
-    fall = (s - grid) / (s - zeta)
-    bump = height * np.clip(np.minimum(rise, fall), 0.0, None)
-    phi = psi + np.where(np.abs(grid) >= s, 0.0, bump)
+    # the bump lives on |t| < s, and phi is psi + 0.0 elsewhere
+    inside = slice(np.searchsorted(grid, -s, "right"), np.searchsorted(grid, s, "left"))
+    t = grid[inside]
+    phi = psi + 0.0
+    phi[inside] += height * np.clip(np.minimum((t + s) / (zeta + s), (s - t) / (s - zeta)), 0.0, None)
     sigma = 0.5 * v**3 * (height / (s * L)) ** 2
     return calculus.MeanValueInstance(grid, phi, psi, s=s, zeta=zeta, rho=rho, v=v, sigma=sigma, L=L)
 
@@ -816,13 +823,12 @@ def _mean_value_verify(inst: calculus.MeanValueInstance, tau: float) -> bool:
     if phi_p < psi_p0 + inst.v * gap / inst.s - 1e-12:
         return False
     slope = 4.0 * (1.0 + 20.0 * inst.v) * math.sqrt(max(phi_p - psi_p0, 0.0) * inst.L)
-    # grid indices k with j = k + i_tau - i0 also on the grid
-    m = len(inst.grid)
-    k = np.arange(max(0, i0 - i_tau), min(m, m + i0 - i_tau))
-    j = k + (i_tau - i0)
-    t = inst.grid[k] - inst.grid[i0]
-    lhs = np.abs((inst.phi[j] - inst.phi[i_tau]) - (inst.psi[k] - inst.psi[i0]))
-    return not np.any(lhs > slope * np.abs(t) + 1e-9)
+    # grid indices k in lo..hi-1 with j = k + shift also on the grid, as slices
+    m, shift = len(inst.grid), i_tau - i0
+    lo, hi = max(0, -shift), min(m, m - shift)
+    phi, psi, grid = inst.phi, inst.psi, inst.grid
+    lhs = np.abs((phi[lo + shift : hi + shift] - phi[i_tau]) - (psi[lo:hi] - psi[i0]))
+    return not np.any(lhs > slope * np.abs(grid[lo:hi] - grid[i0]) + 1e-9)
 
 
 def suite_meanvalue(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
@@ -890,22 +896,11 @@ def suite_uds(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, dict]:
     near = cover._bases[idx] + ts[:, None] * cover._vecs[idx]
     near += rng.normal(scale=10.0 ** rng.uniform(-6, -1, (len(near), 1)), size=near.shape)
     pts = np.vstack([pts_far, np.clip(near, -9.9, 9.9)])
-    d = cover.upper_distances(pts, needed=cover.radii(1))
-    # the inf entries, pairs never refined, are within no radius
-    pi, li = np.nonzero(np.isfinite(d))
-    dist = d[pi, li]
-    members = np.ones(len(pts), dtype=bool)
-    prev_count = len(pts)
-    per_level = []
-    for k in range(1, cover.depth + 1):
-        within = np.zeros(len(pts), dtype=bool)
-        within[pi[dist <= cover.radii(k)[li]]] = True
-        members &= within
-        count = int(np.sum(members))
-        ledger.count(count > prev_count)
-        per_level.append(count)
-        prev_count = count
-    details["members_per_level"] = per_level
+    # a point in the level-k union is in every shallower one, as no radius grows with the level
+    for k in range(2, cover.depth + 1):
+        ledger.count(np.any(cover.radii(k) > cover.radii(k - 1)))
+    deepest = cover.deepest_levels(pts)
+    details["members_per_level"] = [int(np.count_nonzero(deepest >= k)) for k in range(1, cover.depth + 1)]
     # Monte-Carlo measure at a mid level agrees with the analytic bound
     level = min(6, cover.depth)
     est, (ci_lo, ci_hi) = cover.cover_measure_mc(level, uds.Box.cube(2.0, 1), 100_000, seed)

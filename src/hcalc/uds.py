@@ -21,7 +21,10 @@ Membership then drops the pairs whose relative height, affine along the
 line, stays above the squared radius wherever the projection could be
 within it (see :meth:`Cover._may_reach`), and needs only one pair per point
 within its radius, so the pairs of a point that the grid scan of the
-refinement already places inside a tube skip the golden section.
+refinement already places inside a tube skip the golden section.  The same
+route, taken once at the level-1 radii, gives every point its deepest
+level, so one query answers membership at all levels
+(:meth:`Cover.deepest_levels`).
 
 The volume bound covers the tube of line i, of length L_i and radius
 r_i = c 2^-(i+1), by L_i / r_i + 1 metric balls of radius 1.5 r_i, each of
@@ -370,7 +373,7 @@ def wilson_interval(hits: int, n: int) -> tuple:
 # Points per group of the pair finder's cell index, and the most (group or
 # point, line) pairs it tests at once.
 _CELL_POINTS = 16
-_PAIR_BLOCK = 1 << 15
+_PAIR_BLOCK = 1 << 14
 # Each level's constant is solved against this share of its volume budget 2^-k.
 _VOLUME_SAFETY = 0.99
 # 2^-1074, the least subnormal, is the last volume target that is a float.
@@ -395,7 +398,9 @@ class Cover:
     are solved against an analytic volume bound V (covering each tube by
     metric balls, see the module docstring), and every level is certified
     in exact arithmetic: V(c_k) <= 2^-k, or the build raises ``ValueError``
-    naming the level.  Depths from 1 to 1074 build.
+    naming the level.  Depths from 1 to 1074 build.  Tube membership is
+    :meth:`contains_batch` at one level and :meth:`deepest_levels` at all
+    of them, both through the pruned pairs of :meth:`_deepest`.
     """
 
     def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
@@ -510,9 +515,11 @@ class Cover:
         """
         dim = planar.shape[1]
         bits = min(10, 62 // dim)
-        lo = np.maximum(planar.min(axis=0), self.clip.lo[:-1])
-        width = np.minimum(planar.max(axis=0), self.clip.hi[:-1]) - lo
-        scale = 2.0**bits / np.where(width > 0.0, width, np.inf)
+        # column by column: numpy reduces a short axis of many rows one row at a time
+        lo = np.maximum([x.min() for x in planar.T], self.clip.lo[:-1])
+        width = np.minimum([x.max() for x in planar.T], self.clip.hi[:-1]) - lo
+        # capped: a width below float resolution would make it inf, and 0 inf NaN
+        scale = np.minimum(2.0**bits / np.where(width > 0.0, width, np.inf), np.finfo(float).max)
         cells = np.clip((planar - lo) * scale, 0, 2**bits - 1).astype(np.int64)
         # spread[v] holds the bits of v `dim` places apart
         spread = np.zeros(2**bits, dtype=np.int64)
@@ -523,6 +530,9 @@ class Cover:
             code |= spread[cells[:, j]] << j
         return np.argsort(code)
 
+    # far points overflow squares here and in the two methods it calls: a NaN
+    # keeps a pair where a test reads "not above", an inf drops it
+    @np.errstate(over="ignore", invalid="ignore")
     def _candidate_pairs(self, pts: np.ndarray, needed: np.ndarray):
         """(point, line) index pairs whose :meth:`_planar_lower` is at most
         ``needed`` of the line, in no particular order, found through the
@@ -539,7 +549,9 @@ class Cover:
         slot = order[np.minimum(np.arange(groups * size), m - 1)].reshape(groups, size)
         real = (np.arange(groups * size) < m).reshape(groups, size)
         coords = pts[slot, :-1].transpose(2, 0, 1)  # one (groups, size) array per axis
-        centre = 0.5 * coords.min(axis=2) + 0.5 * coords.max(axis=2)
+        # numpy reduces a short inner axis one row at a time: reduce over the outer one
+        by_slot = np.ascontiguousarray(coords.transpose(2, 0, 1))
+        centre = 0.5 * by_slot.min(axis=0) + 0.5 * by_slot.max(axis=0)
         radius = np.sqrt(np.max(sum((x - c[:, None]) ** 2 for x, c in zip(coords, centre)), axis=1))
         norm = np.sqrt(sum(x * x for x in coords))
         b, h = self._bases[:, :-1].T, self._vecs[:, :-1].T
@@ -554,20 +566,24 @@ class Cover:
             # not d2 > ...: a NaN from overflowing squares keeps the pair
             return ~(d2 > (needed[li] + r) ** 2 + 1e-12 * bound * bound)
 
+        def nonzero(mask):
+            # np.nonzero's (row, column) pairs in its row-major order
+            return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
         pairs = [np.empty((2, 0), dtype=np.intp)]
         per_block, step = max(1, _PAIR_BLOCK // lines), max(1, _PAIR_BLOCK // size)
         for g0 in range(0, groups, per_block):
             c = centre[:, g0 : g0 + per_block].T
             c2 = np.sum(c * c, axis=1)[:, None]
             r = radius[g0 : g0 + per_block, None]
-            gi, li = np.nonzero(close(c2 + b2 - 2.0 * (c @ b), c @ h - bh, np.arange(lines), r, np.sqrt(c2)))
+            gi, li = nonzero(close(c2 + b2 - 2.0 * (c @ b), c @ h - bh, np.arange(lines), r, np.sqrt(c2)))
             gi += g0
             for k in range(0, len(gi), step):
                 g, l = gi[k : k + step], li[k : k + step, None]
                 q = [x[g] - y[l] for x, y in zip(coords, b)]
                 qq = sum(x * x for x in q)
                 qh = sum(x * y[l] for x, y in zip(q, h))
-                rows, cols = np.nonzero(close(qq, qh, l, 0.0, norm[g]) & real[g])
+                rows, cols = nonzero(close(qq, qh, l, 0.0, norm[g]) & real[g])
                 pi, lj = slot[g[rows], cols], l[rows, 0]
                 keep = self._planar_lower(pts, pi, lj) <= needed[lj]
                 pairs.append(np.stack([pi[keep], lj[keep]]))
@@ -697,7 +713,8 @@ class Cover:
            r add up to less than 20 (2n+4) units of 2^-53 times S^2; the
            slack is about 9,000 units, so for every n below 200 no pair the
            exact test accepts is lost.  A centre whose squares overflow
-           keeps all its pairs.
+           keeps all its pairs.  Overflow warns nothing, in any stage: a
+           NaN keeps its pair for the next test, an infinite distance drops it.
         3. The points of each surviving (group, line) pair take the same
            test with r = 0 and their own |p|, then :meth:`_planar_lower`
            itself.  Stages 2 and 3 each handle at most ``_PAIR_BLOCK``
@@ -706,10 +723,11 @@ class Cover:
         Membership at level k needs only ``needed = radii(k)``, as radii never
         grow with the level (see the module docstring).  The dense (points,
         lines) result suits few points, such as the maximizer's ball centre;
-        :meth:`contains_batch` builds none.  With a ``slack``, a point whose
-        grid scan already gives some line ``dist + slack <= needed`` keeps
-        its grid values, upper distances no smaller than the refined ones
-        (see :meth:`_refine_pairs`); other points are refined in full.
+        :meth:`contains_batch` and :meth:`deepest_levels` build none.  With a
+        ``slack``, a point whose grid scan already gives some line
+        ``dist + slack <= needed`` keeps its grid values, upper distances no
+        smaller than the refined ones (see :meth:`_refine_pairs`); other
+        points are refined in full.
         Raises ``ValueError`` on points of the wrong length or with a
         non-finite coordinate, on ``needed`` other than one finite radius
         >= 0 per line, and on a ``slack`` that is not finite and >= 0.
@@ -767,23 +785,47 @@ class Cover:
         """Per point: an upper distance to some line is within its level radius.
 
         Radii never grow with the level, so this is membership at every level
-        up to ``level`` (see the module docstring).  The pairs of
-        :meth:`upper_distances` at the level's radii that :meth:`_may_reach`
-        keeps, those a height lower bound does not put outside their tube,
-        are refined and reduce straight into the membership vector, with no
-        dense (points, lines) matrix.  The dropped pairs could not have met
-        their radius, so membership is what refining every pair gives.
+        up to ``level`` (see the module docstring): the points whose
+        :meth:`deepest_levels` reach ``level``, found by the same pruned
+        pairs, taken at the level's own radii.
         """
         self._check_level(level)
-        pts = self._query_points(pts)
-        radii = self.radii(level)
-        member = np.zeros(len(pts), dtype=bool)
+        return self._deepest(self._query_points(pts), level, level) == level
+
+    def deepest_levels(self, pts: np.ndarray) -> np.ndarray:
+        """Per point, the deepest level k whose tube union contains it, 0 if
+        none does: the point is a member at every level up to k and at none
+        deeper (see :meth:`contains_batch`).  One query answers every
+        level, with no dense (points, lines) matrix.
+        """
+        return self._deepest(self._query_points(pts), 1, self.depth)
+
+    def _deepest(self, pts: np.ndarray, first: int, last: int) -> np.ndarray:
+        """Per point, the deepest level from ``first`` to ``last`` within
+        whose radius some upper distance falls, ``first - 1`` where none does.
+
+        The pairs of :meth:`upper_distances` at the level-``first`` radii
+        that :meth:`_may_reach` keeps, those a height lower bound does not
+        put outside their tube, are refined and reduce straight into the
+        levels.  The dropped pairs could not have met their radius, so the
+        levels are those refining every pair gives.  A point with a pair
+        whose grid scan is already within its level-``last`` radius is at
+        ``last`` whatever the golden section would give its pairs.
+        """
+        radii = self.radii(first)
+        deepest = np.full(len(pts), first - 1)
         pi, li = self._candidate_pairs(pts, radii)
         reach = self._may_reach(pts, pi, li, radii)
         pi, li = pi[reach], li[reach]
         if len(pi):
-            member[pi[self._refine_pairs(pts, pi, li, settle=radii) <= radii[li]]] = True
-        return member
+            dist = self._refine_pairs(pts, pi, li, settle=self.radii(last))
+            # radii never grow with the level: once no pair is within its level-k radius, none is deeper
+            for k in range(first, last + 1):
+                within = dist <= self.radii(k)[li]
+                if not within.any():
+                    break
+                deepest[pi[within]] = k
+        return deepest
 
     def cover_measure_mc(self, level: int, region: Box, n_samples: int, seed: int):
         """Monte-Carlo volume of the level-``level`` tube union inside region.

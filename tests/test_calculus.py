@@ -250,6 +250,22 @@ class TestMeanValue:
                 np.zeros(9), np.zeros(9), s=1, zeta=0, rho=2, v=0.01, sigma=0.1, L=1,
             )
 
+    def test_a_fine_grid_with_one_long_step_is_not_uniform(self):
+        # every step differs from the first by less than np.allclose's default atol of 1e-8
+        grid = 1e-9 * np.arange(17.0)
+        grid[9:] += 4e-9
+        with pytest.raises(ValueError, match="uniform"):
+            MeanValueInstance(grid, np.zeros(17), np.zeros(17), s=1e-8, zeta=0, rho=2e-8, v=0.01, sigma=0.1, L=1)
+        # a uniform grid of that step is accepted
+        MeanValueInstance(1e-9 * np.arange(17.0), np.zeros(17), np.zeros(17), s=1e-8, zeta=0, rho=2e-8, v=0.01,
+                          sigma=0.1, L=1)
+
+    @pytest.mark.parametrize("grid", [np.zeros(17), np.full(17, 3.0), np.array([0.0, math.nan, *range(2, 17)]),
+                                      np.array([-math.inf, *range(1, 17)])])
+    def test_a_grid_that_does_not_move_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            MeanValueInstance(grid, np.zeros(17), np.zeros(17), s=1, zeta=0, rho=2, v=0.01, sigma=0.1, L=1)
+
 
 def _mean_value_verify_loop(inst, tau):
     """Reference for ``suites._mean_value_verify``: the grid check one index at a time."""

@@ -117,6 +117,15 @@ def test_uds_query(runner):
     assert json.loads(out.output)["member"] is True
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point, level", [("[1e200,0,0]", "1"), ("[1e300,1e300,1e300]", "3")])
+def test_uds_query_answers_a_far_point_under_warnings_as_errors(runner, point, level):
+    # squares of such coordinates overflow; a float warning must not end the query
+    out = runner.invoke(main, ["uds", "query", "--point", point, "--level", level])
+    assert out.exit_code == 0, out.output
+    assert json.loads(out.output) == {"member": False, "level": int(level)}
+
+
 @pytest.mark.parametrize("point", ["[NaN, 0, 0]", "[0, Infinity, 0]", "[0, 0]", "[0, 0, 0, 0]"])
 def test_uds_query_rejects_a_degenerate_point(runner, point):
     out = runner.invoke(main, ["uds", "query", "--point", point, "--level", "3", "--max-lines", "32"])
@@ -379,20 +388,22 @@ def test_ledger_counts_entries_and_folds_the_smallest_margin():
     assert (ledger.failures, ledger.worst) == (2, -0.25)
     ledger.check(-0.5)
     assert (ledger.failures, ledger.worst) == (3, -0.5)
-    # a NaN margin entry neither fails nor moves the worst margin
+    # a NaN margin entry is one failure and does not move the worst margin
     ledger.check(math.nan)
     ledger.check(np.array([math.nan, -0.75]))
-    assert (ledger.failures, ledger.worst) == (4, -0.75)
+    assert (ledger.failures, ledger.worst) == (6, -0.75)
     ledger.margin(np.array([math.nan, math.nan]))
-    assert ledger.worst == -0.75
+    assert (ledger.failures, ledger.worst) == (8, -0.75)
+    ledger.margin(np.float64(math.nan))
+    assert (ledger.failures, ledger.worst) == (9, -0.75)
     # count-only entries leave the worst margin alone
     ledger.count(True)
     ledger.count(3)
     ledger.count(np.count_nonzero(np.array([1.0, 5.0]) > 2.0))
-    assert (ledger.failures, ledger.worst) == (9, -0.75)
-    # margin-only entries fail nothing
+    assert (ledger.failures, ledger.worst) == (14, -0.75)
+    # margin-only entries fail nothing but NaN
     ledger.margin(-2.0)
-    assert (ledger.failures, ledger.worst) == (9, -2.0)
+    assert (ledger.failures, ledger.worst) == (14, -2.0)
 
 
 def test_run_suite_times_the_suite_and_reads_its_ledger(monkeypatch):

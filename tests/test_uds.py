@@ -530,13 +530,76 @@ def _prune_boundary_points(cover, level, rng):
     return np.array(pts)
 
 
-def _contains_per_level_reference(cover, pts, level):
-    """Reference: distances refined at the level-1 radii, one test per level."""
+def _members_per_level_reference(cover, pts, depth):
+    """Reference: distances refined at the level-1 radii, one test per level;
+    membership at levels 1 to ``depth``."""
     d = cover.upper_distances(pts, needed=cover.radii(1))
     member = np.ones(len(pts), dtype=bool)
-    for k in range(1, level + 1):
+    for k in range(1, depth + 1):
         member &= np.any(d <= cover.radii(k)[None, :], axis=1)
-    return member
+        yield member.copy()
+
+
+def _contains_per_level_reference(cover, pts, level):
+    return list(_members_per_level_reference(cover, pts, level))[-1]
+
+
+def _suite_cloud(cover, rng, count):
+    """The ``uds`` suite's nesting cloud for a cover of any n: uniform points
+    in the cube of half-width 2, and points off random lines at offsets
+    1e-6..1e-1, clipped to the cube of half-width 9.9."""
+    dim, half = 2 * cover.n + 1, count // 2
+    far = Box.cube(2.0, cover.n).sample(rng, half)
+    idx = rng.integers(0, len(cover.lines), count - half)
+    ts = rng.uniform(cover.spans[idx, 0], cover.spans[idx, 1])
+    near = cover._bases[idx] + ts[:, None] * cover._vecs[idx]
+    near += rng.normal(scale=10.0 ** rng.uniform(-6, -1, (len(near), 1)), size=(len(near), dim))
+    return np.vstack([far, np.clip(near, -9.9, 9.9)])
+
+
+def _candidate_pairs_reference(cover, pts, needed, block=1 << 15):
+    """Reference: the pair finder as it was with 2-D ``np.nonzero`` and blocks
+    of 2^15 pairs, whose pairs and order :meth:`Cover._candidate_pairs` keeps."""
+    m, lines = len(pts), len(cover.lines)
+    if not m:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    size = min(uds._CELL_POINTS, m)
+    groups = -(-m // size)
+    order = cover._cell_order(pts[:, :-1]) if m > size else np.arange(m)
+    slot = order[np.minimum(np.arange(groups * size), m - 1)].reshape(groups, size)
+    real = (np.arange(groups * size) < m).reshape(groups, size)
+    coords = pts[slot, :-1].transpose(2, 0, 1)
+    centre = 0.5 * coords.min(axis=2) + 0.5 * coords.max(axis=2)
+    radius = np.sqrt(np.max(sum((x - c[:, None]) ** 2 for x, c in zip(coords, centre)), axis=1))
+    norm = np.sqrt(sum(x * x for x in coords))
+    b, h = cover._bases[:, :-1].T, cover._vecs[:, :-1].T
+    b2, h2, bh = np.sum(b * b, axis=0), np.sum(h * h, axis=0), np.sum(b * h, axis=0)
+    reach = np.sqrt(b2) + np.max(np.abs(cover.spans), axis=1) * np.sqrt(h2)
+
+    def close(qq, qh, li, r, length):
+        t = np.clip(qh / h2[li], cover.spans[li, 0], cover.spans[li, 1])
+        d2 = qq - t * (2.0 * qh - t * h2[li])
+        bound = needed[li] + r + length + reach[li]
+        return ~(d2 > (needed[li] + r) ** 2 + 1e-12 * bound * bound)
+
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    per_block, step = max(1, block // lines), max(1, block // size)
+    for g0 in range(0, groups, per_block):
+        c = centre[:, g0 : g0 + per_block].T
+        c2 = np.sum(c * c, axis=1)[:, None]
+        r = radius[g0 : g0 + per_block, None]
+        gi, li = np.nonzero(close(c2 + b2 - 2.0 * (c @ b), c @ h - bh, np.arange(lines), r, np.sqrt(c2)))
+        gi += g0
+        for k in range(0, len(gi), step):
+            g, l = gi[k : k + step], li[k : k + step, None]
+            q = [x[g] - y[l] for x, y in zip(coords, b)]
+            qq = sum(x * x for x in q)
+            qh = sum(x * y[l] for x, y in zip(q, h))
+            rows, cols = np.nonzero(close(qq, qh, l, 0.0, norm[g]) & real[g])
+            pi, lj = slot[g[rows], cols], l[rows, 0]
+            keep = cover._planar_lower(pts, pi, lj) <= needed[lj]
+            pairs.append(np.stack([pi[keep], lj[keep]]))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 class TestCoverInternals:
@@ -647,6 +710,80 @@ class TestCoverInternals:
                 pi, li = cover._candidate_pairs(pts, cover.radii(level))
                 reach = cover._may_reach(pts, pi, li, cover.radii(level))
             assert reach.any() and not reach.all() and got.any() and not got.all(), level
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_deepest_levels_are_the_per_level_reference(self, n):
+        cover = Cover.build(n=n, height=2, depth=12, max_lines=48)
+        rng = np.random.default_rng(50 + n)
+        clouds = _finder_clouds(cover, rng)
+        named = {
+            "suite": _suite_cloud(cover, rng, 2000),
+            "random and near lines": _random_and_near_line_points(cover, rng, 600),
+            "ulp boundaries": np.vstack([_prune_boundary_points(cover, level, rng) for level in (1, 6, 12)]),
+            "huge": clouds["huge"],
+            "on the rim": clouds["on the rim"],
+            "empty": clouds["empty"],
+        }
+        for name, pts in named.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                deepest = cover.deepest_levels(pts)
+                for level, want in enumerate(_members_per_level_reference(cover, pts, cover.depth), start=1):
+                    assert np.array_equal(deepest >= level, want), (name, level)
+            assert deepest.shape == (len(pts),) and np.all((0 <= deepest) & (deepest <= cover.depth)), name
+        assert len(set(cover.deepest_levels(named["ulp boundaries"]).tolist())) > 3
+
+    def test_deepest_levels_on_the_uds_suites_cover_and_cloud(self):
+        cover = Cover.build(n=1, max_lines=96)
+        pts = _suite_cloud(cover, np.random.default_rng(7), 10_000)
+        deepest = cover.deepest_levels(pts)
+        for level, want in enumerate(_members_per_level_reference(cover, pts, cover.depth), start=1):
+            assert np.array_equal(deepest >= level, want), level
+        assert np.any(deepest == cover.depth) and np.any(deepest == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_candidate_pairs_keep_the_former_pairs_in_their_order(self, n):
+        cover = _small_covers()[n]
+        lines = len(cover.lines)
+        rng = np.random.default_rng(60 + n)
+        clouds = {**_finder_clouds(cover, rng), "suite": _suite_cloud(cover, rng, 3000)}
+        for name, pts in clouds.items():
+            for needed in (cover.radii(1), cover.radii(cover.depth), np.full(lines, 1e-6), np.full(lines, 0.25)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _candidate_pairs_reference(cover, pts, needed)
+                got = cover._candidate_pairs(pts, needed)
+                assert all(g.tolist() == w.tolist() for g, w in zip(got, want)), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_far_points_are_answered_without_float_warnings(self, n):
+        cover = _small_covers()[n]
+        dim = 2 * n + 1
+        far = np.array([[1e200] + [0.0] * (dim - 1), [1e300] * dim, [-1e308] * dim, [1e155] * dim])
+        line_pt = cover._bases[0] + 0.3 * cover._vecs[0]
+        pts = np.vstack([far, line_pt])
+        for level in (1, cover.depth):
+            assert cover.contains_batch(pts, level).tolist() == [False] * len(far) + [True]
+            assert not cover.contains(far[1], level)
+        assert cover.deepest_levels(pts).tolist() == [0] * len(far) + [cover.depth]
+        # the far points' pairs: a NaN keeps its pair for the exact test, an infinite distance drops it
+        pi, li = cover._candidate_pairs(pts, np.full(len(cover.lines), 0.25))
+        assert set(pi.tolist()) == {len(far)}
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_cloud_narrower_than_float_resolution_is_ordered(self):
+        # 17 points, more than a cell group, whose x coordinates span 5e-324:
+        # the cell scale 2^10 / width is inf
+        cover = _small_covers()[1]
+        pts = np.zeros((17, 3))
+        pts[::2, 0] = 5e-324
+        with np.errstate(over="ignore"):  # as in its one caller, _candidate_pairs
+            order = cover._cell_order(pts[:, :-1])
+        assert sorted(order.tolist()) == list(range(17))
+        lower = _planar_lower_dense(cover, pts)
+        for needed in (cover.radii(1), np.full(len(cover.lines), 0.25)):
+            want = _sorted_pairs(np.nonzero(lower <= needed[None, :]))
+            assert _sorted_pairs(cover._candidate_pairs(pts, needed)) == want
+        assert np.array_equal(cover.contains_batch(pts, 1), _contains_per_level_reference(cover, pts, 1))
 
     def test_height_prune_drops_nearly_every_monte_carlo_pair(self):
         # the uds suite's cover and Monte-Carlo query: without the prune every
