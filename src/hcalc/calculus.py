@@ -543,7 +543,8 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
 
     Verifies every hypothesis first (raising a named error on failure),
     then returns a grid point tau whose grid index is not in ``exclude``
-    (indices off the grid are ignored) and whose central difference
+    (indices off the grid are ignored, a non-integral entry raises
+    ``ValueError``) and whose central difference
     derivative satisfies
 
         phi'(tau) >= psi'(0) + v |phi(zeta) - psi(zeta)| / s
@@ -564,9 +565,12 @@ def mean_value_search(inst: MeanValueInstance, exclude: Optional[set] = None) ->
     stop = max(start, stop)
     phi_p = _central_diff(phi, inst.step, start, stop)
     interior = np.ones(stop - start, dtype=bool)
-    exclude = exclude or ()
-    excluded = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-    interior[excluded[(excluded >= start) & (excluded < stop)] - start] = False
+    # read as floats, so that a fractional entry shows instead of truncating onto an index
+    excluded = np.fromiter(exclude or (), dtype=float)
+    fractional = excluded[excluded != np.floor(excluded)]
+    if len(fractional):
+        raise ValueError(f"exclude must hold integer grid indices, got {sorted(fractional.tolist())}")
+    interior[excluded[(excluded >= start) & (excluded < stop)].astype(np.int64) - start] = False
     if start <= iz < stop:
         interior[iz - start] = False
     need = psi_p0 + inst.v * abs(gap) / inst.s

@@ -254,22 +254,22 @@ def uds_query(point_text, level, n, height, depth, max_lines):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Maximizer config JSON (fields of MaximizerConfig).")
+              help='Maximizer config JSON: any of "seed", "max_steps" and "budget".')
 @_out_option(default="trajectory.jsonl", show_default=True)
 def maximize(config_path, out_path):
     """Run the derivative-maximization iteration on the default linear field."""
-    kwargs = {}
-    if config_path:
-        with open(config_path) as fh:
-            kwargs = json.load(fh)
     with _usage_errors():
+        kwargs = {}
+        if config_path:
+            with open(config_path) as fh:
+                kwargs = json.load(fh)
         config = maximizer.MaximizerConfig.from_json(kwargs)
     n = 1
     e1 = np.zeros(2 * n)
     e1[0] = 1.0
     cover = uds.Cover.build(n=n, height=2, depth=max(config.max_steps + 2, 12), max_lines=64)
     f0 = calculus.hlinear_field(group.HLinearMap(0.5, e1))
-    start = maximizer.Pair.in_cover(np.zeros(2 * n + 1), e1, cover, min(config.uds_level, cover.depth))
+    start = maximizer.Pair(np.zeros(2 * n + 1), e1)  # run checks its cover membership
     traj = maximizer.run(f0, start, config, cover)
     traj.write_jsonl(out_path)
     report = maximizer.verify_trajectory(traj)

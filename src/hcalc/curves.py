@@ -276,10 +276,6 @@ class HorizontalPath:
     def to_json(self) -> dict:
         return {"knots": self.knots.tolist(), "planar": self.planar.tolist(), "c0": self.c0}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HorizontalPath":
-        return cls(np.asarray(data["knots"]), np.asarray(data["planar"]), data["c0"])
-
 
 class PathBatch(NamedTuple):
     """Paths with equally many knots as arrays, one path per leading index.
@@ -407,14 +403,26 @@ _GAMMA_KNOTS.flags.writeable = False  # shared by every two-leg path
 def _gamma_rows(y: np.ndarray) -> np.ndarray:
     """Planar knot rows (0, midpoint, p(y)) of the two-leg curve, float or exact.
 
-    Leading axes of ``y`` are a batch; the rows run along axis -2.
+    Leading axes of ``y`` are a batch; the rows run along axis -2.  In
+    floats, a point whose squares |p(y)|^2 over- or underflow, or whose
+    midpoint overflows, raises a ``ValueError`` that says so.
     """
     n = group_dim(y)
     a, b, c = y[..., :n], y[..., n : 2 * n], y[..., -1:]
-    L2 = np.vecdot(a, a, keepdims=True) + np.vecdot(b, b, keepdims=True)
-    if (L2 == 0).any():
+    if not np.any(y[..., :-1] != 0, axis=-1).all():
         raise ValueError("gamma_y is undefined for points with zero projection")
-    mid = np.concatenate([a - b * c / L2, b + a * c / L2], axis=-1) / 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        L2 = np.vecdot(a, a, keepdims=True) + np.vecdot(b, b, keepdims=True)
+        mid = np.concatenate([a - b * c / L2, b + a * c / L2], axis=-1) / 2
+    if y.dtype != object:  # exact rows neither round nor overflow
+        if not np.isfinite(y).all():
+            raise ValueError("gamma_y needs finite coordinates")
+        if not (L2 < np.inf).all():
+            raise ValueError("gamma_y needs |p(y)|^2 as a float, but the squares of p(y) overflow")
+        if not (L2 >= np.finfo(float).tiny).all():
+            raise ValueError("gamma_y needs |p(y)|^2 as a normal float, but the squares of p(y) underflow")
+        if not np.isfinite(mid).all():
+            raise ValueError("the midpoint of gamma_y overflows: p(y) c / |p(y)|^2 exceeds the floats")
     rows = np.zeros(mid.shape[:-1] + (3, 2 * n), dtype=mid.dtype)
     rows[..., 1, :] = mid
     rows[..., 2, :] = y[..., :-1]

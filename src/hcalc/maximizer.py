@@ -14,8 +14,17 @@ comparison against the incumbent.  The schedules
 sit at interior points of their allowed open ranges; sigma_0 = 2 and
 t_0 = min(1/4, mu/2).  The ball radius delta_m is found by halving until
 the closed ball fits inside a level-m tube and the incumbent-vs-selected
-increment inequality verifies on the configured grid; a tube fit that the
-grid scan of the distances already shows skips their golden section.
+increment inequality verifies on the t grid, for |t| below
+C_h^2 sqrt(1 + Lip E) sqrt(delta_m) / eps_m; a tube fit that the grid scan
+of the distances already shows skips their golden section.
+
+The constants are fixed, each named once below: C_a = 2 (``C_ANGLE``),
+C_h = 4 (``C_HOLDER``), delta_0 = 1 (``DELTA0``), the field shift budget
+mu = 1/2 (``MU``), the comparison constant K = 8 (``K``) on the t grid
+``T_GRID``, and the cover level of the start, ``UDS_LEVEL`` = 10.
+Derivatives use the ladder :data:`calculus.DEFAULT_STEPS`.  A run varies
+only its seed, its number of steps and its candidates per step
+(:class:`MaximizerConfig`).
 
 The true candidate set is uncountable; the finite surrogate preserves
 every checkable invariant but the near-maximality margin is only known
@@ -27,13 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .calculus import (
-    DEFAULT_STEPS,
     ScalarField,
     compare_pairs,
     directional_derivative,
@@ -57,7 +65,7 @@ __all__ = [
     "step",
     "run",
     "verify_trajectory",
-    "default_t_grid",
+    "C_ANGLE", "C_HOLDER", "DELTA0", "K", "MU", "T_GRID", "UDS_LEVEL",
 ]
 
 
@@ -127,85 +135,54 @@ class IterationState:
             "flag": self.flag,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "IterationState":
-        return cls(
-            m=data["m"],
-            accum=np.asarray(data["accum"]),
-            x=np.asarray(data["x"]),
-            direction=np.asarray(data["direction"]),
-            sigma=data["sigma"],
-            t=data["t"],
-            delta=data["delta"],
-            lam=data["lam"],
-            eps=data["eps"],
-            e_value=data["e_value"],
-            candidates=data.get("candidates", 0),
-            indeterminate=data.get("indeterminate", 0),
-            flag=data.get("flag", ""),
-        )
 
-
-def default_t_grid() -> np.ndarray:
-    fine = 0.5 ** np.arange(1, 11)
-    coarse = np.linspace(0.05, 0.95, 10)
-    ts = np.unique(np.concatenate([fine, coarse]))
-    return np.concatenate([-ts[::-1], ts])
+C_ANGLE = 2.0
+C_HOLDER = 4.0
+DELTA0 = 1.0
+MU = 0.5
+K = 8.0
+# t = ±2^-1, ..., ±2^-10 and ±0.05, ±0.15, ..., ±0.95, increasing; sorted in
+# Python, since np.unique imports numpy.ma, which the import would then pay for
+_TS = np.array(sorted({*(0.5 ** np.arange(1, 11)).tolist(), *np.linspace(0.05, 0.95, 10).tolist()}))
+T_GRID = np.concatenate([-_TS[::-1], _TS])
+T_GRID.flags.writeable = False  # shared by every comparison of a run
+UDS_LEVEL = 10
 
 
 @dataclass
 class MaximizerConfig:
-    """Knobs of the iteration; defaults match the schedule description above."""
+    """What a run may vary; the schedule's constants are the module's."""
 
-    delta0: float = 1.0
-    mu: float = 0.5
-    K: float = 8.0
-    budget: int = 512
-    max_steps: int = 10
-    uds_level: int = 10
-    c_angle: float = 2.0
-    c_holder: float = 4.0
     seed: int = 0
-    t_grid: np.ndarray = field(default_factory=default_t_grid)
-    deriv_steps: np.ndarray = field(default_factory=lambda: DEFAULT_STEPS)
+    max_steps: int = 10
+    budget: int = 512
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not (math.isfinite(self.K) and self.K >= 8.0):
-            raise ValueError(f"K must be finite and at least 8, got {self.K}")
-        for name, value in (("delta0", self.delta0), ("mu", self.mu)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name, value in (("c_angle", self.c_angle), ("c_holder", self.c_holder)):
-            if not (math.isfinite(value) and value >= 1.0):
-                raise ValueError(f"{name} must be finite and >= 1, got {value}")
-        for name, value, least in (("budget", self.budget, 1), ("max_steps", self.max_steps, 0),
-                                   ("uds_level", self.uds_level, 1)):
-            if not value >= least:
+        for name, least in (("seed", 0), ("max_steps", 0), ("budget", 1)):
+            value = getattr(self, name)
+            # a float budget would fail mid-run, on a slice bound
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        if not np.all(np.abs(self.t_grid) < 1.0) or np.all(self.t_grid == 0.0):
-            raise ValueError("t grid must be finite nonzero values in (-1, 1)")
+            setattr(self, name, int(value))
+
+    @property
+    def uds_level(self) -> int:
+        """The cover level a start must be a member of (``UDS_LEVEL``)."""
+        return UDS_LEVEL
 
     @classmethod
     def from_json(cls, data: dict) -> "MaximizerConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a maximizer config is a JSON object, got {json.dumps(data)}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
     def to_json(self) -> dict:
-        return {
-            "delta0": self.delta0,
-            "mu": self.mu,
-            "K": self.K,
-            "budget": self.budget,
-            "max_steps": self.max_steps,
-            "uds_level": self.uds_level,
-            "c_angle": self.c_angle,
-            "c_holder": self.c_holder,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _candidate_points(cover: Cover, center: np.ndarray, radius: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -294,7 +271,7 @@ def step(
     sigma_prev, t_prev, delta_prev = state.sigma, state.t, state.delta
     sigma_m = sigma_prev / 5.0
     t_m = min(t_prev / 2.0, sigma_prev / (4.0 * m)) / 2.0
-    lam_m = t_m * sigma_m**4 / (4.0 * config.c_angle**4)
+    lam_m = t_m * sigma_m**4 / (4.0 * C_ANGLE**4)
 
     n_dirs = max(4, int(math.sqrt(config.budget)))
     n_pts = max(4, config.budget // n_dirs)
@@ -304,8 +281,7 @@ def step(
     cand_x = np.repeat(points, len(dirs), axis=0)[: config.budget + 1]
     cand_e = np.tile(dirs, (len(points), 1))[: config.budget + 1]
 
-    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, config.K, config.t_grid,
-                        sigma=sigma_prev, steps=config.deriv_steps)
+    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, K, T_GRID, sigma=sigma_prev)
     values, required, d_prev = cmp.value, cmp.required_sigma, cmp.star
     admissible = required < sigma_prev * (1.0 - 1e-9)
     # the incumbent stays selected unless an admissible candidate beats it
@@ -325,14 +301,14 @@ def step(
     d_move = float(cc_upper_quick(group_mul(group_inv(state.x), x_m)))
     delta_m = max((delta_prev - d_move) / 4.0, 1e-300)
     e_sel = float(values[best_idx])
-    t_abs = np.abs(config.t_grid)
-    inc_sel = line_increments(f_m, x_m, e_m, config.t_grid)
-    inc_prev = line_increments(f_m, state.x, state.direction, config.t_grid)
+    t_abs = np.abs(T_GRID)
+    inc_sel = line_increments(f_m, x_m, e_m, T_GRID)
+    inc_prev = line_increments(f_m, state.x, state.direction, T_GRID)
     gap_sel = e_sel - d_prev.value + sigma_prev
     radii = cover.radii(min(m, cover.depth))
     dist = None  # upper distances from x_m to the lines, computed at the first delta that reads them
     for _ in range(600):
-        t_range = config.c_holder**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
+        t_range = C_HOLDER**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
         if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
             if dist is None:
@@ -403,12 +379,12 @@ def run(f0: ScalarField, start: Pair, config: MaximizerConfig, cover: Cover) -> 
         base = f0
         f0 = ScalarField(lambda x: scale * np.asarray(base.eval(x), float),
                          declared_lip=0.5, label=f"scaled({base.label})")
-    if not cover.contains(start.x, min(config.uds_level, cover.depth)):
+    if not cover.contains(start.x, min(UDS_LEVEL, cover.depth)):
         raise ValueError("starting point is not a certified cover member")
-    d0 = directional_derivative(f0, start.x, start.direction, config.deriv_steps)
+    d0 = directional_derivative(f0, start.x, start.direction)
     direction0 = start.direction if d0.value >= 0 else -start.direction
     rng = np.random.default_rng(config.seed)
-    sigma0, t0 = 2.0, min(0.25, config.mu / 2.0)
+    sigma0, t0 = 2.0, min(0.25, MU / 2.0)
     states = [
         IterationState(
             m=0,
@@ -417,7 +393,7 @@ def run(f0: ScalarField, start: Pair, config: MaximizerConfig, cover: Cover) -> 
             direction=direction0,
             sigma=sigma0,
             t=t0,
-            delta=config.delta0,
+            delta=DELTA0,
             e_value=abs(d0.value),
         )
     ]
@@ -439,11 +415,11 @@ def verify_trajectory(traj: Trajectory) -> dict:
     if not states:
         raise ValueError("empty trajectory")
     violations = []
-    c4 = 2.0 * traj.config.c_angle**4
+    c4 = 2.0 * C_ANGLE**4
     e_values = []
     for s in states:
         f_s = s.field(traj.f0)
-        e_values.append(directional_derivative(f_s, s.x, s.direction, traj.config.deriv_steps).value)
+        e_values.append(directional_derivative(f_s, s.x, s.direction).value)
     for prev, s in zip(states, states[1:]):
         if not s.sigma < prev.sigma / 4.0:
             violations.append(f"m={s.m}: sigma not below a quarter of the previous")
@@ -469,7 +445,7 @@ def verify_trajectory(traj: Trajectory) -> dict:
         if not e_values[i] > e_values[i - 1]:
             violations.append(f"m={states[i].m}: selected derivative not strictly increasing")
     shift = traj.field_shift_norm()
-    if shift > min(traj.config.mu, 2.0 * states[0].t) + 1e-12:
+    if shift > min(MU, 2.0 * states[0].t) + 1e-12:
         violations.append(f"field shift {shift:.3g} exceeds the allowed budget")
     final = traj.final_pair()
     f_final = traj.final_field()
@@ -479,9 +455,7 @@ def verify_trajectory(traj: Trajectory) -> dict:
         if move > states[-1].delta:
             continue
         verdict = compare_pairs(
-            f_final, (s.x, s.direction), final.x, final.direction,
-            K=traj.config.K, t_grid=traj.config.t_grid, lip=lip_final,
-            steps=traj.config.deriv_steps,
+            f_final, (s.x, s.direction), final.x, final.direction, K=K, t_grid=T_GRID, lip=lip_final,
         ).verdict[0]
         if verdict is False:
             violations.append(f"final pair fails the increment envelope against m={s.m}")

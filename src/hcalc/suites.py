@@ -55,9 +55,10 @@ class RunConfig:
 
     Every other parameter of a suite is fixed where the suite states it, or
     is the default of the object it builds (``Cover.build``,
-    ``MaximizerConfig``).  Environment variables prefixed ``HCALC_``
-    override fields, e.g. ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An
-    ``HCALC_`` variable or a config-file key that names no field raises.
+    ``MaximizerConfig``) or a constant of that object's module.
+    Environment variables prefixed ``HCALC_`` override fields, e.g.
+    ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An ``HCALC_`` variable or a
+    config-file key that names no field raises.
     """
 
     schema_version: int = 1
@@ -941,7 +942,7 @@ def suite_almostmax(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     e2 = np.zeros(2 * n)
     e2[n] = 1.0
     f = calculus.hlinear_field(group.HLinearMap(0.5, e1))
-    grid = maximizer.default_t_grid()
+    grid = maximizer.T_GRID
     origin = np.zeros(2 * n + 1)
     along = group.horizontal_point(0.3 * e1)
 
@@ -981,7 +982,7 @@ def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     config = maximizer.MaximizerConfig(seed=seed)
     cover = uds.Cover.build(n=n, height=2, depth=max(config.max_steps + 2, 12), max_lines=64)
     f0 = calculus.hlinear_field(group.HLinearMap(0.5, e1), label="half-first-axis")
-    start = maximizer.Pair.in_cover(np.zeros(2 * n + 1), e1, cover, config.uds_level)
+    start = maximizer.Pair(np.zeros(2 * n + 1), e1)  # run checks its cover membership
     traj = maximizer.run(f0, start, config, cover)
     report = maximizer.verify_trajectory(traj)
     ledger.count(len(report["violations"]))
@@ -990,7 +991,7 @@ def suite_algorithm(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     sigma_last = traj.states[-1].sigma
     ledger.check(sigma_last - drift)
     shift = traj.field_shift_norm()
-    ledger.check(config.mu - shift)
+    ledger.check(maximizer.MU - shift)
     e_values = report["e_values"]
     ledger.count(not all(b > a for a, b in zip(e_values, e_values[1:])))
     # zero start field: the first perturbation creates a positive derivative

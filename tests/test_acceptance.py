@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from hcalc.maximizer import MaximizerConfig
+from hcalc.maximizer import MU, MaximizerConfig
 from hcalc.suites import SUITES, RunConfig, emit_report, run_suite
 
 CONFIG = RunConfig()  # the default configuration is the acceptance target
@@ -158,7 +158,7 @@ def test_criterion_11_maximization_run(battery):
     ok = (
         r.failures == 0
         and not r.details["violations"]
-        and r.details["shift"] <= MaximizerConfig().mu
+        and r.details["shift"] <= MU
         and len(r.details["e_values"]) == MaximizerConfig().max_steps + 1
     )
     _show(

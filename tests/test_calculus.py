@@ -1,10 +1,8 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from hcalc.calculus import (
     MeanValueHypothesisError,
@@ -29,10 +27,9 @@ from hcalc.calculus import (
     vertical_coordinate_field,
 )
 from hcalc import metric, suites
-from hcalc.cli import main
 from hcalc.curves import HorizontalPath, line_path
 from hcalc.group import HLinearMap, dilate, group_inv, group_mul, horizontal_point, random_directions
-from hcalc.maximizer import default_t_grid
+from hcalc.maximizer import T_GRID
 from hcalc.metric import Ball, cc_upper_quick, cc_upper_value_batch
 
 E1 = np.array([1.0, 0.0])
@@ -186,6 +183,17 @@ def _triangle_instance(grid_exp=12, slope=0.1, height=0.5, s=1.0, zeta_target=0.
     phi = psi + np.where(np.abs(grid) >= s, 0.0, bump)
     sigma = 0.5 * v**3 * (height / (s * L)) ** 2
     return MeanValueInstance(grid, phi, psi, s=s, zeta=zeta, rho=rho, v=v, sigma=sigma, L=L)
+
+
+@pytest.mark.parametrize("entry", [8253.5, 8253.7, -0.5, math.nan])
+def test_a_non_integral_exclusion_is_refused(entry):
+    # each was truncated onto a grid index: 8253.5 and 8253.7 excluded index
+    # 8253, this instance's tau, and moved the result
+    inst = suites._mean_value_instance(np.random.default_rng(0))
+    assert inst.index_of(mean_value_search(inst)) == 8253
+    with pytest.raises(ValueError, match="exclude must hold integer grid indices"):
+        mean_value_search(inst, exclude={entry})
+    assert mean_value_search(inst, exclude={8253.0}) == mean_value_search(inst, exclude={8253})
 
 
 class TestMeanValue:
@@ -382,7 +390,7 @@ COMPARE_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPARE_CASES))
 def test_compare_pairs_table(case):
     f, star, x, e, sigma, verdict, reason = COMPARE_CASES[case]
-    out = compare_pairs(f, star, x, e, K=8.0, t_grid=default_t_grid(), sigma=sigma)
+    out = compare_pairs(f, star, x, e, K=8.0, t_grid=T_GRID, sigma=sigma)
     assert out.verdict[0] is verdict
     assert out.reason[0] == reason
     if reason in ("diverging", "ordering"):
@@ -394,7 +402,7 @@ def test_compare_pairs_table(case):
 
 def test_compare_pairs_validation():
     with pytest.raises(ValueError):
-        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=default_t_grid(), sigma=-1.0)
+        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=T_GRID, sigma=-1.0)
     with pytest.raises(ValueError):
         compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=np.array([0.5, -1.0]))
 
@@ -409,7 +417,7 @@ def test_compare_pairs_batch_matches_single_calls(n):
     xs = rng.uniform(-1.5, 1.5, (64, 2 * n + 1))
     es = random_directions(rng, 64, n)
     es[::2] = e1  # along the star: lines crossing the kink at a_1 = 0 fail the increment test
-    grid = default_t_grid()
+    grid = T_GRID
     batch = compare_pairs(f, star, xs, es, K=8.0, t_grid=grid)
     assert {"", "ordering", "increment"} <= set(batch.reason)
     for i in range(64):
@@ -500,7 +508,7 @@ def test_line_increments_batch_matches_single_points(n):
     rng = np.random.default_rng(20 + n)
     xs = rng.standard_normal((64, 2 * n + 1))
     e = random_directions(rng, 1, n)[0]
-    grid = default_t_grid()
+    grid = T_GRID
     for name, f in _shape_fields(n).items():
         batch = line_increments(f, xs, e, grid)
         one = np.stack([line_increments(f, x, e, grid) for x in xs])
@@ -541,18 +549,11 @@ class TestLadderSteps:
         with pytest.raises(ValueError, match="steps must be"):
             directional_derivative_batch(f, np.zeros((2, 3)), np.stack([E1, E2]), np.array(steps))
         with pytest.raises(ValueError, match="steps must be"):
-            compare_pairs(f, (np.zeros(3), E1), np.zeros(3), E2, K=8.0, t_grid=default_t_grid(),
+            compare_pairs(f, (np.zeros(3), E1), np.zeros(3), E2, K=8.0, t_grid=T_GRID,
                           steps=np.array(steps))
 
     def test_compare_pairs_on_a_three_level_ladder(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         out = compare_pairs(f, (np.zeros(3), E1), np.zeros((2, 3)), np.stack([E1, E2]), K=8.0,
-                            t_grid=default_t_grid(), steps=np.array([0.01, 0.005, 0.0025]))
+                            t_grid=T_GRID, steps=np.array([0.01, 0.005, 0.0025]))
         assert list(out.reason) == ["", "ordering"]
-
-    def test_maximize_cli_on_a_three_level_ladder(self, tmp_path):
-        cfg = tmp_path / "mx.json"
-        cfg.write_text('{"max_steps": 1, "budget": 32, "deriv_steps": [0.01, 0.005, 0.0025]}')
-        out = CliRunner().invoke(main, ["maximize", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
-        assert not isinstance(out.exception, IndexError)
-        assert json.loads(out.output)["steps"] == 1

@@ -82,8 +82,15 @@ def test_curve_gamma(runner):
     assert rec["planar"][1] == [0.5, 0.5]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("y, message", [
     ("[0,0,1]", "zero projection"), ("[1,0]", "odd trailing length"), ("abc", "Expecting value"),
+    # a traceback on "overflow encountered in vecdot" under warnings-as-errors
+    ("[1e200,0,1e300]", "the squares of p(y) overflow"),
+    # refused as "zero projection", although p(y) != 0
+    ("[1e-300,0,1]", "the squares of p(y) underflow"),
+    ("[1e-100,0,1e300]", "the midpoint of gamma_y overflows"),
+    ("[NaN,0,1]", "finite coordinates"),
 ])
 def test_curve_gamma_reports_bad_input_as_a_usage_error(runner, y, message):
     out = runner.invoke(main, ["curve", "gamma-y", "--y", y])
@@ -449,8 +456,12 @@ def test_maximize_cli(runner, tmp_path):
 @pytest.mark.parametrize("config, message", [
     ({"budget": -5}, "budget must be at least 1"),
     ({"budget": 0}, "budget must be at least 1"),
-    ({"delta0": 0}, "delta0 must be finite and positive"),
+    # a retired field: its trajectory failed nesting from m = 3 under a header
+    # identical to the default run's
+    ({"deriv_steps": [0.01, 0.005, 0.0025]}, "unknown config fields: ['deriv_steps']"),
     ({"budgte": 64}, "unknown config fields: ['budgte']"),
+    ([1, 2], "a maximizer config is a JSON object, got [1, 2]"),
+    ({"budget": 64.5}, "budget must be an integer, got 64.5"),
 ])
 def test_maximize_reports_a_bad_config_as_a_usage_error(runner, tmp_path, config, message):
     # each exited 1, the code of a trajectory with violations, with a traceback

@@ -213,13 +213,6 @@ def test_derivative_reports_knots():
     assert not interior
 
 
-def test_path_serialization_roundtrip():
-    path = gamma_y(np.array([1.0, 0.5, -0.5]))
-    again = HorizontalPath.from_json(path.to_json())
-    ts = np.linspace(0, 1, 11)
-    assert np.allclose(again.eval(ts), path.eval(ts))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exact_lift_commutes_with_left_translation(n):
     rng = np.random.default_rng(20 + n)
@@ -275,6 +268,27 @@ def test_batched_gamma_rows_and_heights_match_one_path_at_a_time(n):
         assert ends[i].tobytes() == path.end().tobytes()
         assert [d[i].tobytes() for d in slopes] == [path.derivative(t)[0].tobytes() for t in (0.25, 0.75)]
         assert speeds[i].tobytes() == path.segment_speeds().tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_rows_refuse_squares_that_over_or_underflow():
+    # squares near the ends of the normal floats keep the one-point bits
+    for y in ([1e-150, 0.0, 1e-140], [1e150, 0.0, 1e150], [1e-100, 0.0, 1e200], [0.0, 3e-154, 1.0]):
+        y = np.array(y)
+        assert _gamma_rows(y).tobytes() == _gamma_rows_one(y).tobytes()
+    for y, message in (
+        # an overflow warning in vecdot, then a midpoint off the curve
+        ([1e200, 0.0, 1e300], "squares of p\\(y\\) overflow"),
+        # refused as a zero projection
+        ([1e-300, 0.0, 1.0], "squares of p\\(y\\) underflow"),
+        # a subnormal |p(y)|^2, and a midpoint that missed the height c
+        ([1e-160, 0.0, 1e-300], "squares of p\\(y\\) underflow"),
+        ([1e150, 0.0, 1e300], "midpoint of gamma_y overflows"),
+    ):
+        # alone, and as one row of a batch
+        for ys in (np.array(y), np.array([[1.0, 0.0, 1.0], y])):
+            with pytest.raises(ValueError, match=message):
+                _gamma_rows(ys)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

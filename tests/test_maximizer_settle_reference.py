@@ -16,6 +16,10 @@ from hcalc import maximizer, metric, uds
 from hcalc.calculus import compare_pairs, hlinear_field, line_increments
 from hcalc.group import HLinearMap, group_inv, group_mul
 from hcalc.maximizer import (
+    C_ANGLE,
+    C_HOLDER,
+    K,
+    T_GRID,
     IterationState,
     MaximizerConfig,
     Pair,
@@ -37,7 +41,7 @@ def _ref_step(state, f0, config, cover, rng):
     sigma_prev, t_prev, delta_prev = state.sigma, state.t, state.delta
     sigma_m = sigma_prev / 5.0
     t_m = min(t_prev / 2.0, sigma_prev / (4.0 * m)) / 2.0
-    lam_m = t_m * sigma_m**4 / (4.0 * config.c_angle**4)
+    lam_m = t_m * sigma_m**4 / (4.0 * C_ANGLE**4)
 
     n_dirs = max(4, int(math.sqrt(config.budget)))
     n_pts = max(4, config.budget // n_dirs)
@@ -46,8 +50,7 @@ def _ref_step(state, f0, config, cover, rng):
     cand_x = np.repeat(points, len(dirs), axis=0)[: config.budget + 1]
     cand_e = np.tile(dirs, (len(points), 1))[: config.budget + 1]
 
-    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, config.K, config.t_grid,
-                        sigma=sigma_prev, steps=config.deriv_steps)
+    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, K, T_GRID, sigma=sigma_prev)
     values, required, d_prev = cmp.value, cmp.required_sigma, cmp.star
     admissible = required < sigma_prev * (1.0 - 1e-9)
     best_seen = np.where(admissible, values, -np.inf)
@@ -66,14 +69,14 @@ def _ref_step(state, f0, config, cover, rng):
     d_move = float(cc_upper_quick(group_mul(group_inv(state.x), x_m)))
     delta_m = max((delta_prev - d_move) / 4.0, 1e-300)
     e_sel = float(values[best_idx])
-    t_abs = np.abs(config.t_grid)
-    inc_sel = line_increments(f_m, x_m, e_m, config.t_grid)
-    inc_prev = line_increments(f_m, state.x, state.direction, config.t_grid)
+    t_abs = np.abs(T_GRID)
+    inc_sel = line_increments(f_m, x_m, e_m, T_GRID)
+    inc_prev = line_increments(f_m, state.x, state.direction, T_GRID)
     gap_sel = e_sel - d_prev.value + sigma_prev
     radii = cover.radii(min(m, cover.depth))
     dist = None
     for _ in range(600):
-        t_range = config.c_holder**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
+        t_range = C_HOLDER**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
         if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
             if dist is None:
@@ -109,21 +112,34 @@ def _logs(monkeypatch, f0, start, config, cover):
     return out
 
 
-@pytest.mark.parametrize("config", [
-    *(MaximizerConfig(seed=k) for k in range(8)),
-    # seeds whose delta search runs out of halvings
-    *(MaximizerConfig(seed=k) for k in (27, 43, 48)),
-    # a candidate on a line no tube certifies: delta reaches 0
-    MaximizerConfig(deriv_steps=(0.01, 0.005, 0.0025)),
-], ids=lambda c: f"seed{c.seed}-steps{len(c.deriv_steps)}")
-def test_runs_log_what_the_full_refinement_logs(monkeypatch, cli_cover, config):
+# seeds 27, 43 and 48 run a delta search out of its halvings
+@pytest.mark.parametrize("seed", [*range(8), 27, 43, 48], ids=lambda k: f"seed{k}")
+def test_runs_log_what_the_full_refinement_logs(monkeypatch, cli_cover, seed):
     e1 = np.array([1.0, 0.0])
     f0 = hlinear_field(HLinearMap(0.5, e1))
-    start = Pair.in_cover(np.zeros(3), e1, cli_cover, min(config.uds_level, cli_cover.depth))
-    new, ref = _logs(monkeypatch, f0, start, config, cli_cover)
+    start = Pair.in_cover(np.zeros(3), e1, cli_cover, 10)
+    new, ref = _logs(monkeypatch, f0, start, MaximizerConfig(seed=seed), cli_cover)
     assert new == ref
-    if config.seed in (27, 43, 48):
+    if seed in (27, 43, 48):
         assert any("delta search exhausted" in s["flag"] for s in new[0])
+
+
+@pytest.mark.parametrize("delta, want", [
+    # a ball of radius 0 nests nothing: the search starts at the 1e-300 floor
+    # and halves it to 0
+    (0.0, 0.0),
+    # a ball at the floor: one halving nests the next one inside it
+    (1e-300, 5e-301),
+])
+def test_a_step_at_the_delta_floor_logs_what_the_full_refinement_logs(cli_cover, delta, want):
+    f0 = hlinear_field(HLinearMap(0.5, np.array([1.0, 0.0])))
+    state = IterationState(m=2, accum=np.array([0.25, 0.0]), x=np.zeros(3), direction=np.array([1.0, 0.0]),
+                           sigma=0.08, t=0.05, delta=delta, lam=1e-9, eps=0.02, e_value=0.75)
+    new, ref = (fn(state, f0, MaximizerConfig(budget=64), cli_cover, np.random.default_rng(3))
+                for fn in (maximizer.step, _ref_step))
+    assert new.to_json() == ref.to_json()
+    assert new.delta == want
+    assert ("delta search exhausted" in new.flag) == (want == 0.0)
 
 
 def test_an_n2_run_logs_what_the_full_refinement_logs(monkeypatch):
