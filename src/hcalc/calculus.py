@@ -7,11 +7,16 @@ rows of one such array (a lone point is a one-row batch), so a point's
 value has the same bits whatever the shape of the call it comes in.
 
 Derivative estimators use symmetric difference quotients along horizontal
-lines with Richardson extrapolation and report an error bar from the
-successive quotient levels; on a ladder of four or more levels, a quotient
-sequence that grows twice in a row is flagged as diverging instead of
-being extrapolated.  One column-wise ladder serves a single point, a
-batch of points, a curve and a batch of curves.
+lines over one read-only step schedule, :data:`DEFAULT_STEPS`, with
+Richardson extrapolation, and report an error bar from the successive
+quotient levels; on a ladder of four or more levels, a quotient sequence
+that grows twice in a row is flagged as diverging instead of being
+extrapolated.  One column-wise ladder serves a single point, a batch of
+points and a batch of curves; a curve near its domain end keeps the steps
+that fit, at least three.
+
+Pairs are compared by one relation, :func:`compare_pairs`, with its
+constants :data:`K` = 8 and :data:`T_GRID` fixed beside it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .group import (
     vector_at,
 )
 from .metric import Ball, cc_lower_batch, cc_upper_quick, cc_upper_value_batch
-from .curves import HorizontalPath, PathBatch
+from .curves import PathBatch
 
 __all__ = [
     "ScalarField",
@@ -46,7 +51,6 @@ __all__ = [
     "DerivativeEstimate",
     "directional_derivative",
     "directional_derivative_batch",
-    "curve_directional_consistency",
     "curve_directional_consistency_batch",
     "lipschitz_estimate",
     "PansuReport",
@@ -57,6 +61,8 @@ __all__ = [
     "mean_value_search",
     "line_increments",
     "PairComparison",
+    "K",
+    "T_GRID",
     "compare_pairs",
 ]
 
@@ -157,14 +163,15 @@ def lattice_min(*fields: ScalarField) -> ScalarField:
 
 
 # Step schedule t_k = 2^-k for k = 6..20: robust for merely Lipschitz data.
+# The ladder of every derivative, so it is read-only.
 DEFAULT_STEPS = 0.5 ** np.arange(6, 21)
+DEFAULT_STEPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
     value: float
     error: float
-    quotients: np.ndarray
     diverging: bool = False
 
     @property
@@ -172,28 +179,18 @@ class DerivativeEstimate:
         return not self.diverging and np.isfinite(self.value)
 
 
-def _ladder(f: ScalarField, plus: np.ndarray, minus: np.ndarray, steps: np.ndarray):
+def _extrapolate(vp: np.ndarray, vm: np.ndarray, steps: np.ndarray):
     """Extrapolate each column's quotient ladder at its most trustworthy level.
 
-    ``plus`` and ``minus`` hold the points at +-steps, shape (levels, m, 2n+1);
-    returns (values, errors, diverging, quotients) per column.  Each value is
-    the Richardson extrapolation at the level minimizing (extrapolation gap +
-    roundoff noise floor), which avoids both the truncation error of coarse
-    levels and the cancellation noise of the finest ones.  With four or more
+    ``vp`` and ``vm`` hold the field values at the points at +-steps, shape
+    (levels, m), for a ladder of at least three levels; returns (values,
+    errors, diverging) per column.  Each value is the Richardson
+    extrapolation at the level minimizing (extrapolation gap + roundoff
+    noise floor), which avoids both the truncation error of coarse levels
+    and the cancellation noise of the finest ones.  With four or more
     levels, growth of the quotient differences clearly above the noise floor
     at the tail is flagged as divergence and widens the error bar.
     """
-    _check_steps(steps)
-    return _extrapolate(f(plus), f(minus), steps)
-
-
-def _check_steps(steps: np.ndarray) -> None:
-    if len(steps) < 3 or np.any(np.diff(steps) >= 0) or np.any(steps <= 0):
-        raise ValueError("steps must be >= 3 values decreasing to 0")
-
-
-def _extrapolate(vp: np.ndarray, vm: np.ndarray, steps: np.ndarray):
-    """:func:`_ladder` from the field values at the points, shape (levels, m)."""
     q = (vp - vm) / (2.0 * steps[:, None])
     diffs = np.abs(np.diff(q, axis=0))
     rich = (4.0 * q[1:] - q[:-1]) / 3.0
@@ -208,79 +205,46 @@ def _extrapolate(vp: np.ndarray, vm: np.ndarray, steps: np.ndarray):
     cols = np.arange(q.shape[1])
     errors = np.maximum(scores[k - 1, cols], base)
     errors = np.where(diverging, np.maximum(errors, diffs[-1]), errors)
-    return rich[k, cols], errors, diverging, q
+    return rich[k, cols], errors, diverging
 
 
-def _line_ladder(f: ScalarField, xs: np.ndarray, directions: np.ndarray, steps: Optional[np.ndarray]):
+def _line_ladder(f: ScalarField, xs: np.ndarray, directions: np.ndarray):
+    """:func:`_extrapolate` of the ladder along each row's line, one column per row of ``xs``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
-    shift = steps[:, None, None] * vector_at(np.atleast_2d(np.asarray(directions, dtype=float)), xs)
-    return _ladder(f, xs + shift, xs - shift, steps)
+    shift = DEFAULT_STEPS[:, None, None] * vector_at(np.atleast_2d(np.asarray(directions, dtype=float)), xs)
+    return _extrapolate(f(xs + shift), f(xs - shift), DEFAULT_STEPS)
 
 
-def _first(values, errors, diverging, q) -> DerivativeEstimate:
-    return DerivativeEstimate(float(values[0]), float(errors[0]), q[:, 0], bool(diverging[0]))
-
-
-def directional_derivative(
-    f: ScalarField,
-    x: np.ndarray,
-    direction: np.ndarray,
-    steps: Optional[np.ndarray] = None,
-) -> DerivativeEstimate:
+def directional_derivative(f: ScalarField, x: np.ndarray, direction: np.ndarray) -> DerivativeEstimate:
     """Derivative of f at x along the horizontal line of a unit direction.
 
-    Symmetric quotients over a decreasing step schedule, Richardson
-    order-2 extrapolation, error bar from the last extrapolation gap: the
+    Symmetric quotients over :data:`DEFAULT_STEPS`, Richardson order-2
+    extrapolation, error bar from the last extrapolation gap: the
     one-column case of :func:`directional_derivative_batch`, bit for bit.
     """
     direction = require_unit(np.asarray(direction, dtype=float))
-    return _first(*_line_ladder(f, x, direction, steps))
+    values, errors, diverging = _line_ladder(f, x, direction)
+    return DerivativeEstimate(float(values[0]), float(errors[0]), bool(diverging[0]))
 
 
-def directional_derivative_batch(
-    f: ScalarField,
-    xs: np.ndarray,
-    directions: np.ndarray,
-    steps: Optional[np.ndarray] = None,
-):
+def directional_derivative_batch(f: ScalarField, xs: np.ndarray, directions: np.ndarray):
     """Vectorized derivative estimates: returns (values, errors, diverging)."""
-    return _line_ladder(f, xs, directions, steps)[:3]
+    return _line_ladder(f, xs, directions)
 
 
-def curve_directional_consistency(
-    f: ScalarField,
-    g: HorizontalPath,
-    h: HorizontalPath,
-    at: float,
-    steps: Optional[np.ndarray] = None,
-) -> dict:
-    """Compare (f o g)' and (f o h)' at a common parameter.
+def curve_directional_consistency_batch(f: ScalarField, g: PathBatch, h: PathBatch, at: np.ndarray) -> dict:
+    """Compare (f o g)' and (f o h)' at a common parameter, column by column.
 
-    The curves must pass through the same point with the same derivative
-    there; the derivative of f along either must then agree, and the report
-    asserts agreement within the combined error bars.  The one-column case
-    of :func:`curve_directional_consistency_batch`, bit for bit.
+    Column j compares path j of g and h at at[j].  The curves must pass
+    through the same point with the same derivative there; the derivative
+    of f along either must then agree, and a column is consistent when the
+    two agree within their combined error bars.  Each check raises when any
+    column fails it.  A column whose domain cuts :data:`DEFAULT_STEPS`
+    short keeps the (at least three) steps that fit; the field sees every
+    column at each step some column keeps.  Returns the report's entries as
+    arrays over the columns.
     """
-    rep = curve_directional_consistency_batch(f, PathBatch.of(g), PathBatch.of(h), np.array([at], dtype=float), steps)
-    return {key: bool(v[0]) if key == "consistent" else float(v[0]) for key, v in rep.items()}
-
-
-def curve_directional_consistency_batch(
-    f: ScalarField,
-    g: PathBatch,
-    h: PathBatch,
-    at: np.ndarray,
-    steps: Optional[np.ndarray] = None,
-) -> dict:
-    """Column-wise :func:`curve_directional_consistency`: column j compares path j of g and h at at[j].
-
-    Each check raises when any column fails it.  A column whose domain
-    cuts the step schedule short keeps the steps that fit, as one curve
-    does; the field sees every column at each step some column keeps.
-    Returns the report's entries as arrays over the columns.
-    """
-    steps = DEFAULT_STEPS if steps is None else np.asarray(steps, dtype=float)
+    steps = DEFAULT_STEPS
     pg, ph = g.eval(at[:, None])[:, 0], h.eval(at[:, None])[:, 0]
     scale = np.fmax(1.0, np.max(np.abs(pg), axis=-1))  # Python max's reading of a NaN
     if not (np.abs(pg - ph) <= 1e-9 * scale[:, None]).all():
@@ -294,14 +258,11 @@ def curve_directional_consistency_batch(
     fits = steps <= max_step[:, None]
     if (np.count_nonzero(fits, axis=1) < 3).any():
         raise ValueError("parameter too close to a domain endpoint")
-    kinds = np.unique(fits, axis=0)
-    for kept in kinds:
-        _check_steps(steps[kept])
     used = fits.any(axis=0)
     plus, minus = at[:, None] + steps[used], at[:, None] - steps[used]
     values = [(f(p.eval(plus).swapaxes(0, 1)), f(p.eval(minus).swapaxes(0, 1))) for p in (g, h)]
     value, error = np.empty((2, len(at))), np.empty((2, len(at)))
-    for kept in kinds:
+    for kept in np.unique(fits, axis=0):
         cols, levels = np.flatnonzero((fits == kept).all(axis=1)), kept[used]
         for k, (vp, vm) in enumerate(values):
             value[k, cols], error[k, cols] = _extrapolate(vp[levels][:, cols], vm[levels][:, cols], steps[kept])[:2]
@@ -622,16 +583,22 @@ class PairComparison(NamedTuple):
     star: DerivativeEstimate
 
 
+# The constants of the relation: K = 8 on the t grid t = ±2^-1, ..., ±2^-10 and
+# ±0.05, ±0.15, ..., ±0.95, increasing; sorted in Python, since np.unique
+# imports numpy.ma, which the import would then pay for
+K = 8.0
+_TS = np.array(sorted({*(0.5 ** np.arange(1, 11)).tolist(), *np.linspace(0.05, 0.95, 10).tolist()}))
+T_GRID = np.concatenate([-_TS[::-1], _TS])
+T_GRID.flags.writeable = False  # shared by every comparison
+
+
 def compare_pairs(
     f: ScalarField,
     star: tuple,
     xs: np.ndarray,
     directions: np.ndarray,
-    K: float,
-    t_grid: np.ndarray,
     sigma: float = 0.0,
     lip: float = 1.0,
-    steps: Optional[np.ndarray] = None,
 ) -> PairComparison:
     """The increment-constrained ordering star <=_sigma candidate, per candidate.
 
@@ -643,10 +610,11 @@ def compare_pairs(
 
         K (sigma + (gap * lip)^(1/4)) |t|
 
-    on the grid.  The maximizer takes lip = 1 and its own sigma; the
-    envelope check of the iteration takes sigma = 0 and lip = Lip(f).
-    Derivative error bars make the answer three-valued: a gap within them
-    counts as zero for acceptance, the verdict is False only when the
+    for every t of :data:`T_GRID`, with K = :data:`K`.  The maximizer takes
+    lip = 1 and its own sigma; the envelope check of the iteration takes
+    sigma = 0 and lip = Lip(f).  Derivatives are :func:`directional_derivative`
+    estimates, whose error bars make the answer three-valued: a gap within
+    them counts as zero for acceptance, the verdict is False only when the
     ordering or the bound fails even for the optimistic gap, and None
     otherwise.  A diverging derivative estimate (of the star or of the
     candidate) gives None.
@@ -655,14 +623,11 @@ def compare_pairs(
         raise ValueError("sigma must be nonnegative")
     if lip is None or lip < 0:
         raise ValueError("need a nonnegative Lipschitz bound")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.abs(t_grid) >= 1.0):
-        raise ValueError("t grid must lie in (-1, 1)")
     x_star, e_star = np.asarray(star[0], float), require_unit(np.asarray(star[1], float))
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     directions = require_unit(np.atleast_2d(np.asarray(directions, dtype=float)))
-    d_star = directional_derivative(f, x_star, e_star, steps)
-    values, errors, diverging = directional_derivative_batch(f, xs, directions, steps)
+    d_star = directional_derivative(f, x_star, e_star)
+    values, errors, diverging = directional_derivative_batch(f, xs, directions)
     gap = values - d_star.value
     slack = errors + d_star.error
     diverging = diverging | d_star.diverging
@@ -671,8 +636,8 @@ def compare_pairs(
     required = np.full(len(xs), np.inf)
     live = np.flatnonzero(~diverging & ~ordering)
     if len(live):
-        lhs = np.abs(line_increments(f, xs[live], e_star, t_grid) - line_increments(f, x_star, e_star, t_grid))
-        t_abs = np.abs(t_grid)
+        lhs = np.abs(line_increments(f, xs[live], e_star, T_GRID) - line_increments(f, x_star, e_star, T_GRID))
+        t_abs = np.abs(T_GRID)
         # np.float_power rounds like the scalar power; the SIMD ``**`` may not
         lo = np.float_power(np.maximum(gap[live] - slack[live], 0.0) * lip, 0.25)[:, None]
         hi = np.float_power(np.maximum(gap[live] + slack[live], 0.0) * lip, 0.25)[:, None]

@@ -52,8 +52,6 @@ __all__ = [
     "gamma_y",
     "ModifyLineParams",
     "modify_line",
-    "modify_line_probe",
-    "line_path",
     "delta_cap",
     "MODIFY_DELTA_DIVISOR",
 ]
@@ -294,11 +292,6 @@ class PathBatch(NamedTuple):
         """The lifted paths, after the checks of :class:`HorizontalPath`."""
         return cls(knots, _checked_vertices(knots, planar, c0))
 
-    @classmethod
-    def of(cls, path: HorizontalPath) -> "PathBatch":
-        """The one-path batch of ``path``."""
-        return cls(path.knots[None], path._vertices[None])
-
     @property
     def planar(self) -> np.ndarray:
         return self.vertices[..., :-1]
@@ -368,15 +361,9 @@ def lipschitz_constant(path: HorizontalPath) -> float:
     return float(np.max(path.segment_speeds()))
 
 
-def line_path(x: np.ndarray, direction: np.ndarray, t0: float, t1: float) -> HorizontalPath:
-    """The horizontal line t -> x + t * E(x) restricted to [t0, t1]."""
-    if t1 <= t0:
-        raise ValueError("need t0 < t1")
-    return HorizontalPath(*_line_knots(np.asarray(x, dtype=float), np.asarray(direction, dtype=float), t0, t1))
-
-
 def _line_knots(x, direction, t0, t1):
-    """Knots (..., 2), planar rows (..., 2, 2n) and start height (...) of lines; broadcasts."""
+    """Knots (..., 2), planar rows (..., 2, 2n) and start height (...) of the
+    horizontal lines t -> x + t E(x) on [t0, t1]; broadcasts."""
     t0, t1 = np.expand_dims(t0, -1), np.expand_dims(t1, -1)
     p = project(x)
     planar = np.stack([p + t0 * direction, p + t1 * direction], axis=-2)
@@ -404,8 +391,10 @@ def _gamma_rows(y: np.ndarray) -> np.ndarray:
     """Planar knot rows (0, midpoint, p(y)) of the two-leg curve, float or exact.
 
     Leading axes of ``y`` are a batch; the rows run along axis -2.  In
-    floats, a point whose squares |p(y)|^2 over- or underflow, or whose
-    midpoint overflows, raises a ``ValueError`` that says so.
+    floats, a point whose squares |p(y)|^2 over- or underflow, whose
+    midpoint overflows, or whose midpoint's c-term underflows (|p(y)| c or
+    c / |p(y)| below the normal floats, c != 0) raises a ``ValueError``
+    that says so.
     """
     n = group_dim(y)
     a, b, c = y[..., :n], y[..., n : 2 * n], y[..., -1:]
@@ -423,6 +412,13 @@ def _gamma_rows(y: np.ndarray) -> np.ndarray:
             raise ValueError("gamma_y needs |p(y)|^2 as a normal float, but the squares of p(y) underflow")
         if not np.isfinite(mid).all():
             raise ValueError("the midpoint of gamma_y overflows: p(y) c / |p(y)|^2 exceeds the floats")
+        # the c-term p(y) c / |p(y)|^2 keeps its bits to a few eps only where
+        # |p(y)| c and c / |p(y)| are normal; below, it rounds away (to 0 at worst)
+        with np.errstate(over="ignore"):
+            D, h = np.sqrt(L2), np.abs(c)
+            lost = (h != 0) & ((D * h < np.finfo(float).tiny) | (h / D < np.finfo(float).tiny))
+        if lost.any():
+            raise ValueError("gamma_y needs |p(y)| c and c / |p(y)| as normal floats, but the midpoint's c-term underflows")
     rows = np.zeros(mid.shape[:-1] + (3, 2 * n), dtype=mid.dtype)
     rows[..., 1, :] = mid
     rows[..., 2, :] = y[..., :-1]
@@ -568,31 +564,12 @@ def _modified_line_knots(x, u, E, r, s, zeta, span):
 def _modified_line_batch(x, u, direction, r, delta, zeta, span=None, eta=None, cc_bound_of_u=None) -> PathBatch:
     """Modified lines as one batch, each row with the bits of its own path.
 
-    Rows pass the checks of :class:`ModifyLineParams` when ``eta`` is given
-    and those of :func:`modify_line_probe` when it is not; ``zeta`` is each
-    row's r <p(u), E>, and ``span`` defaults to 2s.
+    Rows pass the checks of :class:`ModifyLineParams` when ``eta`` is given.
+    Without it, only a unit direction and 0 < r < delta are checked: no cap
+    on delta, so such a row has NO admissibility guarantee and serves only
+    to probe how far past the proven threshold the speed bound keeps
+    holding.  ``zeta`` is each row's r <p(u), E>, and ``span`` defaults to 2s.
     """
     _require_modifiable(direction, r, delta, eta, cc_bound_of_u)
     s = r / delta
     return PathBatch.lift(*_modified_line_knots(x, u, direction, r, s, zeta, 2.0 * s if span is None else span))
-
-
-def modify_line_probe(x, u, direction, r, delta, span=None):
-    """Diagnostics-only modification with NO admissibility guarantee.
-
-    Same construction as :func:`modify_line` but without the cap on
-    ``delta``, so harnesses can measure how far past the proven threshold
-    the speed and direction posts keep holding empirically.  Never use the
-    result where the guaranteed bounds matter.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    _require_modifiable(direction, r, delta)
-    s = r / delta
-    zeta = float(r * np.dot(project(u), direction))
-    if span is None:
-        span = 2.0 * s
-    knots, rows, c0 = _modified_line_knots(x, u, direction, r, s, zeta, span)
-    return HorizontalPath(knots, rows, c0), zeta
-

@@ -20,10 +20,11 @@ of the distances already shows skips their golden section.
 
 The constants are fixed, each named once below: C_a = 2 (``C_ANGLE``),
 C_h = 4 (``C_HOLDER``), delta_0 = 1 (``DELTA0``), the field shift budget
-mu = 1/2 (``MU``), the comparison constant K = 8 (``K``) on the t grid
-``T_GRID``, and the cover level of the start, ``UDS_LEVEL`` = 10.
-Derivatives use the ladder :data:`calculus.DEFAULT_STEPS`.  A run varies
-only its seed, its number of steps and its candidates per step
+mu = 1/2 (``MU``) and the cover level of the start, ``UDS_LEVEL`` = 10.
+Pairs are compared by :func:`calculus.compare_pairs`, whose constant
+K = 8 and t grid :data:`calculus.T_GRID` are the calculus module's, as is
+the derivative ladder :data:`calculus.DEFAULT_STEPS`.  A run varies only
+its seed, its number of steps and its candidates per step
 (:class:`MaximizerConfig`).
 
 The true candidate set is uncountable; the finite surrogate preserves
@@ -42,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import (
+    T_GRID,
     ScalarField,
     compare_pairs,
     directional_derivative,
@@ -65,7 +67,7 @@ __all__ = [
     "step",
     "run",
     "verify_trajectory",
-    "C_ANGLE", "C_HOLDER", "DELTA0", "K", "MU", "T_GRID", "UDS_LEVEL",
+    "C_ANGLE", "C_HOLDER", "DELTA0", "MU", "UDS_LEVEL",
 ]
 
 
@@ -140,12 +142,6 @@ C_ANGLE = 2.0
 C_HOLDER = 4.0
 DELTA0 = 1.0
 MU = 0.5
-K = 8.0
-# t = ±2^-1, ..., ±2^-10 and ±0.05, ±0.15, ..., ±0.95, increasing; sorted in
-# Python, since np.unique imports numpy.ma, which the import would then pay for
-_TS = np.array(sorted({*(0.5 ** np.arange(1, 11)).tolist(), *np.linspace(0.05, 0.95, 10).tolist()}))
-T_GRID = np.concatenate([-_TS[::-1], _TS])
-T_GRID.flags.writeable = False  # shared by every comparison of a run
 UDS_LEVEL = 10
 
 
@@ -281,7 +277,7 @@ def step(
     cand_x = np.repeat(points, len(dirs), axis=0)[: config.budget + 1]
     cand_e = np.tile(dirs, (len(points), 1))[: config.budget + 1]
 
-    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, K, T_GRID, sigma=sigma_prev)
+    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, sigma=sigma_prev)
     values, required, d_prev = cmp.value, cmp.required_sigma, cmp.star
     admissible = required < sigma_prev * (1.0 - 1e-9)
     # the incumbent stays selected unless an admissible candidate beats it
@@ -454,9 +450,7 @@ def verify_trajectory(traj: Trajectory) -> dict:
         move = float(cc_upper_quick(group_mul(group_inv(final.x), s.x)))
         if move > states[-1].delta:
             continue
-        verdict = compare_pairs(
-            f_final, (s.x, s.direction), final.x, final.direction, K=K, t_grid=T_GRID, lip=lip_final,
-        ).verdict[0]
+        verdict = compare_pairs(f_final, (s.x, s.direction), final.x, final.direction, lip=lip_final).verdict[0]
         if verdict is False:
             violations.append(f"final pair fails the increment envelope against m={s.m}")
     return {

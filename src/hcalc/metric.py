@@ -82,7 +82,7 @@ __all__ = [
     "VECTOR_FIELD_LIP",
     "DistanceBounds",
     "Ball",
-    "cc_lower",
+    "cc_lower_batch",
     "cc_upper",
     "cc_bounds",
     "cc_upper_quick",
@@ -152,13 +152,8 @@ def _lower(z: np.ndarray) -> np.ndarray:
     return np.maximum(_norm(project(z)), np.sqrt(np.abs(vertical(z))))
 
 
-def cc_lower(x: np.ndarray, y: np.ndarray) -> float:
-    """Certified lower bound max(|p(x)-p(y)|, sqrt(|height of x^-1 y|))."""
-    return float(_lower(group_mul(group_inv(np.asarray(x, float)), np.asarray(y, float))[None])[0])
-
-
 def cc_lower_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`cc_lower` for each row, bit for bit."""
+    """Certified lower bound max(|p(z)|, sqrt|c(z)|) of z = x^-1 y, for each row."""
     return _lower(group_mul(group_inv(x), y))
 
 
@@ -203,10 +198,9 @@ def _arc_chain_2d(D: float, theta: float, m: int) -> np.ndarray:
     """Vertices of the inscribed arc chain from (0,0) to (D,0), bulge up.
 
     Written relative to the chord so small bulges do not cancel against a
-    distant circle center.
+    distant circle center.  ``theta`` is positive: :func:`_arc_witness`
+    passes at least r = 4 ratio > 0 on the shallow branch, pi/2 on the steep one.
     """
-    if theta <= 0.0:
-        return np.array([[0.0, 0.0], [D, 0.0]])
     # np.linspace(-theta, theta, m + 1), bit for bit
     alphas = np.arange(m + 1.0) * (2.0 * theta / m) - theta
     alphas[-1] = theta
@@ -353,7 +347,7 @@ def cc_upper(x: np.ndarray, y: np.ndarray):
         px = x[:-1]
         if not (math.isfinite(D) and math.isfinite(c)):
             raise ValueError("path data must be finite")
-        # cc_lower's max(|p(z)|, sqrt|c|) on the same z, bit for bit
+        # cc_lower_batch's max(|p(z)|, sqrt|c|) on the same z, bit for bit
         lower = max(D, math.sqrt(abs(c)))
         if D == 0.0 and c == 0.0:
             return _Upper(0.0, HorizontalPath(np.array([0.0, 1.0]), np.stack([px] * 2), float(x[-1])), lower)
@@ -373,7 +367,7 @@ def cc_bounds(x: np.ndarray, y: np.ndarray) -> DistanceBounds:
     """Distance bracket with witness; the core comparison primitive.
 
     The upper end is :func:`cc_upper`'s witness length.  The lower end is
-    :func:`cc_lower`, bit for bit, read from the x^-1 y, D and c that
+    :func:`cc_lower_batch`'s, bit for bit, read from the x^-1 y, D and c that
     :func:`cc_upper`'s route has already computed.
     """
     upper = cc_upper(x, y)

@@ -24,7 +24,7 @@ random stream is the one of a loop that builds one curve per trial, and
 then check each dimension's trials as one batch (``lipschitzhorizontal``
 one batch per knot count).  Each trial keeps the bits of its own curve.
 ``horizontaldistances`` brackets its pairs without witnesses: the lower
-end is :func:`metric.cc_lower`'s and the upper end the certified closed
+end is :func:`metric.cc_lower_batch`'s and the upper end the certified closed
 form, one batched call each per dimension.
 """
 
@@ -284,7 +284,7 @@ def suite_horizontaldistances(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
             e[i] = rng.standard_normal(2 * n)
             t[i] = rng.uniform(-2.0, 2.0)
         y = x + t[:, None] * group.vector_at(e, x)
-        # cc_lower's bits below, the certified closed form above: no witness
+        # cc_lower_batch's bits below, the certified closed form above: no witness
         upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y))
         ends = np.stack([metric.cc_lower_batch(x, y), upper], axis=-1)
         # |t| omega(E), with a 1-D norm per trial: it rounds apart from a row-wise one
@@ -942,12 +942,11 @@ def suite_almostmax(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     e2 = np.zeros(2 * n)
     e2[n] = 1.0
     f = calculus.hlinear_field(group.HLinearMap(0.5, e1))
-    grid = maximizer.T_GRID
     origin = np.zeros(2 * n + 1)
     along = group.horizontal_point(0.3 * e1)
 
     def verdict(h, star, x, e, sigma=0.0, lip=1.0):
-        return calculus.compare_pairs(h, star, x, e, K=8.0, t_grid=grid, sigma=sigma, lip=lip).verdict[0]
+        return calculus.compare_pairs(h, star, x, e, sigma=sigma, lip=lip).verdict[0]
 
     # envelope check (sigma = 0, lip = Lip(f)): reflexive acceptance
     ledger.count(verdict(f, (origin, e1), origin, e1, lip=f.declared_lip) is not True)

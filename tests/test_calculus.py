@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from hcalc.calculus import (
+    DEFAULT_STEPS,
+    T_GRID,
     MeanValueHypothesisError,
     MeanValueInstance,
     MeanValueSearchError,
     PansuReport,
     ScalarField,
     cc_distance_field,
+    _extrapolate,
     compare_pairs,
-    curve_directional_consistency,
+    curve_directional_consistency_batch,
     directional_derivative,
     directional_derivative_batch,
     hlinear_field,
@@ -27,9 +30,8 @@ from hcalc.calculus import (
     vertical_coordinate_field,
 )
 from hcalc import metric, suites
-from hcalc.curves import HorizontalPath, line_path
+from hcalc.curves import HorizontalPath, PathBatch, _line_knots
 from hcalc.group import HLinearMap, dilate, group_inv, group_mul, horizontal_point, random_directions
-from hcalc.maximizer import T_GRID
 from hcalc.metric import Ball, cc_upper_quick, cc_upper_value_batch
 
 E1 = np.array([1.0, 0.0])
@@ -57,10 +59,11 @@ class TestDirectionalDerivative:
         with pytest.raises(ValueError):
             directional_derivative(f, np.zeros(3), np.array([1.0, 1.0]))
 
-    def test_rejects_bad_schedule(self):
-        f = hlinear_field(HLinearMap(1.0, E1))
-        with pytest.raises(ValueError):
-            directional_derivative(f, np.zeros(3), E1, steps=np.array([0.1, 0.2, 0.3]))
+    def test_the_schedule_is_read_only(self):
+        # the ladder of every derivative: a write would change all later ones
+        with pytest.raises(ValueError, match="read-only"):
+            DEFAULT_STEPS[0] = 0.1
+        assert DEFAULT_STEPS.tolist() == (0.5 ** np.arange(6, 21)).tolist()
 
     def test_odd_symmetry(self):
         f = koranyi_gauge_field(np.array([2.0, 1.0, 0.3]))
@@ -96,27 +99,48 @@ class TestDirectionalDerivative:
             assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
+def _line(x, e):
+    """The one-path batch of the horizontal line through x along e on [-1, 1]."""
+    return PathBatch.lift(*_line_knots(np.array([x], dtype=float), np.array([e]), np.array([-1.0]), np.array([1.0])))
+
+
 class TestCurveConsistency:
     def test_identical_curves(self):
         f = koranyi_gauge_field(np.array([2.0, 1.0, 0.5]))
-        g = line_path(np.zeros(3), E1, -1.0, 1.0)
-        rep = curve_directional_consistency(f, g, g, at=0.2)
-        assert rep["consistent"]
-        assert rep["gap"] == 0.0
+        g = _line(np.zeros(3), E1)
+        rep = curve_directional_consistency_batch(f, g, g, np.array([0.2]))
+        assert rep["consistent"][0]
+        assert rep["gap"][0] == 0.0
 
     def test_rejects_mismatched_points(self):
         f = koranyi_gauge_field(np.array([2.0, 1.0, 0.5]))
-        g = line_path(np.zeros(3), E1, -1.0, 1.0)
-        h = line_path(np.array([0.0, 0.5, 0.0]), E1, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            curve_directional_consistency(f, g, h, at=0.0)
+        g = _line(np.zeros(3), E1)
+        h = _line(np.array([0.0, 0.5, 0.0]), E1)
+        with pytest.raises(ValueError, match="do not meet"):
+            curve_directional_consistency_batch(f, g, h, np.array([0.0]))
 
     def test_rejects_mismatched_derivatives(self):
         f = koranyi_gauge_field(np.array([2.0, 1.0, 0.5]))
-        g = line_path(np.zeros(3), E1, -1.0, 1.0)
-        h = line_path(np.zeros(3), E2, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            curve_directional_consistency(f, g, h, at=0.0)
+        g = _line(np.zeros(3), E1)
+        h = _line(np.zeros(3), E2)
+        with pytest.raises(ValueError, match="derivatives differ"):
+            curve_directional_consistency_batch(f, g, h, np.array([0.0]))
+
+    def test_a_column_at_its_domain_end_keeps_three_levels(self):
+        # 2^-18 from t = 1 only the three finest steps fit: the 3-level ladder,
+        # which never flags divergence
+        f = koranyi_gauge_field(np.array([2.0, 1.0, 0.5]))
+        g = _line(np.zeros(3), E1)
+        at = 1.0 - 2.0**-18
+        rep = curve_directional_consistency_batch(f, g, g, np.array([at]))
+        three = DEFAULT_STEPS[-3:]
+        pts = horizontal_point(np.outer(at + np.concatenate([three, -three]), E1))
+        vals = f(pts).reshape(2, 3, 1)
+        value, _, diverging = _extrapolate(vals[0], vals[1], three)
+        assert rep["deriv_along_g"][0].hex() == value[0].hex()
+        assert rep["consistent"][0] and not diverging[0]
+        with pytest.raises(ValueError, match="too close to a domain endpoint"):
+            curve_directional_consistency_batch(f, g, g, np.array([1.0 - 2.0**-19]))
 
 
 class TestLipschitzEstimate:
@@ -323,45 +347,36 @@ def test_meanvalue_exclusion_case_at_a_negative_bump():
     assert result.failures == 0 and result.passed
 
 
-def envelope_verdict(f, star, comp, K, t_grid):
+def envelope_verdict(f, star, comp):
     """The envelope check of the iteration: sigma = 0 and lip = Lip(f)."""
-    return compare_pairs(f, star, comp[0], comp[1], K=K, t_grid=t_grid, lip=f.declared_lip).verdict[0]
+    return compare_pairs(f, star, comp[0], comp[1], lip=f.declared_lip).verdict[0]
 
 
 class TestAlmostMaximalCheck:
     def test_reflexive(self):
         f = hlinear_field(HLinearMap(0.5, E1))
         pair = (np.zeros(3), E1)
-        grid = np.linspace(-0.9, 0.9, 19)
-        assert envelope_verdict(f, pair, pair, K=6.0, t_grid=grid) is True
+        assert envelope_verdict(f, pair, pair) is True
 
     def test_equal_derivative_translate(self):
         f = hlinear_field(HLinearMap(0.5, E1))
-        grid = np.linspace(-0.9, 0.9, 19)
         star = (np.zeros(3), E1)
         comp = (horizontal_point(0.2 * E1), E1)
-        assert envelope_verdict(f, star, comp, K=6.0, t_grid=grid) is True
+        assert envelope_verdict(f, star, comp) is True
 
     def test_smaller_derivative_rejected(self):
         f = hlinear_field(HLinearMap(0.5, E2))
-        grid = np.linspace(-0.9, 0.9, 19)
-        assert envelope_verdict(f, (np.zeros(3), E2), (np.zeros(3), E1), K=6.0, t_grid=grid) is False
+        assert envelope_verdict(f, (np.zeros(3), E2), (np.zeros(3), E1)) is False
 
     def test_indeterminate_on_divergent_estimates(self):
         f = ScalarField(lambda x: np.sign(x[..., 0]), declared_lip=1.0)
-        grid = np.linspace(-0.9, 0.9, 5)
-        out = envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=grid)
+        out = envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1))
         assert out is None
 
     def test_requires_lip_bound(self):
         f = ScalarField(lambda x: x[..., 0])
         with pytest.raises(ValueError):
-            envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=np.array([0.5]))
-
-    def test_t_grid_validation(self):
-        f = hlinear_field(HLinearMap(0.5, E1))
-        with pytest.raises(ValueError):
-            envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1), K=6.0, t_grid=np.array([1.5]))
+            envelope_verdict(f, (np.zeros(3), E1), (np.zeros(3), E1))
 
 
 _HALF_E1 = hlinear_field(HLinearMap(0.5, E1))
@@ -390,7 +405,7 @@ COMPARE_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPARE_CASES))
 def test_compare_pairs_table(case):
     f, star, x, e, sigma, verdict, reason = COMPARE_CASES[case]
-    out = compare_pairs(f, star, x, e, K=8.0, t_grid=T_GRID, sigma=sigma)
+    out = compare_pairs(f, star, x, e, sigma=sigma)
     assert out.verdict[0] is verdict
     assert out.reason[0] == reason
     if reason in ("diverging", "ordering"):
@@ -402,9 +417,7 @@ def test_compare_pairs_table(case):
 
 def test_compare_pairs_validation():
     with pytest.raises(ValueError):
-        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=T_GRID, sigma=-1.0)
-    with pytest.raises(ValueError):
-        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, K=8.0, t_grid=np.array([0.5, -1.0]))
+        compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E1, sigma=-1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -417,11 +430,10 @@ def test_compare_pairs_batch_matches_single_calls(n):
     xs = rng.uniform(-1.5, 1.5, (64, 2 * n + 1))
     es = random_directions(rng, 64, n)
     es[::2] = e1  # along the star: lines crossing the kink at a_1 = 0 fail the increment test
-    grid = T_GRID
-    batch = compare_pairs(f, star, xs, es, K=8.0, t_grid=grid)
+    batch = compare_pairs(f, star, xs, es)
     assert {"", "ordering", "increment"} <= set(batch.reason)
     for i in range(64):
-        one = compare_pairs(f, star, xs[i], es[i], K=8.0, t_grid=grid)
+        one = compare_pairs(f, star, xs[i], es[i])
         assert one.verdict[0] is batch.verdict[i]
         assert one.reason[0] == batch.reason[i]
         assert one.required_sigma[0].tobytes() == batch.required_sigma[i].tobytes()
@@ -508,52 +520,35 @@ def test_line_increments_batch_matches_single_points(n):
     rng = np.random.default_rng(20 + n)
     xs = rng.standard_normal((64, 2 * n + 1))
     e = random_directions(rng, 1, n)[0]
-    grid = T_GRID
     for name, f in _shape_fields(n).items():
-        batch = line_increments(f, xs, e, grid)
-        one = np.stack([line_increments(f, x, e, grid) for x in xs])
+        batch = line_increments(f, xs, e, T_GRID)
+        one = np.stack([line_increments(f, x, e, T_GRID) for x in xs])
         assert one.tobytes() == batch.tobytes(), name
 
 
-@pytest.mark.parametrize("steps", [None, np.array([0.01, 0.005, 0.0025])])
-def test_derivative_is_its_row_of_the_batch(steps):
+def test_derivative_is_its_row_of_the_batch():
     rng = np.random.default_rng(30)
     xs = rng.standard_normal((48, 3))
     xs[::4, 0] = 0.0  # on the jump of the sign field: these ladders diverge
     dirs = random_directions(rng, 48, 1)
     fields = dict(_shape_fields(1), sign=ScalarField(lambda x: np.sign(x[..., 0])))
     for name, f in fields.items():
-        values, errors, diverging = directional_derivative_batch(f, xs, dirs, steps)
+        values, errors, diverging = directional_derivative_batch(f, xs, dirs)
         for i in range(len(xs)):
-            est = directional_derivative(f, xs[i], dirs[i], steps)
+            est = directional_derivative(f, xs[i], dirs[i])
             assert est.value.hex() == values[i].hex(), name
             assert est.error.hex() == errors[i].hex(), name
             assert est.diverging is bool(diverging[i]), name
-    # the sign field comes last: its default ladders diverge, its 3-level ones cannot
-    assert np.any(diverging) == (steps is None)
+    # the sign field comes last: its ladders across the jump diverge
+    assert np.any(diverging)
 
 
-class TestLadderSteps:
-    SIGN = ScalarField(lambda x: np.sign(x[..., 0]))
-
-    def test_three_levels_never_flag_divergence(self):
-        three = np.array([0.01, 0.005, 0.0025])
-        assert directional_derivative(self.SIGN, np.zeros(3), E1).diverging
-        assert not directional_derivative(self.SIGN, np.zeros(3), E1, three).diverging
-        _, _, diverging = directional_derivative_batch(self.SIGN, np.zeros((2, 3)), np.stack([E1, E2]), three)
-        assert not np.any(diverging)
-
-    @pytest.mark.parametrize("steps", [[0.1, 0.2, 0.3], [0.1, 0.05, 0.05], [0.1, 0.0, -0.1], [0.1, 0.05]])
-    def test_batch_rejects_bad_steps(self, steps):
-        f = hlinear_field(HLinearMap(1.0, E1))
-        with pytest.raises(ValueError, match="steps must be"):
-            directional_derivative_batch(f, np.zeros((2, 3)), np.stack([E1, E2]), np.array(steps))
-        with pytest.raises(ValueError, match="steps must be"):
-            compare_pairs(f, (np.zeros(3), E1), np.zeros(3), E2, K=8.0, t_grid=T_GRID,
-                          steps=np.array(steps))
-
-    def test_compare_pairs_on_a_three_level_ladder(self):
-        f = hlinear_field(HLinearMap(0.5, E1))
-        out = compare_pairs(f, (np.zeros(3), E1), np.zeros((2, 3)), np.stack([E1, E2]), K=8.0,
-                            t_grid=T_GRID, steps=np.array([0.01, 0.005, 0.0025]))
-        assert list(out.reason) == ["", "ordering"]
+def test_three_levels_never_flag_divergence():
+    # the sign field's quotients across its jump grow at every level: the full
+    # ladder flags it, while three levels have too few differences to tell
+    sign = ScalarField(lambda x: np.sign(x[..., 0]))
+    assert directional_derivative(sign, np.zeros(3), E1).diverging
+    for steps in (DEFAULT_STEPS, DEFAULT_STEPS[:3], np.array([0.01, 0.005, 0.0025])):
+        vals = sign(horizontal_point(np.outer(np.concatenate([steps, -steps]), E1)))
+        _, _, diverging = _extrapolate(vals[: len(steps), None], vals[len(steps) :, None], steps)
+        assert diverging[0] == (len(steps) > 3)

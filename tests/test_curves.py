@@ -12,6 +12,7 @@ from hcalc.curves import (
     _gamma_rows,
     _interpolate,
     _lift_vertices,
+    _line_knots,
     _segment_speeds,
     HorizontalPath,
     ModifyLineParams,
@@ -20,7 +21,6 @@ from hcalc.curves import (
     horizontal_length,
     lift_heights,
     lift_planar,
-    line_path,
     lipschitz_constant,
     modify_line,
 )
@@ -70,7 +70,7 @@ def test_lengths_and_speeds():
     assert horizontal_length(path) == pytest.approx(3.0)
     two = HorizontalPath(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [2.0, 0.0]]), 0.0)
     assert lipschitz_constant(two) == pytest.approx(2.0)
-    line = line_path(np.array([0.3, -0.4, 0.9]), np.array([0.6, 0.8]), -1.0, 2.0)
+    line = HorizontalPath(*_line_knots(np.array([0.3, -0.4, 0.9]), np.array([0.6, 0.8]), -1.0, 2.0))
     assert lipschitz_constant(line) == pytest.approx(1.0)
 
 
@@ -272,10 +272,12 @@ def test_batched_gamma_rows_and_heights_match_one_path_at_a_time(n):
 
 @pytest.mark.filterwarnings("error")
 def test_gamma_rows_refuse_squares_that_over_or_underflow():
-    # squares near the ends of the normal floats keep the one-point bits
-    for y in ([1e-150, 0.0, 1e-140], [1e150, 0.0, 1e150], [1e-100, 0.0, 1e200], [0.0, 3e-154, 1.0]):
+    # squares near the ends of the normal floats keep the one-point bits and close on c
+    for y in ([1e-150, 0.0, 1e-140], [1e150, 0.0, 1e150], [1e-100, 0.0, 1e200], [0.0, 3e-154, 1.0],
+              [1e-300, 1e10, 1e-200], [3e-154, 0.0, 1e-154]):
         y = np.array(y)
         assert _gamma_rows(y).tobytes() == _gamma_rows_one(y).tobytes()
+        assert gamma_y(y).end()[-1] == pytest.approx(y[-1], rel=1e-15, abs=0.0)
     for y, message in (
         # an overflow warning in vecdot, then a midpoint off the curve
         ([1e200, 0.0, 1e300], "squares of p\\(y\\) overflow"),
@@ -284,11 +286,22 @@ def test_gamma_rows_refuse_squares_that_over_or_underflow():
         # a subnormal |p(y)|^2, and a midpoint that missed the height c
         ([1e-160, 0.0, 1e-300], "squares of p\\(y\\) underflow"),
         ([1e150, 0.0, 1e300], "midpoint of gamma_y overflows"),
+        # p(y) c underflowed: the midpoint lost its c-term and the path ended at height 0
+        ([1e-150, 0.0, 1e-200], "c-term underflows"),
+        ([1e-100, 0.0, -1e-250], "c-term underflows"),
+        ([1e-150, 1e-150, 1e-200], "c-term underflows"),
+        # c / |p(y)| subnormal: the end height missed c by 6e-9 relative
+        ([1e10, 0.0, 1e-305], "c-term underflows"),
+        ([1.0, 0.0, 1e-310], "c-term underflows"),
     ):
         # alone, and as one row of a batch
         for ys in (np.array(y), np.array([[1.0, 0.0, 1.0], y])):
             with pytest.raises(ValueError, match=message):
                 _gamma_rows(ys)
+        if "c-term" in message:
+            # exact rows neither round nor underflow: the exact lift closes on c
+            path = gamma_y(y, rational=True)
+            assert lift_heights(np.array(path.rational[1], dtype=object), Fraction(0))[-1] == Fraction(y[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

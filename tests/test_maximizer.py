@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hcalc.calculus import ScalarField, compare_pairs, hlinear_field
+from hcalc.calculus import K, T_GRID, ScalarField, compare_pairs, hlinear_field
 from hcalc.group import HLinearMap, group_inv, group_mul, project
 from hcalc.maximizer import (
     _candidate_points,
@@ -13,11 +13,9 @@ from hcalc.maximizer import (
     C_HOLDER,
     DELTA0,
     IterationState,
-    K,
     MU,
     MaximizerConfig,
     Pair,
-    T_GRID,
     Trajectory,
     UDS_LEVEL,
     run,
@@ -89,7 +87,7 @@ class TestConfigAndPair:
 
 def comparison_verdict(f, p1, p2, sigma):
     """The maximizer's comparison p1 <=_sigma p2 (lip = 1)."""
-    out = compare_pairs(f, (p1.x, p1.direction), p2.x, p2.direction, K=8.0, t_grid=T_GRID, sigma=sigma)
+    out = compare_pairs(f, (p1.x, p1.direction), p2.x, p2.direction, sigma=sigma)
     return out.verdict[0]
 
 

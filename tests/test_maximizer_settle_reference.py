@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 from hcalc import maximizer, metric, uds
-from hcalc.calculus import compare_pairs, hlinear_field, line_increments
+from hcalc.calculus import T_GRID, compare_pairs, hlinear_field, line_increments
 from hcalc.group import HLinearMap, group_inv, group_mul
 from hcalc.maximizer import (
     C_ANGLE,
     C_HOLDER,
-    K,
-    T_GRID,
     IterationState,
     MaximizerConfig,
     Pair,
@@ -50,7 +48,7 @@ def _ref_step(state, f0, config, cover, rng):
     cand_x = np.repeat(points, len(dirs), axis=0)[: config.budget + 1]
     cand_e = np.tile(dirs, (len(points), 1))[: config.budget + 1]
 
-    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, K, T_GRID, sigma=sigma_prev)
+    cmp = compare_pairs(f_m, (state.x, state.direction), cand_x, cand_e, sigma=sigma_prev)
     values, required, d_prev = cmp.value, cmp.required_sigma, cmp.star
     admissible = required < sigma_prev * (1.0 - 1e-9)
     best_seen = np.where(admissible, values, -np.inf)

@@ -17,7 +17,7 @@ from hcalc.metric import (
     DistanceBounds,
     angle_fit,
     cc_bounds,
-    cc_lower,
+    cc_lower_batch,
     cc_upper,
     cc_upper_quick,
     cc_upper_value_batch,
@@ -28,10 +28,15 @@ from hcalc.metric import (
 ORIGIN = np.zeros(3)
 
 
+def lower_of_pair(x, y):
+    """The lower bound of one pair, as a one-row batch."""
+    return float(cc_lower_batch(x[None], y[None])[0])
+
+
 def test_lower_bound_frozen_values():
-    assert cc_lower(ORIGIN, ORIGIN) == 0.0
-    assert cc_lower(ORIGIN, np.array([0, 0, 4.0])) == pytest.approx(2.0)
-    assert cc_lower(ORIGIN, np.array([3, 4, 0.0])) == pytest.approx(5.0)
+    assert lower_of_pair(ORIGIN, ORIGIN) == 0.0
+    assert lower_of_pair(ORIGIN, np.array([0, 0, 4.0])) == pytest.approx(2.0)
+    assert lower_of_pair(ORIGIN, np.array([3, 4, 0.0])) == pytest.approx(5.0)
 
 
 def test_vertical_upper_route():
@@ -89,7 +94,7 @@ def test_arc_never_beats_the_lower_bound_and_gamma_route():
         if np.linalg.norm(z[:2]) < 1e-6:
             continue
         up, _ = cc_upper(ORIGIN, z)
-        assert up >= cc_lower(ORIGIN, z) - 1e-12
+        assert up >= lower_of_pair(ORIGIN, z) - 1e-12
         gamma_route = horizontal_length(gamma_y(z))
         assert up <= gamma_route + 1e-12
 
@@ -129,7 +134,7 @@ def test_batch_value_matches_witness_value():
     for z, v in zip(zs, vals):
         u, _ = cc_upper(ORIGIN, z)
         assert v == pytest.approx(u, rel=3e-4)
-        assert v >= cc_lower(ORIGIN, z) - 1e-12
+        assert v >= lower_of_pair(ORIGIN, z) - 1e-12
 
 
 def test_quick_bound_dominates_bracket():
@@ -516,7 +521,7 @@ def test_ball_refuses_non_finite_data(center, radius, message):
 
 
 def _pansu_per_sample(u_dir, zs):
-    # reference: the expansion check one sample at a time, from cc_lower and
+    # reference: the expansion check one sample at a time, from one-row lower bounds and
     # one-row closed-form calls; each closed-form upper is at most the length
     # of that sample's cc_upper witness
     u = horizontal_point(u_dir)
@@ -525,8 +530,8 @@ def _pansu_per_sample(u_dir, zs):
     for z in zs:
         uz = group_mul(u, z)
         ip = float(np.dot(project(z), u_dir))
-        lo, up = cc_lower(origin, uz), float(cc_upper_value_batch(uz)[0])
-        dz_lo, dz_up = cc_lower(origin, z), float(cc_upper_value_batch(z)[0])
+        lo, up = lower_of_pair(origin, uz), float(cc_upper_value_batch(uz)[0])
+        dz_lo, dz_up = lower_of_pair(origin, z), float(cc_upper_value_batch(z)[0])
         assert up <= cc_upper(origin, uz)[0]
         assert dz_up <= cc_upper(origin, z)[0]
         worst = max(up - (1.0 + ip), (1.0 + ip) - lo, 0.0)
@@ -717,7 +722,7 @@ def test_batch_rows_match_one_row_calls_bitwise(n, seed):
     z = group_mul(group_inv(x), y)
     lower, upper = metric.cc_lower_batch(x, y), cc_upper_value_batch(z)
     for i in range(len(x)):
-        assert lower[i].hex() == cc_lower(x[i], y[i]).hex()
+        assert lower[i].hex() == lower_of_pair(x[i], y[i]).hex()
         assert upper[i].hex() == float(cc_upper_value_batch(z[i])[0]).hex()
 
 
@@ -730,13 +735,13 @@ def test_lower_bound_keeps_extreme_planar_norms():
             with np.errstate(over="raise", under="raise"):
                 lower = metric.cc_lower_batch(np.zeros((1, len(z))), z[None, :])[0]
             assert lower == s
-            assert cc_lower(np.zeros(len(z)), z).hex() == lower.hex()
+            assert lower_of_pair(np.zeros(len(z)), z).hex() == lower.hex()
             assert lower <= cc_upper_value_batch(z)[0]
     x = np.array([[1e160, 0.0, 0.0], [0.0, 1e-170, 0.0], [3e155, -4e155, 0.0]])
     y = np.array([[-1e160, 0.0, 0.0], [0.0, -1e-170, 0.0], [0.0, 0.0, 0.0]])
     lower = metric.cc_lower_batch(x, y)
     assert lower.tolist() == [2e160, 2e-170, 5e155]
-    assert [cc_lower(a, b) for a, b in zip(x, y)] == lower.tolist()
+    assert [lower_of_pair(a, b) for a, b in zip(x, y)] == lower.tolist()
 
 
 @settings(max_examples=80, deadline=None)

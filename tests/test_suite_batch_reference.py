@@ -36,17 +36,20 @@ def _ref_welldefined(cfg, seed, ledger):
             params = curves.ModifyLineParams(x=x, u=u, direction=e, r=r, delta=delta, eta=eta, cc_bound_of_u=du)
             span = max(2.0 * params.s, params.s + 0.5)
             detour, _ = curves.modify_line(params, span=span)
-            line = curves.line_path(x, e, -span, span)
+            line = curves.HorizontalPath(*curves._line_knots(x, e, -span, span))
             at = -(params.s + float(rng.uniform(0.002, 0.01)))
             fld = calculus.koranyi_gauge_field(x + np.concatenate([np.ones(2 * n), [0.5]]))
-            rep = calculus.curve_directional_consistency(fld, line, detour, at=at)
-            ledger.count(not rep["consistent"])
-            ledger.margin(rep["error_budget"] * 4.0 + 1e-12 - rep["gap"])
+            one_line = curves.PathBatch(line.knots[None], line._vertices[None])
+            rep = calculus.curve_directional_consistency_batch(
+                fld, one_line, curves.PathBatch(detour.knots[None], detour._vertices[None]), np.array([at]))
+            ledger.count(not rep["consistent"][0])
+            ledger.margin(rep["error_budget"][0] * 4.0 + 1e-12 - rep["gap"][0])
             coarse = abs(float(fld(line.eval(at + 0.015))) - float(fld(detour.eval(at + 0.015))))
             coarse_gap_max = max(coarse_gap_max, coarse)
             shifted = curves.HorizontalPath(line.knots + 0.0, line.planar, line.c0)
-            rep2 = calculus.curve_directional_consistency(fld, line, shifted, at=at)
-            ledger.count(not rep2["consistent"] or rep2["gap"] > 1e-12)
+            rep2 = calculus.curve_directional_consistency_batch(
+                fld, one_line, curves.PathBatch(shifted.knots[None], shifted._vertices[None]), np.array([at]))
+            ledger.count(not rep2["consistent"][0] or rep2["gap"][0] > 1e-12)
     return trials, {"max_coarse_disagreement": coarse_gap_max}
 
 
@@ -112,7 +115,9 @@ def _ref_newcurveg(cfg, seed, ledger):
             u = 0.2 * rng.standard_normal(3)
             e = rng.standard_normal(2)
             e /= np.linalg.norm(e)
-            probe, _ = curves.modify_line_probe(rng.standard_normal(3), u, e, r, delta)
+            # the modified line with no cap on delta, a probe with no admissibility guarantee
+            probe = curves.HorizontalPath(*curves._modified_line_knots(
+                rng.standard_normal(3), u, e, r, r / delta, float(r * np.dot(u[:-1], e)), 2.0 * (r / delta)))
             if curves.lipschitz_constant(probe) > 1.0 + eta_probe * delta:
                 held = False
                 break
@@ -137,7 +142,7 @@ def _ref_horizontaldistances(cfg, seed, ledger):
             w = float(np.linalg.norm(e))
             t = float(rng.uniform(-2.0, 2.0))
             y = x + t * group.vector_at(e, x)
-            lower = metric.cc_lower(x, y)
+            lower = float(metric.cc_lower_batch(x[None], y[None])[0])
             upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y)[None])[0]
             target = abs(t) * w
             err = max(abs(lower - target), abs(upper - target))
@@ -165,7 +170,7 @@ def _ref_lipschitzhorizontal(cfg, seed, ledger):
             j = int(np.argmax(speeds))
             ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
             tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
-            attain = metric.cc_lower(path.eval(ta), path.eval(tb)) / (tb - ta)
+            attain = float(metric.cc_lower_batch(path.eval(ta)[None], path.eval(tb)[None])[0]) / (tb - ta)
             ledger.check(attain - lip * (1.0 - 1e-9))
             g = 2.0 * rng.standard_normal(2 * n + 1)
             moved = path.left_translate(g)
@@ -226,7 +231,7 @@ def _ref_closedirection(cfg, seed, ledger):
         vels = e[None, :] + A * rng.uniform(0.0, 1.0, (k, 1)) * pert
         planar_g = np.vstack([np.zeros(2 * n), np.cumsum(vels * np.diff(knots)[:, None], axis=0)])
         g = curves.HorizontalPath(knots, planar_g, 0.0)
-        h = curves.line_path(np.zeros(2 * n + 1), e, 0.0, 1.0)
+        h = curves.HorizontalPath(*curves._line_knots(np.zeros(2 * n + 1), e, 0.0, 1.0))
         tts = rng.uniform(0.05, 1.0, 8)
         amps.append(A)
         times.append(tts)
@@ -376,7 +381,7 @@ def test_batched_consistency_is_the_one_column_calls():
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     span = np.array([1.0, 0.7, 0.5, 2.0])
     at = np.array([0.1, -0.3, 0.5 - 2.0**-9, 0.0])
-    lines = [curves.line_path(x[i], e[i], -span[i], span[i]) for i in range(4)]
+    lines = [curves.HorizontalPath(*curves._line_knots(x[i], e[i], -span[i], span[i])) for i in range(4)]
     shifted = [curves.HorizontalPath(p.knots + 0.0, p.planar, p.c0) for p in lines]
     centres = x + 0.75
     batch = calculus.curve_directional_consistency_batch(
@@ -386,9 +391,9 @@ def test_batched_consistency_is_the_one_column_calls():
         at,
     )
     for i in range(4):
-        one = calculus.curve_directional_consistency(calculus.koranyi_gauge_field(centres[i]), lines[i], shifted[i], at=at[i])
+        one = calculus.curve_directional_consistency_batch(
+            calculus.koranyi_gauge_field(centres[i]), curves.PathBatch(lines[i].knots[None], lines[i]._vertices[None]),
+            curves.PathBatch(shifted[i].knots[None], shifted[i]._vertices[None]), at[i : i + 1])
         assert one.keys() == batch.keys()
         for key, value in one.items():
-            assert np.asarray(value, dtype=batch[key].dtype).tobytes() == batch[key][i].tobytes()
-    with pytest.raises(ValueError, match="too close to a domain endpoint"):
-        calculus.curve_directional_consistency(calculus.koranyi_gauge_field(centres[0]), lines[0], shifted[0], at=1.0 - 2.0**-19)
+            assert value.tobytes() == batch[key][i : i + 1].tobytes()

@@ -17,7 +17,7 @@ import pytest
 
 from hcalc.curves import HorizontalPath
 from hcalc.group import group_inv, group_mul
-from hcalc.metric import _chain_area_coeff_scalar, _gaveau_start, cc_bounds, cc_lower
+from hcalc.metric import _chain_area_coeff_scalar, _gaveau_start, cc_bounds, cc_lower_batch
 
 # -- the reference ----------------------------------------------------------------
 
@@ -206,8 +206,10 @@ def test_bracket_lower_end_is_cc_lower(n, shape):
     x, y = _pairs(rng, n, shape, 32)
     x[:4] = [np.full(2 * n + 1, v) for v in (0.0, -0.0, 1e-162, 1e150)]
     y[:4] = x[:4] + rng.uniform(-1.0, 1.0, (4, 2 * n + 1)) * np.array([[1.0], [1.0], [1e-162], [1e150]])
-    for xi, yi in list(zip(x, y)) + [(x[0], x[0].copy())]:
-        assert cc_bounds(xi, yi).lower.hex() == cc_lower(xi, yi).hex()
+    x, y = np.vstack([x, x[:1]]), np.vstack([y, x[:1]])  # and x = y
+    lower = cc_lower_batch(x, y)
+    for xi, yi, lo in zip(x, y, lower):
+        assert cc_bounds(xi, yi).lower.hex() == lo.hex()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
