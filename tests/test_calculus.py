@@ -6,6 +6,7 @@ import pytest
 
 from hcalc.calculus import (
     DEFAULT_STEPS,
+    K,
     T_GRID,
     MeanValueHypothesisError,
     MeanValueInstance,
@@ -543,12 +544,44 @@ def test_derivative_is_its_row_of_the_batch():
     assert np.any(diverging)
 
 
-def test_three_levels_never_flag_divergence():
-    # the sign field's quotients across its jump grow at every level: the full
-    # ladder flags it, while three levels have too few differences to tell
-    sign = ScalarField(lambda x: np.sign(x[..., 0]))
-    assert directional_derivative(sign, np.zeros(3), E1).diverging
-    for steps in (DEFAULT_STEPS, DEFAULT_STEPS[:3], np.array([0.01, 0.005, 0.0025])):
-        vals = sign(horizontal_point(np.outer(np.concatenate([steps, -steps]), E1)))
-        _, _, diverging = _extrapolate(vals[: len(steps), None], vals[len(steps) :, None], steps)
-        assert diverging[0] == (len(steps) > 3)
+class TestLadderSteps:
+    SIGN = ScalarField(lambda x: np.sign(x[..., 0]))
+
+    def test_three_levels_never_flag_divergence(self):
+        # the sign field's quotients across its jump grow at every level: the full
+        # ladder flags it, while three levels have too few differences to tell
+        assert directional_derivative(self.SIGN, np.zeros(3), E1).diverging
+        for steps in (DEFAULT_STEPS, DEFAULT_STEPS[:3], np.array([0.01, 0.005, 0.0025])):
+            vals = self.SIGN(horizontal_point(np.outer(np.concatenate([steps, -steps]), E1)))
+            _, _, diverging = _extrapolate(vals[: len(steps), None], vals[len(steps) :, None], steps)
+            assert diverging[0] == (len(steps) > 3)
+
+
+_RETIRED_KEYWORDS = {
+    "directional_derivative-steps": lambda: directional_derivative(_HALF_E1, np.zeros(3), E1, steps=DEFAULT_STEPS),
+    "directional_derivative_batch-steps": lambda: directional_derivative_batch(
+        _HALF_E1, np.zeros((2, 3)), np.stack([E1, E2]), steps=DEFAULT_STEPS),
+    "curve_directional_consistency_batch-steps": lambda: curve_directional_consistency_batch(
+        _HALF_E1, _line(np.zeros(3), E1), _line(np.zeros(3), E1), np.array([0.2]), steps=DEFAULT_STEPS),
+    "compare_pairs-steps": lambda: compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E2, steps=DEFAULT_STEPS),
+    "compare_pairs-K": lambda: compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E2, K=6.0),
+    "compare_pairs-t_grid": lambda: compare_pairs(_HALF_E1, (np.zeros(3), E1), np.zeros(3), E2, t_grid=T_GRID),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RETIRED_KEYWORDS))
+def test_each_retired_keyword_is_refused(case):
+    # the schedule and the relation are fixed: no call can set them
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{case.split('-')[1]}'"):
+        _RETIRED_KEYWORDS[case]()
+
+
+def test_the_relation_constant_is_K_8():
+    # along the kink's lines the increments differ by exactly |t| and the gap is 0,
+    # so the pair needs sigma = 1 / K: accepted at 0.15, which K = 6 would refuse
+    star, x = (horizontal_point(-E1), -E1), horizontal_point(E1)
+    assert K == 8.0
+    out = compare_pairs(_KINK, star, x, E1, sigma=0.12)
+    assert out.verdict[0] is False and out.reason[0] == "increment"
+    assert out.required_sigma[0] == pytest.approx(1.0 / K, abs=1e-12)
+    assert compare_pairs(_KINK, star, x, E1, sigma=0.15).verdict[0] is True

@@ -92,6 +92,8 @@ def test_curve_gamma(runner):
     ("[1e-100,0,1e300]", "the midpoint of gamma_y overflows"),
     # a path that ended at height 0 instead of 1e-200
     ("[1e-150,0,1e-200]", "the midpoint's c-term underflows"),
+    # and one that ended at height 0 instead of 1e-250
+    ("[1e-100,0,1e-250]", "the midpoint's c-term underflows"),
     ("[NaN,0,1]", "finite coordinates"),
 ])
 def test_curve_gamma_reports_bad_input_as_a_usage_error(runner, y, message):
