@@ -9,6 +9,7 @@ when every executed suite passed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -64,10 +65,8 @@ def verify(suite_names, seed, trials, config_path, out_path):
     """Run verification suites and write the JSON report."""
     with _usage_errors():
         cfg = suites.RunConfig.load(config_path) if config_path else suites.RunConfig().with_env_overrides()
-    if seed is not None:
-        cfg.seed = seed
-    if trials is not None:
-        cfg.trials = trials
+        overrides = {"seed": seed, "trials": trials}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     names = list(suite_names) if suite_names else sorted(suites.SUITES)
     for name in names:
         if name not in suites.SUITES:

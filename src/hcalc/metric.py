@@ -74,6 +74,7 @@ from .group import (
     group_mul,
     horizontal_point,
     project,
+    random_directions,
     require_unit,
     vertical,
 )
@@ -587,35 +588,29 @@ def angle_fit(trials: int, seed: int, n: int = 1) -> float:
     Generates pairs (g, h) of unit-speed horizontal lines with g(0) = h(0)
     and projected derivatives within A of each other, and fits the smallest
     C >= 1 with d(g(t), h(t)) <= C sqrt(A) |t| over the sample, measuring
-    d by its certified upper bound.
+    d by its certified upper bound.  The trials are drawn as arrays: every
+    A, then every direction of h, then every perturbation.
     """
     rng = np.random.default_rng(seed)
     ts = np.linspace(-1.0, 1.0, _ANGLE_GRID)
     ts = ts[ts != 0.0]
-    g_dirs, h_dirs, offsets = [], [], []
-    for _ in range(trials):
-        A = 10.0 ** rng.uniform(-4, 0)
-        h_dir = rng.standard_normal(2 * n)
-        h_dir /= np.linalg.norm(h_dir)
-        pert = rng.standard_normal(2 * n)
-        pert -= (pert @ h_dir) * h_dir
-        norm = np.linalg.norm(pert)
-        if norm == 0.0:
-            continue
-        g_dir = h_dir + A * pert / norm
-        g_dir /= np.linalg.norm(g_dir)
-        offset = float(np.linalg.norm(g_dir - h_dir))
-        if offset == 0.0:
-            continue
-        g_dirs.append(g_dir)
-        h_dirs.append(h_dir)
-        offsets.append(offset)
-    if not offsets:
+    A = 10.0 ** rng.uniform(-4, 0, trials)
+    h_dirs = random_directions(rng, trials, n)
+    pert = rng.standard_normal((trials, 2 * n))
+    pert -= np.vecdot(pert, h_dirs)[:, None] * h_dirs
+    norm = np.linalg.norm(pert, axis=-1)
+    keep = norm != 0.0
+    h_dirs = h_dirs[keep]
+    g_dirs = h_dirs + A[keep, None] * pert[keep] / norm[keep, None]
+    g_dirs /= np.linalg.norm(g_dirs, axis=-1, keepdims=True)
+    offsets = np.linalg.norm(g_dirs - h_dirs, axis=-1)
+    keep = offsets != 0.0
+    if not np.any(keep):
         return 1.0
     # straight pairs: worst observed case is two lines at angle min(offset, 1)
-    ga, ha = (ts[:, None] * horizontal_point(np.array(dirs))[:, None, :] for dirs in (g_dirs, h_dirs))
-    ups = cc_upper_value_batch(group_mul(group_inv(ga), ha).reshape(-1, 2 * n + 1)).reshape(len(offsets), len(ts))
-    scales = np.sqrt(np.minimum(offsets, 1.0))[:, None] * np.abs(ts)
+    ga, ha = (ts[:, None] * horizontal_point(dirs[keep])[:, None, :] for dirs in (g_dirs, h_dirs))
+    ups = cc_upper_value_batch(group_mul(group_inv(ga), ha).reshape(-1, 2 * n + 1)).reshape(-1, len(ts))
+    scales = np.sqrt(np.minimum(offsets[keep], 1.0))[:, None] * np.abs(ts)
     return max(1.0, float(np.max(ups / scales)))
 
 

@@ -19,10 +19,12 @@ alone, so no NaN reaches a report.
 
 ``goodcurve``, ``newcurveg``, ``welldefined``, ``lipschitzhorizontal`` and
 ``closedirection`` build their curves as batches, and
-``horizontaldistances`` its pairs.  They draw trial by trial, so the
-random stream is the one of a loop that builds one curve per trial, and
-then check each dimension's trials as one batch (``lipschitzhorizontal``
-one batch per knot count).  Each trial keeps the bits of its own curve.
+``horizontaldistances`` its pairs, and check each dimension's trials as
+one batch (``lipschitzhorizontal`` one batch per knot count).  Each trial
+keeps the bits of its own curve.  ``goodcurve``, ``lipschitzhorizontal``,
+``closedirection`` and ``horizontaldistances`` draw their trials as
+arrays; ``newcurveg`` and ``welldefined`` draw trial by trial, so their
+random stream is the one of a loop that builds one curve per trial.
 ``horizontaldistances`` brackets its pairs without witnesses: the lower
 end is :func:`metric.cc_lower_batch`'s and the upper end the certified closed
 form, one batched call each per dimension.
@@ -58,7 +60,8 @@ class RunConfig:
     ``MaximizerConfig``) or a constant of that object's module.
     Environment variables prefixed ``HCALC_`` override fields, e.g.
     ``HCALC_SEED=7`` or ``HCALC_TRIALS=100``.  An ``HCALC_`` variable or a
-    config-file key that names no field raises.
+    config-file key that names no field raises, and so do a seed below 0
+    and a trial count below 1.
     """
 
     schema_version: int = 1
@@ -70,6 +73,13 @@ class RunConfig:
         self.n_values = tuple(int(v) for v in self.n_values)
         if not self.n_values or any(v < 1 for v in self.n_values):
             raise ValueError("n_values must be positive dimensions")
+        for name, least in (("seed", 0), ("trials", 1)):  # trials=0 failed mid-battery, on an empty batch
+            value = getattr(self, name)
+            if name == "trials" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            setattr(self, name, int(value))
 
     def to_json(self) -> dict:
         data = dataclasses.asdict(self)
@@ -278,17 +288,14 @@ def suite_horizontaldistances(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
     tol = 1e-9
     for n in cfg.n_values:
         m = trials // len(cfg.n_values)
-        x, e, t = np.empty((m, 2 * n + 1)), np.empty((m, 2 * n)), np.empty(m)
-        for i in range(m):  # one trial at a time, so the stream is the per-trial one
-            x[i] = 2.0 * rng.standard_normal(2 * n + 1)
-            e[i] = rng.standard_normal(2 * n)
-            t[i] = rng.uniform(-2.0, 2.0)
+        x = 2.0 * rng.standard_normal((m, 2 * n + 1))
+        e = rng.standard_normal((m, 2 * n))
+        t = rng.uniform(-2.0, 2.0, m)
         y = x + t[:, None] * group.vector_at(e, x)
         # cc_lower_batch's bits below, the certified closed form above: no witness
         upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y))
         ends = np.stack([metric.cc_lower_batch(x, y), upper], axis=-1)
-        # |t| omega(E), with a 1-D norm per trial: it rounds apart from a row-wise one
-        target = np.abs(t) * np.array([np.linalg.norm(ei) for ei in e])
+        target = np.abs(t) * np.linalg.norm(e, axis=-1)  # |t| omega(E)
         ledger.check(tol - np.max(np.abs(ends - target[:, None]), axis=-1))
     return trials, {"tol": tol}
 
@@ -302,18 +309,14 @@ def suite_lipschitzhorizontal(cfg: RunConfig, seed: int, ledger: _Ledger) -> tup
     rng = np.random.default_rng(seed)
     trials = cfg.count(200)
     for n in cfg.n_values:
-        drawn = {k: [] for k in range(3, 8)}  # trials by knot count
-        for _ in range(trials // len(cfg.n_values)):  # one trial at a time, so the stream is the per-trial one
-            k = int(rng.integers(3, 8))
-            steps = rng.standard_normal((k, 2 * n))
-            c0 = rng.standard_normal()
-            # the 12 parameters rng.uniform(0, t_max, 12) are 0 + (t_max - 0) u;
-            # t_max comes with the batch's knots
-            u = rng.random(12)
-            drawn[k].append((steps, c0, u, 2.0 * rng.standard_normal(2 * n + 1)))
-        for rows in drawn.values():
-            if rows:
-                _lipschitz_posts(ledger, *(np.array(v) for v in zip(*rows)))
+        knot_counts = rng.integers(3, 8, trials // len(cfg.n_values))
+        for k in range(3, 8):
+            m = np.count_nonzero(knot_counts == k)
+            if m:
+                # the 12 sample times are t_min + (t_max - t_min) u; the
+                # span comes with the batch's knots
+                _lipschitz_posts(ledger, rng.standard_normal((m, k, 2 * n)), rng.standard_normal(m),
+                                 rng.random((m, 12)), 2.0 * rng.standard_normal((m, 2 * n + 1)))
     return trials, {}
 
 
@@ -455,9 +458,8 @@ def suite_goodcurve(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
     trials = cfg.count(10_000)
     knots = curves._GAMMA_KNOTS
     for n in cfg.n_values:
-        ys = np.empty((trials // len(cfg.n_values), 2 * n + 1))
-        for i in range(len(ys)):  # one trial at a time, so the stream is the per-trial one
-            ys[i] = rng.standard_normal(2 * n + 1) * rng.uniform(0.5, 2.0)
+        m = trials // len(cfg.n_values)
+        ys = rng.standard_normal((m, 2 * n + 1)) * rng.uniform(0.5, 2.0, (m, 1))
         L = np.sqrt(np.vecdot(ys[:, :-1], ys[:, :-1]))  # np.linalg.norm of each row
         ys, L = ys[L != 0.0], L[L != 0.0]
         c = ys[:, -1]
@@ -466,14 +468,8 @@ def suite_goodcurve(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, di
         # the bits of its own path.
         rows = curves._gamma_rows(ys)
         vertices = curves._lift_vertices(rows, 0.0)
-        # scale and lip_bound stay Python floats per trial: Python's x**2 and
-        # x**4 call libm pow, which rounds differently from numpy's power.
-        top = np.max(np.abs(ys), axis=1)
-        scale, lip_bound = np.empty(len(ys)), np.empty(len(ys))
-        for i in range(len(ys)):
-            Li, ci = float(L[i]), float(c[i])
-            scale[i] = 1.0 + max(abs(ci), Li) ** 2 / Li**2 + float(top[i])
-            lip_bound[i] = Li * math.sqrt(1.0 + ci * ci / Li**4 + 4.0 * ci * ci / Li**2)
+        scale = 1.0 + np.maximum(np.abs(c), L) ** 2 / L**2 + np.max(np.abs(ys), axis=1)
+        lip_bound = L * np.sqrt(1.0 + c * c / L**4 + 4.0 * c * c / L**2)
         end_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[-1]) - ys), axis=1) / scale
         ledger.check(1e-12 - end_err)
         start_err = np.max(np.abs(curves._interpolate(knots, vertices, knots[0])), axis=1)
@@ -609,7 +605,7 @@ def suite_maximality(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[int, d
     )
     ratio = rep_v.residuals[:-1] / rep_v.residuals[1:]
     ledger.count(not np.all(np.abs(ratio - 10.0) < 1.0))
-    return 4, {"radii": rep.radii.tolist(), "residuals": rep.residuals.tolist()}
+    return 7, {"radii": rep.radii.tolist(), "residuals": rep.residuals.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +721,11 @@ def suite_closedirection(cfg: RunConfig, seed: int, ledger: _Ledger) -> tuple[in
     rng = np.random.default_rng(seed + 99)
     n = cfg.n_values[0]
     k = 6
-    amps, e, times = np.empty(100), np.empty((100, 2 * n)), np.empty((100, 8))
-    pert, amp = np.empty((100, k, 2 * n)), np.empty((100, k, 1))
-    for i in range(100):  # one trial at a time, so the stream is the per-trial one
-        amps[i] = 10.0 ** rng.uniform(-3, 0)  # Python's pow, which rounds apart from numpy's
-        e[i] = rng.standard_normal(2 * n)
-        e[i] /= np.linalg.norm(e[i])  # a 1-D norm rounds apart from a row-wise one
-        pert[i] = rng.standard_normal((k, 2 * n))
-        amp[i] = rng.uniform(0.0, 1.0, (k, 1))
-        times[i] = rng.uniform(0.05, 1.0, 8)
+    amps = 10.0 ** rng.uniform(-3, 0, 100)
+    e = group.random_directions(rng, 100, n)
+    pert = rng.standard_normal((100, k, 2 * n))
+    amp = rng.uniform(0.0, 1.0, (100, k, 1))
+    times = rng.uniform(0.05, 1.0, (100, 8))
     knots = np.broadcast_to(np.linspace(0.0, 1.0, k + 1), (100, k + 1))
     pert /= np.linalg.norm(pert, axis=-1, keepdims=True)
     vels = e[:, None, :] + amps[:, None, None] * amp * pert

@@ -390,6 +390,33 @@ def test_config_rejects_unknown_fields():
         RunConfig.from_json({"schema_version": 99})
 
 
+@pytest.mark.parametrize("name, value", [("trials", 0), ("trials", -5), ("trials", True), ("trials", 2.5),
+                                         ("seed", -1), ("seed", False), ("seed", "7")])
+def test_config_rejects_a_trial_count_below_one_or_a_negative_seed(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        RunConfig(**{name: value})
+    assert RunConfig(trials=np.int64(3), seed=np.int64(0)).to_json()["trials"] == 3
+
+
+@pytest.mark.parametrize("source", ["--trials 0", "--trials -5", "--seed -1", "HCALC_TRIALS=0", "config trials 0"])
+def test_verify_reports_a_bad_count_or_seed_as_a_usage_error(runner, monkeypatch, tmp_path, source):
+    # --trials 0 and -5 ended in a ValueError traceback from an empty batch
+    # (exit 1, the status of a failing suite), and --seed -1 in one from the seed sequence
+    args = ["verify", "--suite", "group", "--out", str(tmp_path / "rep.json")]
+    if source.startswith("--"):
+        args += source.split()
+    elif source.startswith("HCALC_"):
+        monkeypatch.setenv(*source.split("="))
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"trials": 0}))
+        args += ["--config", str(path)]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 2
+    assert ("seed" if "seed" in source else "trials") + " must be an integer of at least" in out.output
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_ledger_counts_entries_and_folds_the_smallest_margin():
     ledger = suites._Ledger()
     assert (ledger.failures, ledger.worst) == (0, math.inf)

@@ -318,43 +318,56 @@ def test_exact_gamma_rows_match_the_one_point_construction(n):
 
 
 def _goodcurve_per_trial(cfg, seed):
-    # reference: the goodcurve trials one gamma_y path at a time
+    # reference: the goodcurve suite's draw, checked one gamma_y path at a time;
+    # np.power on one value gives numpy's bits for an array, which can round
+    # apart from libm's pow
     rng = np.random.default_rng(seed)
-    failures, worst = 0, math.inf
+    failures, margins = 0, []
     for n in cfg.n_values:
-        for _ in range(cfg.trials // len(cfg.n_values)):
-            y = rng.standard_normal(2 * n + 1) * rng.uniform(0.5, 2.0)
-            L = float(np.linalg.norm(y[:-1]))
+        m = cfg.trials // len(cfg.n_values)
+        for y in rng.standard_normal((m, 2 * n + 1)) * rng.uniform(0.5, 2.0, (m, 1)):
+            L = np.linalg.norm(y[:-1])
             if L == 0.0:
                 continue
-            c = float(y[-1])
+            c = y[-1]
             path = gamma_y(y)
-            scale = 1.0 + max(abs(c), L) ** 2 / L**2 + float(np.max(np.abs(y)))
+            top = max(abs(c), L)
+            scale = 1.0 + top * top / (L * L) + np.max(np.abs(y))
             end_err = float(np.max(np.abs(path.end() - y))) / scale
             failures += int(end_err > 1e-12)
-            worst = min(worst, 1e-12 - end_err)
+            margins.append(1e-12 - end_err)
             failures += int(float(np.max(np.abs(path.start()))) > 1e-12 * scale)
             lip = lipschitz_constant(path)
-            lip_bound = L * math.sqrt(1.0 + c * c / L**4 + 4.0 * c * c / L**2)
+            lip_bound = L * np.sqrt(1.0 + c * c / np.power(L, 4) + 4.0 * c * c / (L * L))
             failures += int(lip > lip_bound * (1.0 + 1e-12))
-            worst = min(worst, (lip_bound - lip) / lip_bound)
+            margins.append((lip_bound - lip) / lip_bound)
             dev_bound = abs(c) / L * math.sqrt(1.0 + 4.0 * L * L)
             flat = np.concatenate([y[:-1], [0.0]])
             for tq in (0.25, 0.75):
                 dev = float(np.linalg.norm(path.derivative(tq)[0] - flat))
                 failures += int(dev > dev_bound * (1.0 + 1e-9) + 1e-12 * scale)
-                worst = min(worst, dev_bound * (1.0 + 1e-9) + 1e-12 * scale - dev)
-    return failures, worst
+                margins.append(dev_bound * (1.0 + 1e-9) + 1e-12 * scale - dev)
+    return failures, np.sort(margins)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_batched_goodcurve_matches_per_trial_loop(seed):
+def test_batched_goodcurve_matches_per_trial_loop(monkeypatch, seed):
+    # the worst margin shows only the binding check; every entry must match
+    seen = []
+    record = suites._Ledger.margin
+
+    def margin(self, value):
+        seen.append(np.ravel(np.asarray(value, dtype=float)))
+        record(self, value)
+
+    monkeypatch.setattr(suites._Ledger, "margin", margin)
     cfg = suites.RunConfig(trials=2000, n_values=(1, 2, 3))
     result = suites.run_suite("goodcurve", cfg, seed)
-    failures, worst = _goodcurve_per_trial(cfg, result.seed)
+    failures, margins = _goodcurve_per_trial(cfg, result.seed)
     # the suite's frozen single-point checks pass and set no margin
     assert result.failures == failures
-    assert result.worst_margin.hex() == worst.hex()
+    assert np.sort(np.concatenate(seen)).tobytes() == margins.tobytes()
+    assert result.worst_margin.hex() == float(margins[0]).hex()
 
 
 # The batched checks rely on numpy's vecdot giving the bits of the 1-D dot

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hcalc import metric, suites
 from hcalc.curves import HorizontalPath, gamma_y, horizontal_length
 from hcalc.calculus import sample_unit_ball
-from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, vector_at, vertical
+from hcalc.group import dilate, group_inv, group_mul, horizontal_point, koranyi_dist, project, random_directions, vector_at, vertical
 from hcalc.metric import (
     _arc_witness,
     Ball,
@@ -59,17 +59,16 @@ def test_bracket_collapses_on_horizontal_lines():
 
 @pytest.mark.parametrize("base", [0, 3])
 def test_witness_brackets_collapse_on_the_horizontaldistances_pairs(base):
-    # the pairs of the horizontaldistances suite at this base seed, drawn by
-    # its per-trial loop and bracketed one at a time with a witness: both
+    # the pairs of the horizontaldistances suite at this base seed, drawn as
+    # the suite draws them and bracketed one at a time with a witness: both
     # ends within criterion 3's 1e-9 of |t| omega(E).  cc_bounds builds a
     # DistanceBounds, which checks each witness's length against the upper end.
     cfg = suites.RunConfig(seed=base, n_values=(1, 2, 3))
     rng = np.random.default_rng(suites.run_suite("horizontaldistances", cfg).seed)
     for n in cfg.n_values:
-        for _ in range(1000 // len(cfg.n_values)):
-            x = 2.0 * rng.standard_normal(2 * n + 1)
-            e = rng.standard_normal(2 * n)
-            t = float(rng.uniform(-2.0, 2.0))
+        m = 1000 // len(cfg.n_values)
+        xs, es = 2.0 * rng.standard_normal((m, 2 * n + 1)), rng.standard_normal((m, 2 * n))
+        for x, e, t in zip(xs, es, rng.uniform(-2.0, 2.0, m)):
             b = cc_bounds(x, x + t * vector_at(e, x))
             target = abs(t) * float(np.linalg.norm(e))
             assert b.witness is not None
@@ -210,23 +209,23 @@ def _solve_bulge(area_over_d2, m, iters=90):
 
 
 def _angle_fit_per_trial(trials, seed, n):
-    # reference for angle_fit's defaults: one cc_upper_value_batch call per trial
+    # reference for angle_fit's defaults: its array draw, then one
+    # cc_upper_value_batch call per trial
     rng = np.random.default_rng(seed)
     ts = np.linspace(-1.0, 1.0, 33)
     ts = ts[ts != 0.0]
+    amps = 10.0 ** rng.uniform(-4, 0, trials)
+    h_dirs = random_directions(rng, trials, n)
+    perts = rng.standard_normal((trials, 2 * n))
     c_fit = 1.0
-    for _ in range(trials):
-        A = 10.0 ** rng.uniform(-4, 0)
-        h_dir = rng.standard_normal(2 * n)
-        h_dir /= np.linalg.norm(h_dir)
-        pert = rng.standard_normal(2 * n)
-        pert -= (pert @ h_dir) * h_dir
-        norm = np.linalg.norm(pert)
+    for A, h_dir, pert in zip(amps, h_dirs, perts):
+        pert = pert - (pert @ h_dir) * h_dir
+        norm = np.linalg.norm(pert, axis=-1)
         if norm == 0.0:
             continue
         g_dir = h_dir + A * pert / norm
-        g_dir /= np.linalg.norm(g_dir)
-        offset = float(np.linalg.norm(g_dir - h_dir))
+        g_dir /= np.linalg.norm(g_dir, axis=-1)
+        offset = float(np.linalg.norm(g_dir - h_dir, axis=-1))
         if offset == 0.0:
             continue
         ga = ts[:, None] * horizontal_point(g_dir)

@@ -3,8 +3,9 @@
 ``_ref_newcurveg``, ``_ref_welldefined``, ``_ref_lipschitzhorizontal`` and
 ``_ref_closedirection`` keep the loops that build one path per trial, and
 ``_ref_horizontaldistances`` the loop that brackets one pair per trial.  The
-batched suites must report the same failures, the same worst margin to the
-bit and the same details.
+last three draw their trials as the suites do, as arrays, and then check
+them one at a time.  The batched suites must report the same failures, the
+same worst margin to the bit and the same details.
 """
 
 import math
@@ -136,15 +137,13 @@ def _ref_horizontaldistances(cfg, seed, ledger):
     trials = cfg.count(1000)
     tol = 1e-9
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
-            x = 2.0 * rng.standard_normal(2 * n + 1)
-            e = rng.standard_normal(2 * n)
-            w = float(np.linalg.norm(e))
-            t = float(rng.uniform(-2.0, 2.0))
+        m = trials // len(cfg.n_values)
+        xs, es = 2.0 * rng.standard_normal((m, 2 * n + 1)), rng.standard_normal((m, 2 * n))
+        for x, e, t in zip(xs, es, rng.uniform(-2.0, 2.0, m)):
             y = x + t * group.vector_at(e, x)
             lower = float(metric.cc_lower_batch(x[None], y[None])[0])
             upper = metric.cc_upper_value_batch(group.group_mul(group.group_inv(x), y)[None])[0]
-            target = abs(t) * w
+            target = abs(t) * float(np.linalg.norm(e, axis=-1))
             err = max(abs(lower - target), abs(upper - target))
             ledger.check(tol - err)
     return trials, {"tol": tol}
@@ -154,30 +153,34 @@ def _ref_lipschitzhorizontal(cfg, seed, ledger):
     rng = np.random.default_rng(seed)
     trials = cfg.count(200)
     for n in cfg.n_values:
-        for _ in range(trials // len(cfg.n_values)):
-            k = int(rng.integers(3, 8))
-            planar = np.cumsum(rng.standard_normal((k, 2 * n)), axis=0)
-            base = np.concatenate([planar[0], [rng.standard_normal()]])
-            path = curves.lift_planar(planar, base)
-            lip = curves.lipschitz_constant(path)
-            ts = np.sort(rng.uniform(path.t_min, path.t_max, 12))
-            pts = path.eval(ts)
-            gaps = np.diff(ts)
-            apart = gaps > 1e-12
-            lo = metric.cc_lower_batch(pts[:-1][apart], pts[1:][apart])
-            ledger.check(lip * gaps[apart] * (1.0 + 1e-9) + 1e-12 - lo)
-            speeds = path.segment_speeds()
-            j = int(np.argmax(speeds))
-            ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
-            tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
-            attain = float(metric.cc_lower_batch(path.eval(ta)[None], path.eval(tb)[None])[0]) / (tb - ta)
-            ledger.check(attain - lip * (1.0 - 1e-9))
-            g = 2.0 * rng.standard_normal(2 * n + 1)
-            moved = path.left_translate(g)
-            dlen = abs(curves.horizontal_length(moved) - curves.horizontal_length(path))
-            dlip = abs(curves.lipschitz_constant(moved) - lip)
-            err = max(dlen, dlip) / (1.0 + lip)
-            ledger.check(1e-12 - err)
+        knot_counts = rng.integers(3, 8, trials // len(cfg.n_values))
+        for k in range(3, 8):
+            m = np.count_nonzero(knot_counts == k)
+            if not m:
+                continue
+            drawn = (rng.standard_normal((m, k, 2 * n)), rng.standard_normal(m), rng.random((m, 12)),
+                     2.0 * rng.standard_normal((m, 2 * n + 1)))
+            for steps, c0, u, g in zip(*drawn):
+                planar = np.cumsum(steps, axis=0)
+                path = curves.lift_planar(planar, np.concatenate([planar[0], [c0]]))
+                lip = curves.lipschitz_constant(path)
+                ts = np.sort(path.t_min + (path.t_max - path.t_min) * u)
+                pts = path.eval(ts)
+                gaps = np.diff(ts)
+                apart = gaps > 1e-12
+                lo = metric.cc_lower_batch(pts[:-1][apart], pts[1:][apart])
+                ledger.check(lip * gaps[apart] * (1.0 + 1e-9) + 1e-12 - lo)
+                speeds = path.segment_speeds()
+                j = int(np.argmax(speeds))
+                ta = path.knots[j] + 0.25 * (path.knots[j + 1] - path.knots[j])
+                tb = path.knots[j] + 0.75 * (path.knots[j + 1] - path.knots[j])
+                attain = float(metric.cc_lower_batch(path.eval(ta)[None], path.eval(tb)[None])[0]) / (tb - ta)
+                ledger.check(attain - lip * (1.0 - 1e-9))
+                moved = path.left_translate(g)
+                dlen = abs(curves.horizontal_length(moved) - curves.horizontal_length(path))
+                dlip = abs(curves.lipschitz_constant(moved) - lip)
+                err = max(dlen, dlip) / (1.0 + lip)
+                ledger.check(1e-12 - err)
     return trials, {}
 
 
@@ -185,19 +188,18 @@ def _ref_angle_fit(trials, seed, n=1):
     rng = np.random.default_rng(seed)
     ts = np.linspace(-1.0, 1.0, 33)
     ts = ts[ts != 0.0]
+    amps = 10.0 ** rng.uniform(-4, 0, trials)
+    h_dirs = group.random_directions(rng, trials, n)
+    perts = rng.standard_normal((trials, 2 * n))
     rel, scales = [], []
-    for _ in range(trials):
-        A = 10.0 ** rng.uniform(-4, 0)
-        h_dir = rng.standard_normal(2 * n)
-        h_dir /= np.linalg.norm(h_dir)
-        pert = rng.standard_normal(2 * n)
-        pert -= (pert @ h_dir) * h_dir
-        norm = np.linalg.norm(pert)
+    for A, h_dir, pert in zip(amps, h_dirs, perts):
+        pert = pert - (pert @ h_dir) * h_dir
+        norm = np.linalg.norm(pert, axis=-1)
         if norm == 0.0:
             continue
         g_dir = h_dir + A * pert / norm
-        g_dir /= np.linalg.norm(g_dir)
-        offset = float(np.linalg.norm(g_dir - h_dir))
+        g_dir /= np.linalg.norm(g_dir, axis=-1)
+        offset = float(np.linalg.norm(g_dir - h_dir, axis=-1))
         if offset == 0.0:
             continue
         ga = ts[:, None] * group.horizontal_point(g_dir)
@@ -219,25 +221,22 @@ def _ref_closedirection(cfg, seed, ledger):
     ledger.check(0.10 - spread)
     rng = np.random.default_rng(seed + 99)
     n = cfg.n_values[0]
-    amps, times, rel = [], [], []
-    for _ in range(100):
-        A = 10.0 ** rng.uniform(-3, 0)
-        e = rng.standard_normal(2 * n)
-        e /= np.linalg.norm(e)
-        k = 6
-        knots = np.linspace(0.0, 1.0, k + 1)
-        pert = rng.standard_normal((k, 2 * n))
-        pert /= np.linalg.norm(pert, axis=1, keepdims=True)
-        vels = e[None, :] + A * rng.uniform(0.0, 1.0, (k, 1)) * pert
+    k = 6
+    amps = 10.0 ** rng.uniform(-3, 0, 100)
+    es = group.random_directions(rng, 100, n)
+    perts, amp = rng.standard_normal((100, k, 2 * n)), rng.uniform(0.0, 1.0, (100, k, 1))
+    times = rng.uniform(0.05, 1.0, (100, 8))
+    knots = np.linspace(0.0, 1.0, k + 1)
+    rel = []
+    for A, e, pert, a, tts in zip(amps, es, perts, amp, times):
+        pert = pert / np.linalg.norm(pert, axis=1, keepdims=True)
+        vels = e[None, :] + A * a * pert
         planar_g = np.vstack([np.zeros(2 * n), np.cumsum(vels * np.diff(knots)[:, None], axis=0)])
         g = curves.HorizontalPath(knots, planar_g, 0.0)
         h = curves.HorizontalPath(*curves._line_knots(np.zeros(2 * n + 1), e, 0.0, 1.0))
-        tts = rng.uniform(0.05, 1.0, 8)
-        amps.append(A)
-        times.append(tts)
         rel.append(group.group_mul(group.group_inv(g.eval(tts)), h.eval(tts)))
     ups = metric.cc_upper_value_batch(np.concatenate(rel)).reshape(len(rel), -1)
-    margins = (c_a * np.sqrt(amps))[:, None] * np.stack(times) - ups
+    margins = (c_a * np.sqrt(amps))[:, None] * times - ups
     ledger.count(np.count_nonzero(margins < -1e-9))
     ledger.margin(margins)
     return trials, {"c_angle_per_seed": fits, "c_angle": c_a}
