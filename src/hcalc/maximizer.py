@@ -15,8 +15,9 @@ sit at interior points of their allowed open ranges; sigma_0 = 2 and
 t_0 = min(1/4, mu/2).  The ball radius delta_m is found by halving until
 the closed ball fits inside a level-m tube and the incumbent-vs-selected
 increment inequality verifies on the t grid, for |t| below
-C_h^2 sqrt(1 + Lip E) sqrt(delta_m) / eps_m; a tube fit that the grid scan
-of the distances already shows skips their golden section.
+C_h^2 sqrt(1 + Lip E) sqrt(delta_m) / eps_m; the tube distances are those
+of cover membership, and a fit their grid scan already shows skips their
+golden section.
 
 The constants are fixed, each named once below: C_a = 2 (``C_ANGLE``),
 C_h = 4 (``C_HOLDER``), delta_0 = 1 (``DELTA0``), the field shift budget
@@ -251,12 +252,13 @@ def step(
     inconclusive.
 
     The tube distances of the selected point are computed once, at the
-    first delta whose increment test passes, with that delta as the slack
-    of :meth:`Cover.upper_distances`: if the grid scan already fits the
-    ball in a tube, the golden section is skipped and the grid values are
-    kept.  The trajectory is the same as with the full refinement.  The
-    refined value never exceeds the grid's best, and float addition is
-    monotone, so a grid fit at that delta means both
+    first delta whose increment test passes, by membership's route
+    :meth:`Cover._tube_distances` with that delta as the slack: if the grid
+    scan already fits the ball in a tube, the golden section is skipped and
+    the grid values are kept.  The trajectory is the same as with every
+    planar pair refined in full.  A pair the height bound drops is within
+    no radius; the refined value never exceeds the grid's best, and float
+    addition is monotone, so a grid fit at that delta means both
     ``any(grid + delta <= r)`` and ``any(refined + delta <= r)`` hold there
     and at every smaller delta the search can still reach.  If the grid
     does not fit, the distances are the full refinement.
@@ -302,15 +304,15 @@ def step(
     inc_prev = line_increments(f_m, state.x, state.direction, T_GRID)
     gap_sel = e_sel - d_prev.value + sigma_prev
     radii = cover.radii(min(m, cover.depth))
-    dist = None  # upper distances from x_m to the lines, computed at the first delta that reads them
+    dist = None  # upper distances from x_m to the lines li, computed at the first delta that reads them
     for _ in range(600):
         t_range = C_HOLDER**2 * math.sqrt(1.0 + VECTOR_FIELD_LIP) * math.sqrt(delta_m) / eps_m
         sel = t_abs < t_range
         if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
             if dist is None:
-                dist = cover.upper_distances(x_m[None, :], needed=radii, slack=delta_m)[0]
+                _, li, dist = cover._tube_distances(x_m[None, :], radii, settle=radii, slack=delta_m)
             # the closed ball fits in a level-m tube, and inside the previous ball
-            if np.any(dist + delta_m <= radii) and delta_m + d_move < delta_prev:
+            if np.any(dist + delta_m <= radii[li]) and delta_m + d_move < delta_prev:
                 break
         delta_m /= 2.0
     else:

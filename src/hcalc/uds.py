@@ -16,15 +16,17 @@ lower bound of the distance, is within the radius.  A cell index finds
 those pairs: the query points are sorted along a Z-order cell grid into
 groups of at most 16, each inside a ball, and only the pairs of a group
 whose ball comes within reach of a segment are tested point by point, a
-bounded number of pairs at a time (see :meth:`Cover.upper_distances`).
-Membership then drops the pairs whose relative height, affine along the
-line, stays above the squared radius wherever the projection could be
-within it (see :meth:`Cover._may_reach`), and needs only one pair per point
+bounded number of pairs at a time (see :meth:`Cover._candidate_pairs`).
+The pairs whose relative height, affine along the line, stays above the
+squared radius wherever the projection could be within it are dropped
+(see :meth:`Cover._may_reach`), and the rest are refined
+(:meth:`Cover._tube_distances`).  Membership needs only one pair per point
 within its radius, so the pairs of a point that the grid scan of the
 refinement already places inside a tube skip the golden section.  The same
 route, taken once at the level-1 radii, gives every point its deepest
 level, so one query answers membership at all levels
-(:meth:`Cover.deepest_levels`).
+(:meth:`Cover.deepest_levels`), and it is the one the maximizer's test of
+a closed ball inside a tube reads.
 
 The volume bound covers the tube of line i, of length L_i and radius
 r_i = c 2^-(i+1), by L_i / r_i + 1 metric balls of radius 1.5 r_i, each of
@@ -400,7 +402,7 @@ class Cover:
     in exact arithmetic: V(c_k) <= 2^-k, or the build raises ``ValueError``
     naming the level.  Depths from 1 to 1074 build.  Tube membership is
     :meth:`contains_batch` at one level and :meth:`deepest_levels` at all
-    of them, both through the pruned pairs of :meth:`_deepest`.
+    of them, both through the pruned pairs of :meth:`_tube_distances`.
     """
 
     def __init__(self, lines: Sequence[RationalLine], depth: int, clip: Box, meta: Optional[dict] = None):
@@ -530,14 +532,33 @@ class Cover:
             code |= spread[cells[:, j]] << j
         return np.argsort(code)
 
-    # far points overflow squares here and in the two methods it calls: a NaN
-    # keeps a pair where a test reads "not above", an inf drops it
     @np.errstate(over="ignore", invalid="ignore")
     def _candidate_pairs(self, pts: np.ndarray, needed: np.ndarray):
-        """(point, line) index pairs whose :meth:`_planar_lower` is at most
-        ``needed`` of the line, in no particular order, found through the
-        cell index; :meth:`upper_distances` states the group bound and its
-        rounding slack."""
+        """(point, line) index pairs whose float planar point-to-segment
+        distance :meth:`_planar_lower`, a lower bound of the distance, does
+        not exceed the per-line ``needed`` radius, in no particular order.
+        They are found through a cell index, in three stages:
+
+        1. The points are sorted in Z-order of a cell grid and cut into
+           groups of at most ``_CELL_POINTS``; each group lies in the ball
+           of radius r around the centre c of its bounding box.
+        2. A group meets a line when the squared distance from c to the
+           segment, expanded as |q|^2 - 2 t q.h + t^2 |h|^2 with q = c - b,
+           is at most (needed + r)^2 + 1e-12 S^2, where
+           S = needed + r + |c| + |b| + max|t| |h|.  By the triangle
+           inequality every point of the group within ``needed`` of the
+           segment leaves c within needed + r of it.  The rounding errors of
+           the expansion, of the point's and the centre's distances and of
+           r add up to less than 20 (2n+4) units of 2^-53 times S^2; the
+           slack is about 9,000 units, so for every n below 200 no pair the
+           exact test accepts is lost.  A centre whose squares overflow
+           keeps all its pairs.  Overflow warns nothing, in any stage: a
+           NaN keeps its pair for the next test, an infinite distance drops it.
+        3. The points of each surviving (group, line) pair take the same
+           test with r = 0 and their own |p|, then :meth:`_planar_lower`
+           itself.  Stages 2 and 3 each handle at most ``_PAIR_BLOCK``
+           pairs at a time, so their memory does not grow with the query.
+        """
         m, lines = len(pts), len(self.lines)
         if not m:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -589,18 +610,19 @@ class Cover:
                 pairs.append(np.stack([pi[keep], lj[keep]]))
         return tuple(np.concatenate(pairs, axis=1))
 
-    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, settle: Optional[np.ndarray] = None,
+    def _refine_pairs(self, pts: np.ndarray, pi: np.ndarray, li: np.ndarray, settle: np.ndarray,
                       slack: float = 0.0) -> np.ndarray:
         """Minimize the quick distance bound over the segment, per pair.
 
         All flagged (point, line) pairs advance through the grid scan and
         golden-section refinement together, as array operations: one call
         for the whole grid, and one for both probes of each golden step.
-        With per-line radii ``settle``, the pairs of a point with some pair
-        whose grid best satisfies ``best + slack <= settle[li]`` skip the
-        golden section and keep their grid value, which the refinement could
-        only lower: a test ``dist + s <= settle`` with 0 <= s <= slack is
-        then true for the point either way.
+        The pairs of a point with some pair whose grid best satisfies
+        ``best + slack <= settle[li]``, ``settle`` holding one radius per
+        line, skip the golden section and keep their grid value, which the
+        refinement could only lower: a test ``dist + s <= settle`` with
+        0 <= s <= slack is then true for the point either way.  Negative
+        radii settle no point, and every pair is refined in full.
         """
         p, nbases, vecs = pts[pi], -self._bases[li], self._vecs[li]
         t0s, t1s = self.spans[li, 0], self.spans[li, 1]
@@ -616,13 +638,11 @@ class Cover:
         best = vals[j, np.arange(len(pi))]
         a = t0s + us[np.maximum(j - 1, 0)] * (t1s - t0s)
         b = t0s + us[np.minimum(j + 1, _REFINE_GRID - 1)] * (t1s - t0s)
-        refine = slice(None)
-        if settle is not None:
-            settled = np.zeros(len(pts), dtype=bool)
-            settled[pi[best + slack <= settle[li]]] = True
-            refine = ~settled[pi]
-            if not refine.any():
-                return best
+        settled = np.zeros(len(pts), dtype=bool)
+        settled[pi[best + slack <= settle[li]]] = True
+        refine = ~settled[pi]
+        if not refine.any():
+            return best
         # val reads the pairs still refined
         p, nbases, vecs, a, b = p[refine], nbases[refine], vecs[refine], a[refine], b[refine]
         gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -659,7 +679,7 @@ class Cover:
         of W, or 0 where C changes sign.  The pair is dropped where W is empty,
         or where C has one sign at both ends and exceeds rho^2 there.
 
-        Slack, in the style of :meth:`upper_distances`' stage 2: with
+        Slack, as in stage 2 of :meth:`_candidate_pairs`: with
         T = max(|t0|, |t1|) and S = 1e-100 + rho + |p| + |b| + T |h| +
         sqrt|p_c| + sqrt|b_c| (|p| and |b| of the projections), every term
         of a height computed here or by :meth:`_refine_pairs` at a parameter
@@ -692,59 +712,22 @@ class Cover:
             out = (w0 > w1) | ((e0 * e1 > 0.0) & (np.minimum(np.abs(e0), np.abs(e1)) > rho * rho + 1e-12 * s * s))
         return ~out
 
-    def upper_distances(self, pts: np.ndarray, needed: np.ndarray, slack: Optional[float] = None) -> np.ndarray:
-        """Per (point, line) upper distance, ``inf`` where no pair was refined.
+    def _tube_distances(self, pts: np.ndarray, radii: np.ndarray, settle: np.ndarray, slack: float = 0.0) -> tuple:
+        """``(pi, li, dist)``: the (point, line) pairs of :meth:`_candidate_pairs`
+        at the per-line ``radii`` that :meth:`_may_reach` keeps, and their
+        upper distances from :meth:`_refine_pairs` with ``settle`` and
+        ``slack``, for ``settle`` at most ``radii``.
 
-        A pair is refined only where the float planar point-to-segment
-        distance :meth:`_planar_lower`, a lower bound of the distance, does
-        not exceed the per-line ``needed`` radius.  The pairs are found
-        through a cell index, in three stages:
-
-        1. The points are sorted in Z-order of a cell grid and cut into
-           groups of at most ``_CELL_POINTS``; each group lies in the ball
-           of radius r around the centre c of its bounding box.
-        2. A group meets a line when the squared distance from c to the
-           segment, expanded as |q|^2 - 2 t q.h + t^2 |h|^2 with q = c - b,
-           is at most (needed + r)^2 + 1e-12 S^2, where
-           S = needed + r + |c| + |b| + max|t| |h|.  By the triangle
-           inequality every point of the group within ``needed`` of the
-           segment leaves c within needed + r of it.  The rounding errors of
-           the expansion, of the point's and the centre's distances and of
-           r add up to less than 20 (2n+4) units of 2^-53 times S^2; the
-           slack is about 9,000 units, so for every n below 200 no pair the
-           exact test accepts is lost.  A centre whose squares overflow
-           keeps all its pairs.  Overflow warns nothing, in any stage: a
-           NaN keeps its pair for the next test, an infinite distance drops it.
-        3. The points of each surviving (group, line) pair take the same
-           test with r = 0 and their own |p|, then :meth:`_planar_lower`
-           itself.  Stages 2 and 3 each handle at most ``_PAIR_BLOCK``
-           pairs at a time, so their memory does not grow with the query.
-
-        Membership at level k needs only ``needed = radii(k)``, as radii never
-        grow with the level (see the module docstring).  The dense (points,
-        lines) result suits few points, such as the maximizer's ball centre;
-        :meth:`contains_batch` and :meth:`deepest_levels` build none.  With a
-        ``slack``, a point whose grid scan already gives some line
-        ``dist + slack <= needed`` keeps its grid values, upper distances no
-        smaller than the refined ones (see :meth:`_refine_pairs`); other
-        points are refined in full.
-        Raises ``ValueError`` on points of the wrong length or with a
-        non-finite coordinate, on ``needed`` other than one finite radius
-        >= 0 per line, and on a ``slack`` that is not finite and >= 0.
+        A dropped pair takes no value within its radius along the segment,
+        so it meets no test ``dist + s <= r`` with s >= 0 and r at most its
+        radius, and its grid best settles no point.  Every kept pair keeps
+        the bits it has when all pairs are refined, as the refinement works
+        pair by pair.
         """
-        pts = self._query_points(pts)
-        needed = np.asarray(needed, dtype=float)
-        if needed.shape != (len(self.lines),) or not np.all(np.isfinite(needed) & (needed >= 0.0)):
-            raise ValueError(
-                f"needed must hold one finite radius >= 0 per line, shape ({len(self.lines)},), got shape {needed.shape}"
-            )
-        if slack is not None and not (math.isfinite(slack) and slack >= 0.0):
-            raise ValueError(f"slack must be finite and >= 0, got {slack}")
-        out = np.full((len(pts), len(self.lines)), np.inf)
-        pi, li = self._candidate_pairs(pts, needed)
-        if len(pi):
-            out[pi, li] = self._refine_pairs(pts, pi, li, None if slack is None else needed, slack or 0.0)
-        return out
+        pi, li = self._candidate_pairs(pts, radii)
+        reach = self._may_reach(pts, pi, li, radii)
+        pi, li = pi[reach], li[reach]
+        return pi, li, self._refine_pairs(pts, pi, li, settle, slack)
 
     # -- queries -------------------------------------------------------------
 
@@ -804,27 +787,21 @@ class Cover:
         """Per point, the deepest level from ``first`` to ``last`` within
         whose radius some upper distance falls, ``first - 1`` where none does.
 
-        The pairs of :meth:`upper_distances` at the level-``first`` radii
-        that :meth:`_may_reach` keeps, those a height lower bound does not
-        put outside their tube, are refined and reduce straight into the
-        levels.  The dropped pairs could not have met their radius, so the
-        levels are those refining every pair gives.  A point with a pair
-        whose grid scan is already within its level-``last`` radius is at
-        ``last`` whatever the golden section would give its pairs.
+        The distances are :meth:`_tube_distances` at the level-``first``
+        radii, reduced straight into the levels; the dropped pairs could not
+        have met their radius, so the levels are those refining every pair
+        gives.  A point with a pair whose grid scan is already within its
+        level-``last`` radius is at ``last`` whatever the golden section
+        would give its pairs.
         """
-        radii = self.radii(first)
         deepest = np.full(len(pts), first - 1)
-        pi, li = self._candidate_pairs(pts, radii)
-        reach = self._may_reach(pts, pi, li, radii)
-        pi, li = pi[reach], li[reach]
-        if len(pi):
-            dist = self._refine_pairs(pts, pi, li, settle=self.radii(last))
-            # radii never grow with the level: once no pair is within its level-k radius, none is deeper
-            for k in range(first, last + 1):
-                within = dist <= self.radii(k)[li]
-                if not within.any():
-                    break
-                deepest[pi[within]] = k
+        pi, li, dist = self._tube_distances(pts, self.radii(first), settle=self.radii(last))
+        # radii never grow with the level: once no pair is within its level-k radius, none is deeper
+        for k in range(first, last + 1):
+            within = dist <= self.radii(k)[li]
+            if not within.any():
+                break
+            deepest[pi[within]] = k
         return deepest
 
     def cover_measure_mc(self, level: int, region: Box, n_samples: int, seed: int):

@@ -493,6 +493,8 @@ def test_maximize_cli(runner, tmp_path):
     ({"budgte": 64}, "unknown config fields: ['budgte']"),
     ([1, 2], "a maximizer config is a JSON object, got [1, 2]"),
     ({"budget": 64.5}, "budget must be an integer, got 64.5"),
+    # the cover a run builds has max_steps + 2 levels, one more than the deepest
+    ({"max_steps": 1073}, "depth must be at most 1074"),
 ])
 def test_maximize_reports_a_bad_config_as_a_usage_error(runner, tmp_path, config, message):
     # each exited 1, the code of a trajectory with violations, with a traceback

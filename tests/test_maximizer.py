@@ -255,13 +255,13 @@ def test_candidate_points_equal_the_per_line_loop(n):
 
 def test_step_computes_tube_distances_at_most_once(cover, monkeypatch):
     calls = []
-    original = Cover.upper_distances
+    original = Cover._tube_distances
 
-    def counting(self, pts, needed, **kw):
-        calls.append(len(np.atleast_2d(pts)))
-        return original(self, pts, needed, **kw)
+    def counting(self, pts, *args, **kw):
+        calls.append(len(pts))
+        return original(self, pts, *args, **kw)
 
-    monkeypatch.setattr(Cover, "upper_distances", counting)
+    monkeypatch.setattr(Cover, "_tube_distances", counting)
     f0 = hlinear_field(HLinearMap(0.5, E1))
     for seed in range(4):
         cfg = MaximizerConfig(seed=seed, max_steps=5, budget=128)

@@ -1,10 +1,11 @@
 """The maximizer's delta search against the one it replaced.
 
 ``_ref_step`` below is the former ``maximizer.step``, kept verbatim in
-behaviour: its delta search reads tube distances with the full refinement,
-the golden section included, where the current step lets a grid scan that
-already fits the ball settle them.  Runs with either step must log the same
-states and the same verification report.
+behaviour: its delta search reads tube distances with the full refinement
+of every planar pair, the golden section included, where the current step
+drops the pairs a height bound puts outside their tube and lets a grid scan
+that already fits the ball settle the rest.  Runs with either step must log
+the same states and the same verification report.
 """
 
 import math
@@ -29,7 +30,7 @@ from hcalc.maximizer import (
 from hcalc.metric import VECTOR_FIELD_LIP, cc_upper_quick
 from hcalc.uds import Cover
 
-from test_uds_cover_reference import _bits, _query_points, _ref_refine_pairs
+from test_uds_cover_reference import _bits, _query_points, _ref_refine_pairs, _ref_upper_distances
 
 
 def _ref_step(state, f0, config, cover, rng):
@@ -78,7 +79,7 @@ def _ref_step(state, f0, config, cover, rng):
         sel = t_abs < t_range
         if np.all(np.abs(inc_sel - inc_prev)[sel] <= gap_sel * t_abs[sel] + 1e-12):
             if dist is None:
-                dist = cover.upper_distances(x_m[None, :], needed=radii)[0]
+                dist = _ref_upper_distances(cover, x_m[None, :], radii)[0]
             if np.any(dist + delta_m <= radii) and delta_m + d_move < delta_prev:
                 break
         delta_m /= 2.0
@@ -163,10 +164,9 @@ def test_settled_points_keep_their_grid_values(n):
     cover = Cover.build(n=n, height=2, depth=6, max_lines=48)
     pts = _query_points(cover, np.random.default_rng(70 + n), 100)
     needed = cover.radii(1) * 4.0
-    pi, li = cover._candidate_pairs(pts, needed)
-    full, grid = _ref_refine_pairs(cover, pts, pi, li), _ref_grid(cover, pts, pi, li)
     for slack in (0.0, float(np.median(needed)) / 4.0):
-        got = cover.upper_distances(pts, needed, slack=slack)[pi, li]
+        pi, li, got = cover._tube_distances(pts, needed, needed, slack=slack)
+        full, grid = _ref_refine_pairs(cover, pts, pi, li), _ref_grid(cover, pts, pi, li)
         settled = np.zeros(len(pts), dtype=bool)
         settled[pi[grid + slack <= needed[li]]] = True
         at = settled[pi]
@@ -174,6 +174,11 @@ def test_settled_points_keep_their_grid_values(n):
         assert _bits(got[~at]) == _bits(full[~at])
         assert _bits(got[at]) == _bits(grid[at])
         assert np.all(got[at] >= full[at])
+    # the pairs the height bound drops are outside their tubes at every grid
+    # parameter too, so they settle no point
+    pi, li = cover._candidate_pairs(pts, needed)
+    out = ~cover._may_reach(pts, pi, li, needed)
+    assert out.any() and np.all(_ref_grid(cover, pts, pi[out], li[out]) > needed[li[out]])
 
 
 def test_a_settled_point_takes_one_quick_bound_call(monkeypatch):
@@ -190,15 +195,10 @@ def test_a_settled_point_takes_one_quick_bound_call(monkeypatch):
         return metric.cc_upper_quick(z)
 
     monkeypatch.setattr(uds, "cc_upper_quick", counted)
-    settled = cover.upper_distances(pt, needed, slack=needed[5] / 2.0)
+    _, li, settled = cover._tube_distances(pt, needed, needed, slack=needed[5] / 2.0)
     assert len(calls) == 1 and calls[0][0] == uds._REFINE_GRID
     calls.clear()
-    full = cover.upper_distances(pt, needed)
+    _, li_full, full = cover._tube_distances(pt, needed, np.full(len(cover.lines), -1.0))
     assert len(calls) == 2 + uds._REFINE_GOLDEN
-    assert np.all(settled >= full) and settled[0, 5] + needed[5] / 2.0 <= needed[5]
-
-
-@pytest.mark.parametrize("slack", [-1e-9, math.nan, math.inf])
-def test_a_bad_slack_is_refused(cli_cover, slack):
-    with pytest.raises(ValueError, match="slack must be finite and >= 0"):
-        cli_cover.upper_distances(np.zeros((1, 3)), cli_cover.radii(1), slack=slack)
+    assert np.array_equal(li, li_full) and np.all(settled >= full)
+    assert settled[li == 5] + needed[5] / 2.0 <= needed[5]

@@ -22,6 +22,8 @@ from hcalc.uds import (
     wilson_interval,
 )
 
+from test_uds_cover_reference import _ref_upper_distances
+
 
 @functools.cache
 def _small_covers():
@@ -272,27 +274,16 @@ class TestCover:
             with pytest.raises(ValueError, match="finite"):
                 cover.contains_batch(np.vstack([np.zeros(3), x]), 2)
             with pytest.raises(ValueError, match="finite"):
-                cover.upper_distances(x, cover.radii(1))
+                cover.deepest_levels(x)
         for x in (np.zeros(2), np.zeros(4), np.zeros(5), np.zeros((2, 2, 3))):
             with pytest.raises(ValueError, match="length 3"):
                 cover.contains(x, 2)
             with pytest.raises(ValueError, match="length 3"):
                 cover.contains_batch(x, 2)
             with pytest.raises(ValueError, match="length 3"):
-                cover.upper_distances(x, cover.radii(1))
+                cover.deepest_levels(x)
         with pytest.raises(ValueError, match="length 3"):
             cover.contains([Fraction(0), Fraction(0)], 2)
-
-    def test_upper_distances_require_one_radius_per_line(self, cover):
-        # a scalar or a short array raised a bare IndexError; all-NaN or
-        # negative radii silently gave all inf
-        m = len(cover.lines)
-        pts = np.zeros((2, 3))
-        for needed in (0.1, np.full(m - 1, 0.1), np.full((m, 1), 0.1), np.full(m, np.nan), np.full(m, -1.0),
-                       np.concatenate([cover.radii(1)[:-1], [np.inf]])):
-            with pytest.raises(ValueError, match=rf"shape \({m},\)"):
-                cover.upper_distances(pts, needed)
-        assert cover.upper_distances(pts, np.zeros(m)).shape == (2, m)
 
     def test_measure_mc(self, cover):
         est, (lo, hi) = cover.cover_measure_mc(6, Box.cube(2.0, 1), 5000, seed=0)
@@ -533,7 +524,7 @@ def _prune_boundary_points(cover, level, rng):
 def _members_per_level_reference(cover, pts, depth):
     """Reference: distances refined at the level-1 radii, one test per level;
     membership at levels 1 to ``depth``."""
-    d = cover.upper_distances(pts, needed=cover.radii(1))
+    d = _ref_upper_distances(cover, pts, cover.radii(1))
     member = np.ones(len(pts), dtype=bool)
     for k in range(1, depth + 1):
         member &= np.any(d <= cover.radii(k)[None, :], axis=1)
@@ -612,15 +603,27 @@ class TestCoverInternals:
         ]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_upper_distances_match_the_exact_pair_test(self, n):
+    def test_tube_distances_keep_every_planar_pair_that_can_reach(self, n):
         cover = Cover.build(n=n, height=2, depth=6, max_lines=48)
         pts = _random_and_near_line_points(cover, np.random.default_rng(n), 1500)
         lower = _planar_lower_dense(cover, pts)
+        never = np.full(len(cover.lines), -1.0)  # settles no point
+        dropped = 0
         for needed in (cover.radii(1), cover.radii(6), np.full(len(cover.lines), 1e-6), np.full(len(cover.lines), 0.25)):
-            got = cover.upper_distances(pts, needed)
-            pi, li = np.nonzero(lower <= needed[None, :])
-            assert np.array_equal(np.nonzero(np.isfinite(got)), (pi, li))
-            assert np.array_equal(got[pi, li], cover._refine_pairs(pts, pi, li))
+            pi, li, dist = cover._tube_distances(pts, needed, never)
+            got, full = np.full(lower.shape, np.nan), np.full(lower.shape, np.nan)
+            got[pi, li] = dist
+            planar = lower <= needed[None, :]
+            full[planar] = cover._refine_pairs(pts, *np.nonzero(planar), never)
+            kept = ~np.isnan(got)
+            # the kept pairs are planar pairs with the bits of the full
+            # refinement, and each dropped one is outside its tube
+            assert kept.sum() == len(pi) and np.all(planar[kept])
+            assert np.array_equal(got[kept], full[kept])
+            out = planar & ~kept
+            assert np.all(full[out] > np.broadcast_to(needed, lower.shape)[out])
+            dropped += int(out.sum())
+        assert dropped
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cell_index_finds_exactly_the_pairs_of_the_dense_test(self, n):
@@ -683,8 +686,9 @@ class TestCoverInternals:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2.0, 2.0, (6, 3))
         pi, li = np.repeat(np.arange(6), 4), rng.integers(0, len(cover.lines), 24)
-        batched = cover._refine_pairs(pts, pi, li)
-        single = [cover._refine_pairs(pts, pi[k : k + 1], li[k : k + 1])[0] for k in range(24)]
+        never = np.full(len(cover.lines), -1.0)  # settles no point
+        batched = cover._refine_pairs(pts, pi, li, never)
+        single = [cover._refine_pairs(pts, pi[k : k + 1], li[k : k + 1], never)[0] for k in range(24)]
         assert batched.tolist() == single
 
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -74,6 +74,17 @@ def _ref_refine_pairs(cover, pts, pi, li):
     return np.minimum(best, np.minimum(fc, fd))
 
 
+def _ref_upper_distances(cover, pts, needed):
+    """Per (point, line) upper distance, ``inf`` off the pairs of
+    :meth:`Cover._candidate_pairs` at ``needed``: each pair refined in full,
+    none dropped by the height bound."""
+    out = np.full((len(pts), len(cover.lines)), np.inf)
+    pi, li = cover._candidate_pairs(pts, needed)
+    if len(pi):
+        out[pi, li] = _ref_refine_pairs(cover, pts, pi, li)
+    return out
+
+
 def _ref_contains_batch(cover, pts, level):
     radii = cover.radii(level)
     member = np.zeros(len(pts), dtype=bool)
@@ -192,13 +203,17 @@ def test_skipped_refinement_gives_the_same_verdicts(spec):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_upper_distances_keep_the_bits_of_the_full_refinement(n):
+def test_tube_distances_keep_the_bits_of_the_full_refinement(n):
     cover = Cover.build(n=n, height=2, depth=6, max_lines=48)
     pts = _query_points(cover, np.random.default_rng(60 + n), 100)
-    needed = cover.radii(1) * 4.0
-    pi, li = cover._candidate_pairs(pts, needed)
-    assert len(pi) > 50
-    assert _bits(cover.upper_distances(pts, needed)[pi, li]) == _bits(_ref_refine_pairs(cover, pts, pi, li))
+    kept = 0
+    # the height bound keeps about one pair in ten: wide tubes keep enough to compare
+    for needed in (cover.radii(1) * 4.0, np.full(len(cover.lines), 0.25)):
+        # negative settle radii settle no point: every kept pair is refined in full
+        pi, li, dist = cover._tube_distances(pts, needed, settle=np.full(len(cover.lines), -1.0))
+        assert _bits(dist) == _bits(_ref_refine_pairs(cover, pts, pi, li))
+        kept += len(pi)
+    assert kept > 50
 
 
 def test_a_grid_that_settles_every_point_skips_the_golden_section(monkeypatch):
