@@ -123,6 +123,17 @@ def test_runs_log_what_the_full_refinement_logs(monkeypatch, cli_cover, seed):
         assert any("delta search exhausted" in s["flag"] for s in new[0])
 
 
+# a field whose direction is off the start's: the search leaves e1 for (0.6, 0.8)
+@pytest.mark.parametrize("seed", range(5), ids=lambda k: f"seed{k}")
+def test_an_off_direction_run_logs_what_the_full_refinement_logs(monkeypatch, cli_cover, seed):
+    e1 = np.array([1.0, 0.0])
+    f0 = hlinear_field(HLinearMap(0.5, np.array([0.6, 0.8])))
+    start = Pair.in_cover(np.zeros(3), e1, cli_cover, 10)
+    new, ref = _logs(monkeypatch, f0, start, MaximizerConfig(seed=seed), cli_cover)
+    assert new == ref
+    assert len({tuple(s["direction"]) for s in new[0]}) > 1  # the run turns
+
+
 @pytest.mark.parametrize("delta, want", [
     # a ball of radius 0 nests nothing: the search starts at the 1e-300 floor
     # and halves it to 0
